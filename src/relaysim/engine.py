@@ -53,6 +53,9 @@ class SystemConfig:
         if self.scheme not in (ODWF, BASELINE):
             raise ValueError(f"scheme must be {ODWF!r} or {BASELINE!r}, "
                              f"got {self.scheme!r}")
+        for key in ("p", "beta", "alpha", "q", "R"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.N < 1:

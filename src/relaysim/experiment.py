@@ -24,7 +24,8 @@ sections:
 Sweep points are the cross product of the axes in declaration order, last
 axis fastest. Each point gets its own seed derived from (master seed, row
 index), so rows are independent yet the whole table is reproducible byte for
-byte. Blank lines and full-line comments (# or ;) are ignored.
+byte. Blank lines, full-line comments (# or ;) and inline comments (# or ;
+after whitespace) are ignored.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -56,6 +58,7 @@ _INT_KEYS = ("K", "N", "M", "warmup_frames", "measure_frames", "replications",
 _FLOAT_KEYS = ("p", "beta", "alpha", "q", "R")
 _STR_KEYS = ("scenario", "scheme")
 _SWEEPABLE = _INT_KEYS[:-2] + _FLOAT_KEYS  # everything numeric but seed/cap
+_INLINE_COMMENT = re.compile(r"\s[#;].*")   # a comment must follow whitespace
 
 # Emission order; every column is documented in the README format reference.
 COLUMNS = (
@@ -112,7 +115,7 @@ def _scan(text: str):
     """Yield (line_number, section, key, value) for every assignment."""
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        stripped = rawline.strip()
+        stripped = _INLINE_COMMENT.sub("", rawline).strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
@@ -131,6 +134,7 @@ def parse_spec(text: str) -> ExperimentSpec:
     system: dict = {}
     system_lines: dict = {}
     sweep: list = []
+    sweep_lines: dict = {}
     output: dict = {}
     max_points = DEFAULT_MAX_POINTS
     for lineno, section, key, value in _scan(text):
@@ -167,6 +171,7 @@ def parse_spec(text: str) -> ExperimentSpec:
             if not values:
                 raise SpecError(lineno, f"sweep axis {key} has no values")
             sweep.append((key, values))
+            sweep_lines[key] = lineno
         else:
             if key == "mode":
                 if value not in MODES:
@@ -193,6 +198,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         message = str(exc)
         key = message.split()[0] if message else ""
         raise SpecError(system_lines.get(key), message) from None
+    for key, values in sweep:
+        for value in values:
+            try:
+                replace(template, **{key: value})
+            except ValueError as exc:
+                raise SpecError(sweep_lines[key], str(exc)) from None
     n_points = math.prod(len(values) for _, values in sweep)
     if n_points > max_points:
         raise SpecError(None, f"sweep has {n_points} points, cap is {max_points}")

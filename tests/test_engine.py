@@ -35,7 +35,9 @@ def test_config_validation_messages_name_the_field():
                          ("N", 0), ("p", 0.0), ("beta", 0.5), ("M", 1),
                          ("q", 0.7), ("warmup_frames", -1),
                          ("measure_frames", 0), ("replications", 0),
-                         ("seed", -1), ("buffer_cap", 0)]:
+                         ("seed", -1), ("buffer_cap", 0),
+                         ("p", math.nan), ("beta", math.inf), ("q", math.nan),
+                         ("alpha", math.nan), ("R", -math.inf)]:
         with pytest.raises(ValueError, match=rf"^{field} "):
             SystemConfig(**{**good, field: value})
     # mobile-only geometry checks do not fire for fixed relays

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +92,46 @@ def test_parse_anchors_config_violations_to_their_line():
         parse_spec(bad)
     assert err.value.line == lineno
     assert str(err.value) == f"line {lineno}: q must be in [0, 1/2], got 0.7"
+
+
+def test_parse_rejects_non_finite_system_values():
+    bad = MINIMAL.replace("beta = 8", "beta = nan")
+    lineno = bad.splitlines().index("beta = nan") + 1
+    with pytest.raises(SpecError) as err:
+        parse_spec(bad)
+    assert str(err.value) == f"line {lineno}: beta must be finite, got nan"
+
+
+def test_parse_anchors_bad_sweep_values_to_the_axis_line():
+    bad = MINIMAL + "[sweep]\nK = 50, 60\nbeta = 10, inf\n"
+    lineno = bad.splitlines().index("beta = 10, inf") + 1
+    with pytest.raises(SpecError) as err:
+        parse_spec(bad)
+    assert err.value.line == lineno
+    assert str(err.value) == f"line {lineno}: beta must be finite, got inf"
+    with pytest.raises(SpecError, match=r"^line \d+: N must be >= 1, got 0$"):
+        parse_spec(MINIMAL + "[sweep]\nN = 2, 0\n")
+
+
+def test_parse_strips_inline_comments_after_whitespace():
+    spec = parse_spec(MINIMAL.replace("K = 50", "K = 50    # relays")
+                      .replace("[system]", "[system]  ; section")
+                      + "[sweep]\nbeta = 8, 16 # two points\n"
+                      + "[output]\npath = a#b;c.csv\n")
+    assert spec.template.K == 50
+    assert spec.sweep == (("beta", (8.0, 16.0)),)
+    assert spec.out_path == "a#b;c.csv"    # no whitespace, so not a comment
+
+
+def test_readme_spec_example_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                      re.DOTALL)
+    spec = parse_spec(block.group(1))
+    assert (spec.template.scenario, spec.template.K, spec.template.beta) == (
+        "fixed", 10000, 2000.0)
+    assert spec.sweep == (("beta", (500.0, 1000.0, 2000.0)), ("K", (1000, 10000)))
+    assert spec.mode == "both" and spec.out_path == "results.csv"
 
 
 def test_parse_enforces_point_cap():

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from relaysim.analytics import p_rd
-from relaysim.channel import RateThreshold
+from relaysim.channel import FixedLinkSampler, RateThreshold
 from relaysim.mobility import build_geometry
 from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BaselineFixed,
                                BaselineMobile, BufferOverflowError, OdwfFixed,
@@ -150,6 +151,107 @@ def test_fixed_odwf_buffer_guard_trips():
     assert proto.next_seq == 5
 
 
+# ---------------------------------------- dense oracle for the fixed samplers
+
+
+class DenseLinks(FixedLinkSampler):
+    """The sampler as it was before the sparse draws: one indicator per link."""
+
+    def connected_subsets(self, count, n_subcarriers):
+        masks = []
+        for _ in range(n_subcarriers):
+            mask = self.connected(count)
+            if not mask.any():
+                return None
+            masks.append(mask)
+        return [np.flatnonzero(m).astype(np.int32) for m in masks]
+
+
+class DenseOdwfFixed(OdwfFixed):
+    """OdwfFixed drawing every source-relay and relay-destination link."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.links = DenseLinks(self.links.threshold, self.rng)
+
+    def _relay_eligibility(self):
+        eligible = []
+        for n in range(self.N):
+            if self.occupied[n] == 0:
+                return None
+            occupied_ids = np.flatnonzero(self.bank_count[n] > 0)
+            elig = occupied_ids[self.links.connected(occupied_ids.size)]
+            if elig.size == 0:
+                return None
+            eligible.append(elig)
+        return [int(elig[self.rng.integers(elig.size)]) for elig in eligible]
+
+
+def snapshot(scheme, seed, frames, K=500, N=2, beta=50.0):
+    """Phase of the last frame, then occupancy of subcarrier 0 and packets
+    in flight after it."""
+    proto = make_fixed(scheme, K, N, 1.0, beta, seed)
+    for t in range(frames):
+        out = proto.step(t)
+    return out.kind, int(proto.occupied[0]), proto.in_network()
+
+
+def quintile_table(samples_a, samples_b):
+    """2 x 5 contingency table of two samples binned at pooled quintiles."""
+    edges = np.unique(np.quantile(samples_a + samples_b, [0.2, 0.4, 0.6, 0.8]))
+    return [np.bincount(np.searchsorted(edges, side, "right"), minlength=edges.size + 1)
+            for side in (samples_a, samples_b)]
+
+
+def test_sparse_and_dense_fixed_odwf_agree_in_distribution():
+    # one snapshot per independent run, so the contingency tests' cells are
+    # i.i.d.; 150 frames is about ten buffering delays at this configuration
+    runs, frames = 400, 150
+    sparse = [snapshot(OdwfFixed, 1000 + r, frames) for r in range(runs)]
+    dense = [snapshot(DenseOdwfFixed, 5000 + r, frames) for r in range(runs)]
+    kinds = (SOURCE_TX, RELAY_TX, IDLE)
+    phase_table = np.array([[sum(s[0] == kind for s in side) for kind in kinds]
+                            for side in (sparse, dense)])
+    phase_table = phase_table[:, phase_table.sum(axis=0) > 0]
+    assert stats.chi2_contingency(phase_table).pvalue > 1e-3
+    for i in (1, 2):    # occupancy, then packets in flight
+        table = quintile_table([s[i] for s in sparse], [s[i] for s in dense])
+        assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
+def test_fixed_odwf_transmitter_uniform_over_occupied_relays():
+    # six relays hold packets, one of them three deep; each frame some of
+    # their links connect, and the transmitter must be uniform over all six
+    K, beta, draws = 40, 4.0, 20000
+    holders = [2, 5, 11, 17, 23, 31]
+    for scheme in (OdwfFixed, DenseOdwfFixed):
+        proto = make_fixed(scheme, K, 1, 1.0, beta, 60)
+        subsets = [[np.array(holders, dtype=np.int32)],
+                   [np.array([5], dtype=np.int32)],
+                   [np.array([5], dtype=np.int32)]]
+        for t, subset in enumerate(subsets):
+            proto._source_tx(t, subset)
+        picks = [proto._relay_eligibility() for _ in range(draws)]
+        hits = [p[0] for p in picks if p is not None]
+        want = 1.0 - (1.0 - 1.0 / beta) ** len(holders)
+        sigma = math.sqrt(want * (1 - want) / draws)
+        assert abs(len(hits) / draws - want) <= 4 * sigma
+        counts = [hits.count(k) for k in holders]
+        assert sum(counts) == len(hits)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("scheme", [OdwfFixed, BaselineFixed])
+def test_fixed_schemes_at_extreme_beta_raise_no_warning(scheme):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        always = drive(make_fixed(scheme, 12, 2, 1.0, 1.0, 61), 40)
+        never = make_fixed(scheme, 12, 2, 1.0, 1e9, 62)
+        assert all(o.kind == IDLE for o in drive(never, 200))
+    assert [o.kind for o in always] == [SOURCE_TX, RELAY_TX] * 20
+    assert never.next_seq == 0
+
+
 # ------------------------------------------------------------ fixed baseline
 
 
@@ -205,6 +307,24 @@ def test_baseline_fixed_partial_delivery_survives():
     assert max(delays) > 1
     seqs = delivered_seqs(outs)
     assert len(seqs) + proto.in_network() == proto.next_seq
+
+
+def test_baseline_fixed_occupancy_tracks_the_holder_union():
+    # partial deliveries shrink the batch between source frames, so a stale
+    # cached union would show up as a wrong occupancy
+    proto = make_fixed(BaselineFixed, 30, 3, 1.0, 6.0, 36)
+    changed = 0
+    for t in range(1500):
+        before = proto.in_network()
+        proto.step(t)
+        changed += proto.in_network() not in (0, before)
+        frac = proto.occupied_fraction()
+        held = (np.unique(np.concatenate(list(proto.batch.values())))
+                if proto.batch else np.empty(0))
+        assert np.array_equal(frac, np.full(3, held.size / proto.K))
+        if proto.batch:
+            assert np.array_equal(proto._holder_union(), held)
+    assert changed > 50
 
 
 def test_baseline_fixed_one_relay_may_serve_both_subcarriers():
