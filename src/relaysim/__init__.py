@@ -7,17 +7,13 @@ from .analytics import (CoverageModelError, Prediction,
                         occupancy_alpha, occupancy_limit,
                         odwf_fixed_prediction, odwf_mobile_prediction, p_rd)
 from .channel import (QuadratureError, RateThreshold, coverage_radius,
-                      ergodic_capacity_exact, is_connected_fixed,
-                      is_connected_mobile, mutual_information,
-                      sample_power_gain)
+                      ergodic_capacity_exact)
 from .engine import (BASELINE, FIXED, MOBILE, ODWF, MetricsTrace, RunSummary,
                      SystemConfig, measure_delay, measure_throughput,
                      run_once, run_replicated)
 from .experiment import (ExperimentSpec, SpecError, emit, load_spec,
                          parse_spec, run_experiment)
-from .mobility import (DiskGeometry, RelayPosition, build_geometry,
-                       distance_to_destination, distance_to_source,
-                       init_relays, sample_position_in_region, step_region)
+from .mobility import DiskGeometry, build_geometry
 from .protocol import (BufferOverflowError, FrameOutcome, Packet,
                        BaselineFixed, BaselineMobile, OdwfFixed, OdwfMobile)
 

@@ -22,21 +22,6 @@ class QuadratureError(RuntimeError):
     """Raised when the ergodic-capacity quadrature cannot certify 1e-6 bits."""
 
 
-def sample_power_gain(rng: np.random.Generator) -> float:
-    """One Rayleigh power gain |H|^2 with H ~ CN(0,1): exponential, mean 1."""
-    return float(rng.exponential())
-
-
-def sample_power_gains(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized counterpart of sample_power_gain."""
-    return rng.exponential(size=size)
-
-
-def mutual_information(p: float, gain: float) -> float:
-    """Per-subcarrier mutual information log2(1 + p * gain) in bits per channel use."""
-    return math.log2(1.0 + p * gain)
-
-
 @dataclass(frozen=True)
 class RateThreshold:
     """A transmission rate locked to its connectivity threshold beta.
@@ -73,28 +58,11 @@ class RateThreshold:
         return math.log(self.beta)
 
 
-def is_connected_fixed(r: RateThreshold, p: float, gain: float) -> bool:
-    """Fixed-scenario link test in threshold form.
-
-    Equivalent to mutual_information(p, gain) >= r.rate, but evaluated as
-    gain >= ln(beta) so the connect probability is exactly 1/beta with no
-    transcendental round-trip at the boundary.
-    """
-    return gain >= r.gain_threshold
-
-
 def coverage_radius(p: float, beta: float, alpha: float) -> float:
     """Distance (p/beta)^(1/alpha) within which a pathloss-only link is connected."""
     if p <= 0.0 or beta < 1.0 or alpha <= 0.0:
         raise ValueError(f"need p > 0, beta >= 1, alpha > 0; got {(p, beta, alpha)}")
     return (p / beta) ** (1.0 / alpha)
-
-
-def is_connected_mobile(r: RateThreshold, p: float, d: float, alpha: float) -> bool:
-    """Mobile-scenario link test: inside the coverage radius, boundary inclusive."""
-    if d <= 0.0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return d <= coverage_radius(p, r.beta, alpha)
 
 
 def ergodic_capacity_exact(p: float, d: float, alpha: float, n_subcarriers: int,

@@ -73,6 +73,7 @@ COLUMNS = (
 
 STATUS_OK = "ok"
 STATUS_OVERFLOW = "buffer_overflow"
+STATUS_NO_PREDICTION = "no_prediction"
 
 
 class SpecError(ValueError):
@@ -265,7 +266,10 @@ def _simulate_cells(cfg: SystemConfig) -> dict:
 
 
 def _prediction_cells(cfg: SystemConfig) -> dict:
-    pred = _predict(cfg)
+    try:
+        pred = _predict(cfg)
+    except ValueError:  # outside the closed forms' domain, e.g. alpha < 2, q = 0
+        return {"status": STATUS_NO_PREDICTION}
     cells = {
         "pred_T": pred.T, "pred_T_max": pred.T_max,
         "pred_T_finite_K": pred.T_finite_K, "pred_D": pred.D,
@@ -283,9 +287,11 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list:
     """One row dict per sweep point, in deterministic sweep order.
 
     A run that trips the buffer guard yields a row with status
-    "buffer_overflow" and absent simulation columns instead of aborting the
-    sweep. progress, if given, is called as progress(row_index, n_points)
-    after each row.
+    "buffer_overflow" and absent simulation columns, and a configuration the
+    closed forms do not cover yields status "no_prediction" and absent
+    prediction columns, instead of aborting the sweep; a row with both reads
+    "buffer_overflow". progress, if given, is called as
+    progress(row_index, n_points) after each row.
     """
     master_seed = spec.template.seed
     axes = [[(name, value) for value in values] for name, values in spec.sweep]

@@ -4,13 +4,16 @@ The source sits at (-R, 0) and the destination at (R, 0), the two ends of the
 horizontal diameter. Relays hop between adjacent strips with probability q per
 frame (reflecting at the ends) and their exact coordinates are redrawn uniformly
 within the current strip on every transition, self-transitions included, so
-position is memoryless given the region index.
+position is memoryless given the region index. Whether a relay sits inside a
+coverage disk is therefore, in each frame, a Bernoulli draw whose probability
+depends on its strip alone (coverage_probabilities).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -28,12 +31,6 @@ class DiskGeometry:
     @property
     def destination(self):
         return (self.radius, 0.0)
-
-
-@dataclass(frozen=True)
-class RelayPosition:
-    region: int
-    coords: tuple  # (x, y) inside the disk and inside the region's strip
 
 
 def _area_left_of(x: float, radius: float) -> float:
@@ -74,49 +71,34 @@ def build_geometry(radius: float, n_regions: int, tol: float = 1e-12) -> DiskGeo
                         boundaries=tuple(bounds))
 
 
-def region_of(geom: DiskGeometry, x: float) -> int:
-    """Region index 1..M of the strip containing abscissa x."""
-    # interior boundaries only; right-closed strips except the last
-    idx = int(np.searchsorted(np.asarray(geom.boundaries[1:-1]), x, side="right"))
-    return idx + 1
-
-
 def strip_area(geom: DiskGeometry, region: int) -> float:
     x0, x1 = geom.boundaries[region - 1], geom.boundaries[region]
     return _area_left_of(x1, geom.radius) - _area_left_of(x0, geom.radius)
 
 
-def step_region(current: int, n_regions: int, q: float, rng: np.random.Generator) -> int:
-    """One reflecting-walk transition: to i +/- 1 with probability q each.
-
-    At regions 1 and M the blocked move reflects into a stay, so the boundary
-    stay probability is 1 - q, matching the transition matrix rows.
-    """
-    u = rng.random()
-    proposal = current + (1 if u < q else (-1 if u < 2.0 * q else 0))
-    return min(max(proposal, 1), n_regions)
-
-
 def step_regions(regions: np.ndarray, n_regions: int, q: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Vectorized step_region over a whole relay population."""
-    u = rng.random(regions.size)
-    delta = (u < q).astype(np.int64) - ((u >= q) & (u < 2.0 * q))
-    return np.clip(regions + delta, 1, n_regions)
+                 rng: np.random.Generator):
+    """One frame of the reflecting walk for all relays, in place; returns
+    the mover ids and their strips before the move.
 
-
-def transition_matrix(n_regions: int, q: float) -> np.ndarray:
-    """The M x M region-transition matrix Q; symmetric, hence doubly stochastic."""
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"need 0 <= q <= 1/2, got {q}")
-    Q = np.zeros((n_regions, n_regions))
-    for i in range(n_regions):
-        if i > 0:
-            Q[i, i - 1] = q
-        if i < n_regions - 1:
-            Q[i, i + 1] = q
-        Q[i, i] = 1.0 - Q[i].sum()
-    return Q
+    Each relay moves with probability 2q, independently, up or down with
+    probability 1/2 each, and a move past strip 1 or M reflects into a stay.
+    For 2q <= 1/8 the movers are a Binomial(K, 2q) count of distinct uniform
+    ids with a fair bit each, at O(K q) cost; above, one uniform per relay is
+    cheaper and gives both (up below q, down in [q, 2q)).
+    """
+    K = regions.size
+    if 2.0 * q > 0.125:
+        u = rng.random(K)
+        movers = np.flatnonzero(u < 2.0 * q)
+        up = u[movers] < q
+    else:
+        m = int(rng.binomial(K, 2.0 * q))
+        movers = rng.choice(K, m, replace=False, shuffle=False)
+        up = rng.random(m) < 0.5
+    old = regions[movers]
+    regions[movers] = np.minimum(np.maximum(old + 2 * up - 1, 1), n_regions)
+    return movers, old
 
 
 def sample_positions_in_region(geom: DiskGeometry, region: int, count: int,
@@ -143,78 +125,54 @@ def sample_positions_in_region(geom: DiskGeometry, region: int, count: int,
     return xs, ys
 
 
-def sample_position_in_region(geom: DiskGeometry, region: int,
-                              rng: np.random.Generator) -> RelayPosition:
-    """One uniform position within the region's strip."""
-    if not 1 <= region <= geom.n_regions:
-        raise ValueError(f"region must be in 1..{geom.n_regions}, got {region}")
-    xs, ys = sample_positions_in_region(geom, region, 1, rng)
-    return RelayPosition(region=region, coords=(float(xs[0]), float(ys[0])))
-
-
-def _uniform_disk(radius: float, count: int, rng: np.random.Generator):
-    xs = np.empty(count)
-    ys = np.empty(count)
-    filled = 0
-    while filled < count:
-        m = count - filled
-        batch = m + (m >> 1) + 8
-        cx = rng.uniform(-radius, radius, batch)
-        cy = rng.uniform(-radius, radius, batch)
-        ok = np.flatnonzero(cx * cx + cy * cy <= radius * radius)[:m]
-        xs[filled:filled + ok.size] = cx[ok]
-        ys[filled:filled + ok.size] = cy[ok]
-        filled += ok.size
-    return xs, ys
-
-
-def init_relays(geom: DiskGeometry, n_relays: int, rng: np.random.Generator):
-    """K i.i.d. uniform positions on the disk, region derived from x."""
-    if n_relays < 1:
-        raise ValueError(f"need at least one relay, got {n_relays}")
-    xs, ys = _uniform_disk(geom.radius, n_relays, rng)
-    interior = np.asarray(geom.boundaries[1:-1])
-    regions = np.searchsorted(interior, xs, side="right") + 1
-    return [RelayPosition(region=int(r), coords=(float(x), float(y)))
-            for r, x, y in zip(regions, xs, ys)]
-
-
 def init_regions(geom: DiskGeometry, n_relays: int, rng: np.random.Generator) -> np.ndarray:
-    """Region indices of a fresh uniform-on-disk population (coords discarded)."""
-    xs, _ = _uniform_disk(geom.radius, n_relays, rng)
-    interior = np.asarray(geom.boundaries[1:-1])
-    return (np.searchsorted(interior, xs, side="right") + 1).astype(np.int64)
+    """Strips of a fresh uniform-on-disk population: the strips have equal
+    area, so each relay's strip is uniform on 1..M."""
+    return rng.integers(1, geom.n_regions + 1, size=n_relays, dtype=np.int64)
 
 
-def distance_to_source(geom: DiskGeometry, pos: RelayPosition) -> float:
-    x, y = pos.coords
-    return math.hypot(x + geom.radius, y)
+def _lens_area(x0: float, x1: float, disks) -> float:
+    """Area of the part of the strip x0 <= x <= x1 inside every disk.
 
-
-def distance_to_destination(geom: DiskGeometry, pos: RelayPosition) -> float:
-    x, y = pos.coords
-    return math.hypot(x - geom.radius, y)
-
-
-def coverage_window(geom: DiskGeometry, radius_cov: float):
-    """Static strip windows that a coverage disk can reach.
-
-    Returns (src_max_region, dest_min_region): strips 1..src_max_region are the
-    only ones that can intersect the source disk, strips dest_min_region..M the
-    only ones that can intersect the destination disk.
+    Disks are (centre on the x-axis, radius), so the area is the integral of
+    2 min_i sqrt(r_i^2 - (x - c_i)^2) over their common x-range. The squared
+    heights differ linearly in x, so the lowest disk changes only where two
+    circles cross; between cuts each piece is a slice of one disk.
     """
-    b = geom.boundaries
-    M = geom.n_regions
-    src_max = 1
-    for i in range(2, M + 1):
-        if b[i - 1] <= -geom.radius + radius_cov:
-            src_max = i
-        else:
-            break
-    dest_min = M
-    for i in range(M - 1, 0, -1):
-        if b[i] >= geom.radius - radius_cov:
-            dest_min = i
-        else:
-            break
-    return src_max, dest_min
+    lo = max([x0] + [c - r for c, r in disks])
+    hi = min([x1] + [c + r for c, r in disks])
+    if lo >= hi:
+        return 0.0
+    cuts = [lo, hi]
+    for (c1, r1), (c2, r2) in combinations(disks, 2):
+        if c1 != c2:
+            x = (r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2.0 * (c2 - c1))
+            if lo < x < hi:
+                cuts.append(x)
+    cuts.sort()
+    area = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        c, r = min(disks, key=lambda d: d[1] * d[1] - (mid - d[0]) ** 2)
+        # clamped, as rounding can put a cut a hair outside the disk
+        area += (_area_left_of(min(b - c, r), r)
+                 - _area_left_of(max(a - c, -r), r))
+    return area
+
+
+def coverage_probabilities(geom: DiskGeometry, radius_cov: float):
+    """(p_src, p_dst, p_both), each indexed by strip 1..M (entry 0 unused):
+    the probabilities that a uniform point of strip r lies within radius_cov
+    of the source, of the destination, and of both, as exact area ratios.
+    """
+    R = geom.radius
+    disk, src, dst = (0.0, R), (-R, radius_cov), (R, radius_cov)
+    probs = [[0.0], [0.0], [0.0]]
+    for r in range(1, geom.n_regions + 1):
+        x0, x1 = geom.boundaries[r - 1], geom.boundaries[r]
+        area = strip_area(geom, r)
+        ps, pd = (min(_lens_area(x0, x1, (disk, end)) / area, 1.0) for end in (src, dst))
+        pb = min(_lens_area(x0, x1, (disk, src, dst)) / area, 1.0) if ps and pd else 0.0
+        for vec, value in zip(probs, (ps, pd, pb)):
+            vec.append(value)
+    return tuple(np.array(vec) for vec in probs)

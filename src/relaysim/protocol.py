@@ -5,23 +5,25 @@ SOURCE_TX (phase I, source injects), RELAY_TX (phase II, relays deliver), or
 IDLE. Buffers are unbounded by design; a configurable guard cap aborts with a
 diagnostic when a configuration is divergent.
 
-Purged packets are removed lazily from the per-relay FIFOs: the authoritative
-record of who still holds an undelivered seq is the holders index, and deque
-heads are skipped past delivered seqs on access. Every (relay, seq) pair is
-appended once and popped at most once, so the lazy cleanup is O(1) amortized.
+Mobile relays carry a strip, never coordinates: positions are redrawn
+uniformly within the strip every frame, so coverage is a per-strip Bernoulli
+draw and a mobile frame costs O(movers + relays touched), not O(K).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .channel import FixedLinkSampler, RateThreshold, coverage_radius
 from .matching import max_bipartite_matching
-from .mobility import (DiskGeometry, coverage_window, init_regions,
-                       sample_positions_in_region, step_regions)
+from .mobility import (DiskGeometry, coverage_probabilities, init_regions,
+                       step_regions)
+from .mobility import sample_positions_in_region  # noqa: F401, perfbench/tracing.py patches it
 
 SOURCE_TX = "source_tx"
 RELAY_TX = "relay_tx"
@@ -60,6 +62,63 @@ class RelayState:
     region: int | None = None
 
 
+class _Fifos:
+    """Per-relay FIFOs of undelivered seqs on one subcarrier.
+
+    holders maps each undelivered seq to its relay ids; count[k] is the number
+    of undelivered seqs relay k holds, length[k] the length of its FIFO. Dead
+    (delivered) seqs leave FIFOs lazily: heads skip them, and a FIFO is rebuilt
+    from its live seqs (dropped if none) once longer than twice those plus
+    SLACK, which spares FIFOs with few live seqs. Each entry is dropped once,
+    by a pop or by a rebuild that drops more than it keeps: O(1) amortized.
+    """
+
+    SLACK = 8
+
+    def __init__(self, count: np.ndarray):
+        self.count = count  # int32 per relay, a view owned by the scheme
+        self.length = np.zeros(count.size, dtype=np.int32)
+        self.fifo = defaultdict(deque)
+        self.holders = {}
+
+    def add(self, seq: int, ids: np.ndarray) -> np.ndarray:
+        """Enqueue seq at the distinct relays ids; return those that held nothing."""
+        ids = ids.astype(np.intp, copy=False)  # indexes faster than int32
+        self.holders[seq] = ids
+        fresh = ids[self.count[ids] == 0]
+        self.count[ids] += 1
+        self.length[ids] += 1
+        fifo = self.fifo
+        for k in ids.tolist():
+            fifo[k].append(seq)
+        return fresh
+
+    def deliver(self, k: int):
+        """Pop relay k's oldest undelivered seq and purge it everywhere;
+        return it with the ids of the relays it leaves holding nothing."""
+        fifo, holders = self.fifo, self.holders
+        head = fifo[k]
+        seq = head.popleft()
+        while seq not in holders:
+            seq = head.popleft()
+        self.length[k] = len(head)
+        hold = holders.pop(seq)
+        count, length = self.count, self.length
+        count[hold] -= 1
+        left = count[hold]
+        for j in hold[length[hold] > 2 * left + self.SLACK].tolist():
+            live = self.live(j)
+            length[j] = len(live)
+            if live:
+                fifo[j] = deque(live)
+            else:
+                del fifo[j]
+        return seq, hold[left == 0]
+
+    def live(self, k: int) -> list:
+        return [s for s in self.fifo.get(k, ()) if s in self.holders]
+
+
 class OdwfFixed:
     """Scheme: opportunistic decode-wait-and-forward over fixed relays.
 
@@ -82,8 +141,7 @@ class OdwfFixed:
         self.buffer_cap = buffer_cap
         self.bank_count = np.zeros((self.N, self.K), dtype=np.int32)
         self.occupied = np.zeros(self.N, dtype=np.int64)
-        self.banks = [defaultdict(deque) for _ in range(self.N)]
-        self.holders = [dict() for _ in range(self.N)]  # seq -> relay id array
+        self.banks = [_Fifos(self.bank_count[n]) for n in range(self.N)]
         self.created_frame = {}
         self.next_seq = 0
 
@@ -109,14 +167,8 @@ class OdwfFixed:
     def _relay_tx(self, frame, transmitters):
         delivered = []
         for n, k in enumerate(transmitters):
-            bank = self.banks[n][k]
-            while True:
-                seq = bank.popleft()
-                if seq in self.holders[n]:
-                    break
-            hold = self.holders[n].pop(seq)
-            self.bank_count[n, hold] -= 1
-            self.occupied[n] -= int(np.count_nonzero(self.bank_count[n, hold] == 0))
+            seq, emptied = self.banks[n].deliver(k)
+            self.occupied[n] -= emptied.size
             delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate, n + 1))
         return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
 
@@ -124,16 +176,12 @@ class OdwfFixed:
         for n, ids in enumerate(subsets):
             seq = self.next_seq
             self.next_seq += 1
-            self.holders[n][seq] = ids
             self.created_frame[seq] = frame
-            self.occupied[n] += int(np.count_nonzero(self.bank_count[n, ids] == 0))
-            self.bank_count[n, ids] += 1
             bank = self.banks[n]
-            for k in ids:
-                bank[int(k)].append(seq)
-            if len(self.holders[n]) > self.buffer_cap:
+            self.occupied[n] += bank.add(seq, ids).size
+            if len(bank.holders) > self.buffer_cap:
                 raise BufferOverflowError(
-                    f"subcarrier {n}: {len(self.holders[n])} undelivered packets "
+                    f"subcarrier {n}: {len(bank.holders)} undelivered packets "
                     f"exceed the guard cap {self.buffer_cap}")
         return FrameOutcome(frame, SOURCE_TX)
 
@@ -141,12 +189,11 @@ class OdwfFixed:
         return self.occupied / self.K
 
     def in_network(self) -> int:
-        return sum(len(h) for h in self.holders)
+        return sum(len(bank.holders) for bank in self.banks)
 
     def relay_state(self, relay_id: int) -> RelayState:
-        banks = [[s for s in self.banks[n].get(relay_id, ()) if s in self.holders[n]]
-                 for n in range(self.N)]
-        return RelayState(relay_id=relay_id, banks=banks)
+        return RelayState(relay_id=relay_id,
+                          banks=[bank.live(relay_id) for bank in self.banks])
 
 
 class BaselineFixed:
@@ -233,48 +280,101 @@ class BaselineFixed:
 
 
 class _MobileScheme:
-    """Shared geometry plumbing for the two mobile schemes.
+    """Strip bookkeeping shared by the two mobile schemes.
 
-    Coordinates are sampled only for relays in strips a coverage disk can
-    reach; everyone else's position is irrelevant this frame and, being
-    redrawn on every transition anyway, carries no state.
+    regions[k] is relay k's strip; strip_relays[r] counts the relays in strip
+    r and strip_buffered[r] those with a nonempty buffer (0 for the baseline),
+    both kept current in O(movers) per frame. p_src[r] and p_dst[r] are the
+    probabilities that a relay of strip r is inside source and destination
+    coverage in a frame (entry 0 unused).
     """
 
     def __init__(self, n_relays: int, geom: DiskGeometry, threshold: RateThreshold,
                  p: float, pathloss_exp: float, q: float, rng: np.random.Generator):
         self.K = n_relays
-        self.geom = geom
+        self.M = geom.n_regions
         self.rate = threshold.rate
-        self.p = p
-        self.alpha = pathloss_exp
         self.q = q
         self.rng = rng
-        self.cov = coverage_radius(p, threshold.beta, pathloss_exp)
-        self.src_max_region, self.dest_min_region = coverage_window(geom, self.cov)
-        self.regions = init_regions(geom, n_relays, rng)
+        cov = coverage_radius(p, threshold.beta, pathloss_exp)
+        self.p_src, self.p_dst, p_both = coverage_probabilities(geom, cov)
+        # coverage reaches strips 1..src_max_region and dest_min_region..M
+        self.src_max_region = int(np.flatnonzero(self.p_src)[-1])
+        self.dest_min_region = int(np.flatnonzero(self.p_dst)[0])
+        # source coverage given no destination coverage; where p_dst = 1 no
+        # buffered relay survives phase II, so any value will do
+        self.p_src_given_no_dst = np.clip(np.divide(
+            self.p_src - p_both, 1.0 - self.p_dst,
+            out=np.zeros(self.M + 1), where=self.p_dst < 1.0), 0.0, 1.0)
+        self.buffer_count = np.zeros(n_relays, dtype=np.int32)
+        self.place(init_regions(geom, n_relays, rng))
+
+    def place(self, regions):
+        """Put relay k in strip regions[k] and rebuild the per-strip counts."""
+        self.regions = np.array(regions, dtype=np.int64)
+        self.strip_relays = self._tally(self.regions)
+        self.strip_buffered = self._tally(self.regions[self.buffer_count > 0])
+
+    def _tally(self, regions: np.ndarray) -> np.ndarray:
+        return np.bincount(regions, minlength=self.M + 1)
 
     def _walk(self):
-        self.regions = step_regions(self.regions, self.geom.n_regions, self.q, self.rng)
+        movers, old = step_regions(self.regions, self.M, self.q, self.rng)
+        if movers.size:
+            self.strip_relays += self._tally(self.regions[movers]) - self._tally(old)
+            held = self.buffer_count[movers] > 0
+            if held.any():
+                self.strip_buffered += (self._tally(self.regions[movers[held]])
+                                        - self._tally(old[held]))
 
-    def _positions_for(self, ids: np.ndarray):
-        """Fresh coordinates for the given relay ids, grouped by region."""
-        xs = np.empty(ids.size)
-        ys = np.empty(ids.size)
-        regs = self.regions[ids]
-        for r in np.unique(regs):
-            sel = np.flatnonzero(regs == r)
-            x, y = sample_positions_in_region(self.geom, int(r), sel.size, self.rng)
-            xs[sel] = x
-            ys[sel] = y
-        return xs, ys
+    def _source_covered(self):
+        """Ids of the relays inside source coverage this frame, or None.
 
-    def _in_source_coverage(self, xs, ys):
-        R = self.geom.radius
-        return (xs + R) ** 2 + ys ** 2 <= self.cov ** 2
+        Unbuffered relays are covered independently with p_src. ODWF's phase I
+        runs only when no buffered relay is in destination coverage, so those
+        are covered with p_src_given_no_dst, unlike p_src only where p_dst > 0.
+        Per strip and class the count is Binomial(relays, p), and given the
+        count every subset of that size is equally likely.
+        """
+        picks = []
+        for strip in range(1, self.src_max_region + 1):
+            total, buffered = int(self.strip_relays[strip]), int(self.strip_buffered[strip])
+            if buffered and self.p_dst[strip] > 0.0:
+                classes = ((total - buffered, self.p_src[strip], False),
+                           (buffered, self.p_src_given_no_dst[strip], True))
+            else:
+                classes = ((total, self.p_src[strip], None),)
+            for members, prob, held in classes:
+                size = int(self.rng.binomial(members, prob)) if members else 0
+                if size:
+                    picks.append(self._members(strip, held, size, members))
+        return np.concatenate(picks) if picks else None
 
-    def _in_dest_coverage(self, xs, ys):
-        R = self.geom.radius
-        return (xs - R) ** 2 + ys ** 2 <= self.cov ** 2
+    def _belongs(self, ids, strip, held):
+        ok = self.regions[ids] == strip
+        if held is not None:
+            ok &= (self.buffer_count[ids] > 0) if held else (self.buffer_count[ids] == 0)
+        return ok
+
+    def _members(self, strip: int, held, size: int, total: int) -> np.ndarray:
+        """`size` distinct uniform ids among the `total` relays of `strip`
+        with a nonempty buffer (held True), an empty one (False) or any (None).
+
+        A uniform id that belongs is uniform over the members, so the first
+        `size` distinct members drawn are a uniform subset. One batch of four
+        times the mean draws this needs, at most size*K/(total - size + 1), is
+        tried; if it comes up short, or would cost more than a scan of all K
+        relays, a uniform subset of the scanned members is drawn instead.
+        """
+        K = self.K
+        tries = -(-4 * K * size // (total - size + 1))
+        if tries < K:
+            ids = self.rng.integers(K, size=tries)
+            distinct = list(dict.fromkeys(ids[self._belongs(ids, strip, held)].tolist()))
+            if len(distinct) >= size:
+                return np.array(distinct[:size])
+        ids = np.flatnonzero(self._belongs(slice(None), strip, held))
+        return self.rng.choice(ids, size, replace=False)
 
 
 class OdwfMobile(_MobileScheme):
@@ -290,83 +390,61 @@ class OdwfMobile(_MobileScheme):
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
+        self.bank = _Fifos(self.buffer_count)
         self.buffer_cap = buffer_cap
-        self.buffers = defaultdict(deque)
-        self.buffer_count = np.zeros(self.K, dtype=np.int32)
-        self.buffered_relays = 0
-        self.holders = {}
         self.created_frame = {}
         self.next_seq = 0
-        # if one strip can meet both coverage disks, its relays must not be
-        # sampled twice in a frame; materialize the union up front in that case
-        self.overlapping_windows = self.dest_min_region <= self.src_max_region
 
     def step(self, frame: int) -> FrameOutcome:
         self._walk()
-        if self.overlapping_windows:
-            cand = np.flatnonzero((self.regions >= self.dest_min_region)
-                                  | (self.regions <= self.src_max_region))
-            xs, ys = self._positions_for(cand)
-            elig = cand[self._in_dest_coverage(xs, ys) & (self.buffer_count[cand] > 0)]
-            if elig.size:
-                return self._relay_tx(frame, elig)
-            covered = cand[self._in_source_coverage(xs, ys)]
-            if covered.size:
-                return self._source_tx(frame, covered)
-            return FrameOutcome(frame, IDLE)
-        dest_cand = np.flatnonzero((self.regions >= self.dest_min_region)
-                                   & (self.buffer_count > 0))
-        if dest_cand.size:
-            xs, ys = self._positions_for(dest_cand)
-            elig = dest_cand[self._in_dest_coverage(xs, ys)]
-            if elig.size:
-                return self._relay_tx(frame, elig)
-        src_cand = np.flatnonzero(self.regions <= self.src_max_region)
-        if src_cand.size:
-            xs, ys = self._positions_for(src_cand)
-            covered = src_cand[self._in_source_coverage(xs, ys)]
-            if covered.size:
-                return self._source_tx(frame, covered)
+        k = self._deliverer()
+        if k is not None:
+            return self._relay_tx(frame, k)
+        covered = self._source_covered()
+        if covered is not None:
+            return self._source_tx(frame, covered)
         return FrameOutcome(frame, IDLE)
 
-    def _relay_tx(self, frame, elig):
-        k = int(elig[self.rng.integers(elig.size)])
-        buf = self.buffers[k]
-        while True:
-            seq = buf.popleft()
-            if seq in self.holders:
-                break
-        hold = self.holders.pop(seq)
-        self.buffer_count[hold] -= 1
-        self.buffered_relays -= int(np.count_nonzero(self.buffer_count[hold] == 0))
+    def _deliverer(self):
+        """A uniform pick among the buffered relays in destination coverage, or
+        None: per strip their count is Binomial(buffered, p_dst) and any subset
+        of that size is as likely, so a strip is picked in proportion, then any
+        of its buffered relays."""
+        lo = self.dest_min_region
+        counts = list(accumulate(
+            int(self.rng.binomial(b, p)) if b else 0
+            for b, p in zip(self.strip_buffered[lo:].tolist(), self.p_dst[lo:].tolist())))
+        if counts[-1] == 0:
+            return None
+        strip = lo + bisect_right(counts, int(self.rng.integers(counts[-1])))
+        return int(self._members(strip, True, 1, int(self.strip_buffered[strip]))[0])
+
+    def _relay_tx(self, frame, k):
+        seq, emptied = self.bank.deliver(k)
+        self.strip_buffered -= self._tally(self.regions[emptied])
         pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
         return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
 
     def _source_tx(self, frame, covered):
         seq = self.next_seq
         self.next_seq += 1
-        ids = covered.astype(np.int32)
-        self.holders[seq] = ids
         self.created_frame[seq] = frame
-        self.buffered_relays += int(np.count_nonzero(self.buffer_count[ids] == 0))
-        self.buffer_count[ids] += 1
-        for k in ids:
-            self.buffers[int(k)].append(seq)
-        if len(self.holders) > self.buffer_cap:
+        fresh = self.bank.add(seq, covered)
+        self.strip_buffered += self._tally(self.regions[fresh])
+        if len(self.bank.holders) > self.buffer_cap:
             raise BufferOverflowError(
-                f"{len(self.holders)} undelivered packets exceed the guard cap "
+                f"{len(self.bank.holders)} undelivered packets exceed the guard cap "
                 f"{self.buffer_cap}")
         return FrameOutcome(frame, SOURCE_TX)
 
     def occupied_fraction(self) -> float:
-        return self.buffered_relays / self.K
+        return int(self.strip_buffered.sum()) / self.K
 
     def in_network(self) -> int:
-        return len(self.holders)
+        return len(self.bank.holders)
 
     def relay_state(self, relay_id: int) -> RelayState:
-        bank = [s for s in self.buffers.get(relay_id, ()) if s in self.holders]
-        return RelayState(relay_id=relay_id, banks=[bank],
+        return RelayState(relay_id=relay_id, banks=[self.bank.live(relay_id)],
                           region=int(self.regions[relay_id]))
 
 
@@ -389,26 +467,20 @@ class BaselineMobile(_MobileScheme):
         self._walk()
         if self.outstanding is not None:
             seq, hold = self.outstanding
-            cand = hold[self.regions[hold] >= self.dest_min_region]
-            if cand.size:
-                xs, ys = self._positions_for(cand)
-                elig = cand[self._in_dest_coverage(xs, ys)]
-                if elig.size:
-                    k = int(elig[self.rng.integers(elig.size)])
-                    pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
-                    self.outstanding = None
-                    return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
+            elig = hold[self.rng.random(hold.size) < self.p_dst[self.regions[hold]]]
+            if elig.size:
+                k = int(elig[self.rng.integers(elig.size)])
+                pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
+                self.outstanding = None
+                return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
             return FrameOutcome(frame, IDLE)
-        src_cand = np.flatnonzero(self.regions <= self.src_max_region)
-        if src_cand.size:
-            xs, ys = self._positions_for(src_cand)
-            covered = src_cand[self._in_source_coverage(xs, ys)]
-            if covered.size:
-                seq = self.next_seq
-                self.next_seq += 1
-                self.outstanding = (seq, covered.astype(np.int32))
-                self.created_frame[seq] = frame
-                return FrameOutcome(frame, SOURCE_TX)
+        covered = self._source_covered()
+        if covered is not None:
+            seq = self.next_seq
+            self.next_seq += 1
+            self.outstanding = (seq, covered)
+            self.created_frame[seq] = frame
+            return FrameOutcome(frame, SOURCE_TX)
         return FrameOutcome(frame, IDLE)
 
     def occupied_fraction(self) -> float:

@@ -18,7 +18,8 @@ from relaysim.cli import PRESETS, main
 from relaysim.engine import (SystemConfig, measure_throughput, run_once,
                              run_replicated)
 from relaysim.experiment import COLUMNS, STATUS_OK, STATUS_OVERFLOW
-from relaysim.mobility import build_geometry, step_region, strip_area
+from oracles import step_region
+from relaysim.mobility import build_geometry, strip_area
 
 
 def trace_of(cfg):

@@ -244,7 +244,7 @@ def test_expected_covered_matches_monte_carlo():
     # cross-check the d^2/(2R^2) area ratio by point counting; the closed
     # form is the small-d lens limit, ~2% high at d = 0.1R, so compare
     # relative at 5%
-    from relaysim.mobility import _uniform_disk
+    from oracles import uniform_disk
     rng = np.random.default_rng(19)
     K, p, beta, alpha, R = 2000, 1.0, 10**4, 4.0, 1.0
     d = (p / beta) ** (1.0 / alpha)
@@ -252,7 +252,7 @@ def test_expected_covered_matches_monte_carlo():
     hits = 0
     trials = 2000
     for _ in range(trials):
-        xs, ys = _uniform_disk(R, K, rng)
+        xs, ys = uniform_disk(R, K, rng)
         hits += int(np.count_nonzero((xs + R) ** 2 + ys**2 <= d * d))
     want = expected_covered_relays(K, p, beta, alpha, R)
     got = hits / trials

@@ -9,8 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from relaysim.experiment import (COLUMNS, STATUS_OK, STATUS_OVERFLOW,
-                                 ExperimentSpec, SpecError, _row_seed, emit,
+from relaysim.experiment import (COLUMNS, STATUS_NO_PREDICTION, STATUS_OK,
+                                 STATUS_OVERFLOW, ExperimentSpec, SpecError, _row_seed, emit,
                                  load_spec, parse_spec, run_experiment)
 
 MINIMAL = """\
@@ -246,6 +246,21 @@ beta = 8, 1
     assert table[0]["pred_T"] > 0            # predictions still computed
     assert table[1]["status"] == STATUS_OK   # beta=1 drains instantly
     assert table[1]["T"] == 0.0              # rate log2(1+p*ln 1) is zero
+
+
+@pytest.mark.parametrize("axis", ["alpha = 4.0, 1.5", "q = 0.1, 0"])
+def test_run_experiment_row_outside_the_closed_forms_keeps_the_sweep(axis):
+    # the mobile closed forms need alpha >= 2 and q > 0; the simulation
+    # does not, so the second row is simulated and marked, not fatal
+    text = SIM_SMALL.replace("scenario = fixed", "scenario = mobile")
+    table = run_experiment(parse_spec(text + f"[sweep]\n{axis}\n"))
+    assert [cells["status"] for cells in table] == [STATUS_OK, STATUS_NO_PREDICTION]
+    assert table[0]["pred_T"] > 0
+    assert not any(key.startswith("pred_") for key in table[1])
+    assert all(cells["T"] >= 0.0 and "P_RD_hat" in cells for cells in table)
+    predicted = run_experiment(parse_spec(
+        text + f"[sweep]\n{axis}\n[output]\nmode = predict\n"))
+    assert predicted[1]["status"] == STATUS_NO_PREDICTION
 
 
 def test_run_experiment_is_deterministic():

@@ -1,4 +1,5 @@
-"""Disk geometry, equal-area strips, the reflecting region walk, and sampling."""
+"""Disk geometry, equal-area strips, the reflecting region walk, sampling,
+and the per-strip coverage probabilities."""
 
 import math
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relaysim.mobility import (RelayPosition, build_geometry, coverage_window,
-                               distance_to_destination, distance_to_source,
-                               init_regions, init_relays, region_of,
-                               sample_position_in_region,
-                               sample_positions_in_region, step_region,
-                               step_regions, strip_area, transition_matrix)
+from oracles import (RelayPosition, coverage_window, distance_to_destination,
+                     distance_to_source, init_relays, region_of,
+                     sample_position_in_region, step_region, transition_matrix)
+from relaysim.channel import coverage_radius
+from relaysim.mobility import (build_geometry, coverage_probabilities,
+                               init_regions, sample_positions_in_region,
+                               step_regions, strip_area)
 
 # interior boundaries for R=1 frozen from 50-digit root-finding on the
 # circular-segment area equation
@@ -103,22 +105,31 @@ def test_step_region_reflects_at_boundary():
     phat = ups / 10_000
     sigma = math.sqrt(0.3 * 0.7 / 10_000)
     assert abs(phat - 0.3) <= 3 * sigma
-    regions = np.ones(n, dtype=np.int64)
-    stepped = step_regions(regions, 5, 0.3, np.random.default_rng(2))
+    stepped = np.ones(n, dtype=np.int64)
+    step_regions(stepped, 5, 0.3, np.random.default_rng(2))
     assert set(np.unique(stepped)) <= {1, 2}
     assert abs(np.mean(stepped == 2) - 0.3) <= 3 * sigma / 10  # n is 100x larger
 
 
 def test_step_regions_matches_transition_matrix_rows():
+    # q = 0.2 draws one uniform per relay, q = 0.02 a Binomial count of movers
+    # and a direction bit each; both must give the matrix rows and report
+    # exactly the relays that moved, with their strips before the move
     rng = np.random.default_rng(3)
-    M, q, n = 4, 0.2, 200_000
-    Q = transition_matrix(M, q)
-    for start in range(1, M + 1):
-        stepped = step_regions(np.full(n, start, dtype=np.int64), M, q, rng)
-        freq = np.bincount(stepped, minlength=M + 1)[1:] / n
-        for j in range(M):
-            sigma = math.sqrt(Q[start - 1, j] * (1 - Q[start - 1, j]) / n)
-            assert abs(freq[j] - Q[start - 1, j]) <= 4 * sigma + 1e-12
+    M, n = 4, 200_000
+    for q in (0.2, 0.02):
+        Q = transition_matrix(M, q)
+        for start in range(1, M + 1):
+            stepped = np.full(n, start, dtype=np.int64)
+            movers, old = step_regions(stepped, M, q, rng)
+            assert np.array_equal(old, np.full(movers.size, start))
+            assert np.unique(movers).size == movers.size
+            assert np.all(np.delete(stepped, movers) == start)
+            assert abs(movers.size - 2 * q * n) <= 4 * math.sqrt(2 * q * (1 - 2 * q) * n)
+            freq = np.bincount(stepped, minlength=M + 1)[1:] / n
+            for j in range(M):
+                sigma = math.sqrt(Q[start - 1, j] * (1 - Q[start - 1, j]) / n)
+                assert abs(freq[j] - Q[start - 1, j]) <= 4 * sigma + 1e-12
 
 
 def test_transition_matrix_doubly_stochastic():
@@ -139,7 +150,7 @@ def test_walk_preserves_uniform_ensemble():
         n = 20_000 * M
         regions = np.repeat(np.arange(1, M + 1, dtype=np.int64), n // M)
         for _ in range(5):
-            regions = step_regions(regions, M, q, rng)
+            step_regions(regions, M, q, rng)
         counts = np.bincount(regions, minlength=M + 1)[1:]
         assert chi2_uniform_ok(counts)
 
@@ -152,7 +163,8 @@ def test_walk_flows_balance_across_boundaries():
     up = np.zeros(M + 1, dtype=np.int64)
     down = np.zeros(M + 1, dtype=np.int64)
     for _ in range(steps // 64):
-        stepped = step_regions(regions, M, q, rng)
+        stepped = regions.copy()
+        step_regions(stepped, M, q, rng)
         for b in range(1, M):
             up[b] += int(np.count_nonzero((regions == b) & (stepped == b + 1)))
             down[b] += int(np.count_nonzero((regions == b + 1) & (stepped == b)))
@@ -247,3 +259,33 @@ def test_coverage_window_brackets_reachable_strips():
             assert not covered_src.any()
         if region < dest_min:
             assert not covered_dst.any()
+
+
+@pytest.mark.parametrize("M", [2, 5])
+def test_coverage_probabilities_match_sampled_positions(M):
+    # uniform points of each strip, counted inside source coverage,
+    # destination coverage and both; the radii run from small disks to
+    # windows that overlap, through middle strips that meet both disks
+    # partially, to coverage of the whole disk (p = 32, beta = 2)
+    geom = build_geometry(1.0, M)
+    rng = np.random.default_rng(200 + M)
+    n = 100_000
+    for p, beta in ((1.0, 10**5), (1.0, 100.0), (1.0, 2.0), (2.0, 1.5),
+                    (4.0, 2.0), (32.0, 2.0)):
+        cov = coverage_radius(p, beta, 4.0)
+        p_src, p_dst, p_both = coverage_probabilities(geom, cov)
+        assert p_src[0] == p_dst[0] == p_both[0] == 0.0
+        # mirror symmetry: the destination sees strip r as the source sees M+1-r
+        assert np.allclose(p_src[1:], p_dst[:0:-1], rtol=1e-12, atol=1e-15)
+        src_max, dest_min = coverage_window(geom, cov)
+        assert int(np.flatnonzero(p_src)[-1]) == src_max
+        assert int(np.flatnonzero(p_dst)[0]) == dest_min
+        for r in range(1, M + 1):
+            xs, ys = sample_positions_in_region(geom, r, n, rng)
+            in_src = (xs + 1.0) ** 2 + ys ** 2 <= cov * cov
+            in_dst = (xs - 1.0) ** 2 + ys ** 2 <= cov * cov
+            for want, hits in ((p_src[r], in_src), (p_dst[r], in_dst),
+                               (p_both[r], in_src & in_dst)):
+                assert 0.0 <= want <= 1.0
+                sigma = math.sqrt(want * (1.0 - want) / n)
+                assert abs(hits.mean() - want) <= 4.5 * sigma + 1e-12, (beta, r)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import DenseBaselineMobile, DenseOdwfMobile
 from relaysim.analytics import p_rd
 from relaysim.channel import FixedLinkSampler, RateThreshold
 from relaysim.mobility import build_geometry
@@ -196,11 +197,24 @@ def snapshot(scheme, seed, frames, K=500, N=2, beta=50.0):
     return out.kind, int(proto.occupied[0]), proto.in_network()
 
 
-def quintile_table(samples_a, samples_b):
-    """2 x 5 contingency table of two samples binned at pooled quintiles."""
+def assert_same_law(samples_a, samples_b):
+    """Chi-square contingency test of two samples of one discrete law. The
+    categories are the pooled quintiles, each a category of its own, and
+    the ranges between them; a law with one value must agree exactly."""
     edges = np.unique(np.quantile(samples_a + samples_b, [0.2, 0.4, 0.6, 0.8]))
-    return [np.bincount(np.searchsorted(edges, side, "right"), minlength=edges.size + 1)
-            for side in (samples_a, samples_b)]
+
+    def categories(side):
+        x = np.asarray(side)
+        j = np.searchsorted(edges, x)
+        return 2 * j + (edges[np.minimum(j, edges.size - 1)] == x)
+
+    table = np.array([np.bincount(categories(side), minlength=2 * edges.size + 1)
+                      for side in (samples_a, samples_b)])
+    table = table[:, table.sum(axis=0) > 0]
+    if table.shape[1] == 1:
+        assert samples_a == samples_b
+    else:
+        assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
 def test_sparse_and_dense_fixed_odwf_agree_in_distribution():
@@ -210,13 +224,9 @@ def test_sparse_and_dense_fixed_odwf_agree_in_distribution():
     sparse = [snapshot(OdwfFixed, 1000 + r, frames) for r in range(runs)]
     dense = [snapshot(DenseOdwfFixed, 5000 + r, frames) for r in range(runs)]
     kinds = (SOURCE_TX, RELAY_TX, IDLE)
-    phase_table = np.array([[sum(s[0] == kind for s in side) for kind in kinds]
-                            for side in (sparse, dense)])
-    phase_table = phase_table[:, phase_table.sum(axis=0) > 0]
-    assert stats.chi2_contingency(phase_table).pvalue > 1e-3
+    assert_same_law([kinds.index(s[0]) for s in sparse], [kinds.index(s[0]) for s in dense])
     for i in (1, 2):    # occupancy, then packets in flight
-        table = quintile_table([s[i] for s in sparse], [s[i] for s in dense])
-        assert stats.chi2_contingency(table).pvalue > 1e-3
+        assert_same_law([s[i] for s in sparse], [s[i] for s in dense])
 
 
 def test_fixed_odwf_transmitter_uniform_over_occupied_relays():
@@ -360,7 +370,7 @@ def test_mobile_odwf_frozen_walk_out_of_reach_idles():
     proto = make_mobile(OdwfMobile, 2, 1, p=1.0, beta=1e6, alpha=2.0,
                         M=5, q=0.0, R=1.0, seed=37)
     assert proto.src_max_region == 1 and proto.dest_min_region == 5
-    proto.regions = np.array([2, 3])
+    proto.place([2, 3])
     outs = drive(proto, 200)
     assert all(o.kind == IDLE for o in outs)
     assert np.array_equal(proto.regions, [2, 3])
@@ -400,7 +410,7 @@ def test_mobile_odwf_occupancy_counter_matches_state():
 
 def test_mobile_odwf_buffer_guard_trips():
     proto = make_mobile(OdwfMobile, 5, 1, seed=40, buffer_cap=4, **FULL_COVER)
-    proto._in_dest_coverage = lambda xs, ys: np.zeros(np.shape(xs)[0], dtype=bool)
+    proto.p_dst[:] = 0.0   # no relay ever reaches destination coverage
     with pytest.raises(BufferOverflowError):
         drive(proto, 10)
     assert proto.next_seq == 5
@@ -436,7 +446,7 @@ def test_mobile_baseline_stranded_holder_never_delivers():
     # frozen, can never reach destination coverage
     proto = make_mobile(BaselineMobile, 1, 1, p=1.0, beta=16.0, alpha=4.0,
                         M=5, q=0.0, R=1.0, seed=43)
-    proto.regions = np.array([1])
+    proto.place([1])
     outs = drive(proto, 600)
     kinds = [o.kind for o in outs]
     assert SOURCE_TX in kinds
@@ -465,3 +475,140 @@ def test_mobile_baseline_single_outstanding_packet():
     assert len(seqs) > 50
     delays = [o.frame - p.created_frame for o in outs for p in o.delivered]
     assert min(delays) >= 1 and max(delays) > 1
+
+
+def test_mobile_strip_counters_match_state():
+    # the per-strip counts are kept current through moves, deliveries and
+    # broadcasts; q = 0.02 takes the sparse walk, q = 0.3 the dense one
+    for scheme in (OdwfMobile, BaselineMobile):
+        for q, seed in ((0.02, 45), (0.3, 46)):
+            proto = make_mobile(scheme, 120, 1, p=4.0, beta=2.0, alpha=4.0,
+                                M=5, q=q, R=1.0, seed=seed)
+            kinds = set()
+            for t in range(400):
+                kinds.add(proto.step(t).kind)
+                tally = np.bincount(proto.regions, minlength=6)
+                assert np.array_equal(proto.strip_relays, tally)
+                held = proto.regions[proto.buffer_count > 0]
+                assert np.array_equal(proto.strip_buffered,
+                                      np.bincount(held, minlength=6))
+            assert {SOURCE_TX, RELAY_TX} <= kinds
+
+
+def test_mobile_place_rebuilds_counters():
+    proto = make_mobile(OdwfMobile, 6, 1, seed=47, **FULL_COVER)
+    proto.step(0)                      # everyone buffers packet 0
+    proto.place([1, 1, 2, 5, 5, 5])
+    assert proto.strip_relays.tolist() == [0, 2, 1, 0, 0, 3]
+    assert proto.strip_buffered.tolist() == [0, 2, 1, 0, 0, 3]
+
+
+# --------------------------------- coordinate-sampling oracle, mobile schemes
+
+
+# (relays, config) per law. M = 5 strips; the coverage radius
+# (p/beta)^(1/4) is 0.71 in "apart", so the source and destination windows
+# stay apart; 1.19 in "overlapping", so strips 2-4 meet both disks partially
+# (in strip 3 a buffered relay outside destination coverage is in source
+# coverage with probability 0.35, against 0.64 for any relay there); and
+# 2.0 in FULL_COVER, which covers the whole disk from either end. q = 0.05
+# takes the sparse walk, q = 0.1 the dense one.
+MOBILE_LAWS = {
+    "apart": (60, dict(p=1.0, beta=4.0, alpha=4.0, M=5, q=0.05, R=1.0)),
+    "overlapping": (6, dict(p=4.0, beta=2.0, alpha=4.0, M=5, q=0.1, R=1.0)),
+    "full_cover": (8, FULL_COVER),
+}
+
+
+def mobile_snapshot(scheme, seed, frames, K, cfg):
+    """Phase of the last frame, then relays holding packets and packets in
+    flight after it."""
+    proto = make_mobile(scheme, K, 1, seed=seed, **cfg)
+    for t in range(frames):
+        out = proto.step(t)
+    return out.kind, round(proto.occupied_fraction() * K), proto.in_network()
+
+
+@pytest.mark.parametrize("law", sorted(MOBILE_LAWS))
+@pytest.mark.parametrize("scheme,dense", [(OdwfMobile, DenseOdwfMobile),
+                                          (BaselineMobile, DenseBaselineMobile)])
+def test_mobile_schemes_agree_with_coordinate_sampling(scheme, dense, law):
+    # one snapshot per independent run, as for the fixed schemes
+    runs, frames, (K, cfg) = 300, 40, MOBILE_LAWS[law]
+    new = [mobile_snapshot(scheme, 2000 + r, frames, K, cfg) for r in range(runs)]
+    old = [mobile_snapshot(dense, 7000 + r, frames, K, cfg) for r in range(runs)]
+    kinds = (SOURCE_TX, RELAY_TX, IDLE)
+    assert_same_law([kinds.index(s[0]) for s in new], [kinds.index(s[0]) for s in old])
+    for i in (1, 2):    # relays holding packets, then packets in flight
+        assert_same_law([s[i] for s in new], [s[i] for s in old])
+
+
+def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage():
+    # six relays in strip 3, which meets both disks, two of them buffered and
+    # the walk frozen; each trial draws phase II, then phase I if it failed,
+    # without changing the state. The coordinate sampler decides both phases
+    # from one position per relay, so in phase I a buffered relay is in
+    # source coverage with probability 0.35, not 0.64 as an unbuffered one
+    K, trials = 6, 8000
+    cfg = dict(MOBILE_LAWS["overlapping"][1], q=0.0)
+    new = make_mobile(OdwfMobile, K, 1, seed=50, **cfg)
+    dense = make_mobile(DenseOdwfMobile, K, 1, seed=51, **cfg)
+    new.place([3] * K)
+    dense.regions = np.full(K, 3, dtype=np.int64)
+    for proto in (new, dense):
+        proto._source_tx(0, np.array([0, 1]))
+    outcomes = {"new": ([], []), "dense": ([], [])}
+    for _ in range(trials):
+        if new._deliverer() is None:
+            covered = new._source_covered()
+            covered = np.empty(0) if covered is None else covered
+            outcomes["new"][0].append(int(np.count_nonzero(covered < 2)))
+            outcomes["new"][1].append(int(np.count_nonzero(covered >= 2)))
+        else:
+            outcomes["new"][0].append(-1)
+        xs, ys = dense._positions_for(np.arange(K))
+        if dense._in_dest_coverage(xs[:2], ys[:2]).any():
+            outcomes["dense"][0].append(-1)
+        else:
+            src = dense._in_source_coverage(xs, ys)
+            outcomes["dense"][0].append(int(src[:2].sum()))
+            outcomes["dense"][1].append(int(src[2:].sum()))
+    for i in (0, 1):    # phase II or buffered relays covered, then unbuffered
+        assert_same_law(outcomes["new"][i], outcomes["dense"][i])
+    phase_one = [n for n in outcomes["new"][0] if n >= 0]
+    assert abs(np.mean(phase_one) / 2 - 0.354) < 0.05
+
+
+# ------------------------------------------------------ FIFO memory bound
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_fixed(OdwfFixed, 500, 2, 1.0, 50.0, 48),
+    lambda: make_mobile(OdwfMobile, 500, 1, p=1.0, beta=4.0, alpha=4.0,
+                        M=5, q=0.05, R=1.0, seed=49),
+], ids=["fixed", "mobile"])
+def test_odwf_fifos_hold_at_most_twice_their_live_seqs(make):
+    # delivered seqs stay in the FIFOs of relays that did not send them;
+    # compaction keeps every FIFO within twice its undelivered seqs plus a
+    # slack, so the total stays within 2 x live entries + SLACK x K however
+    # long the run
+    proto = make()
+    banks = proto.banks if isinstance(proto, OdwfFixed) else [proto.bank]
+    dead_seen = 0
+    for t in range(6000):
+        proto.step(t)
+        if t % 50 == 49:
+            for bank in banks:
+                lengths = np.zeros(bank.count.size, dtype=np.int64)
+                for k, fifo in bank.fifo.items():
+                    lengths[k] = len(fifo)
+                live = sum(ids.size for ids in bank.holders.values())
+                assert live == bank.count.sum()
+                assert np.array_equal(lengths, bank.length)
+                assert np.all(lengths <= 2 * bank.count + bank.SLACK)
+                assert lengths.sum() <= 2 * live + bank.SLACK * proto.K
+                dead_seen += int(np.count_nonzero(lengths > bank.count))
+    assert dead_seen > 0    # dead seqs do occur and are tolerated up to the bound
+    held = [s for k in range(proto.K) for bank in proto.relay_state(k).banks
+            for s in bank]
+    assert len(held) == sum(int(b.count.sum()) for b in banks)
