@@ -6,8 +6,7 @@ from .analytics import (CoverageModelError, Prediction,
                         c_of, delta_of, expected_covered_relays,
                         occupancy_alpha, occupancy_limit,
                         odwf_fixed_prediction, odwf_mobile_prediction, p_rd)
-from .channel import (QuadratureError, RateThreshold, coverage_radius,
-                      ergodic_capacity_exact)
+from .channel import RateThreshold, coverage_radius
 from .engine import (BASELINE, FIXED, MOBILE, ODWF, MetricsTrace, RunSummary,
                      SystemConfig, measure_delay, measure_throughput,
                      run_once, run_replicated)

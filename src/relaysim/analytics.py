@@ -98,20 +98,6 @@ def c_of(N: int) -> float:
     return t - math.log(math.expm1(t))
 
 
-def flow_balance_residual(beta: float, K: float, N: int) -> float:
-    """Defect of the occupancy fixed point; ~0 up to roundoff by construction.
-
-    With alpha*K relays occupied, the relay-transmit frequency is
-    y = [1 - (1-1/beta)^(alpha*K)]^N and flow balance demands
-    y = (1-y) * delta^N.
-    """
-    alpha, singular = occupancy_alpha(beta, K, N)
-    if singular:
-        return 0.0
-    y = (-math.expm1(alpha * _ln_one_minus_delta(beta, K))) ** N
-    return y - (1.0 - y) * delta_of(beta, K) ** N
-
-
 def odwf_fixed_prediction(K: float, N: int, p: float, beta: float) -> Prediction:
     """Fixed-relay ODWF: throughput, its ceiling, and the buffering delay.
 

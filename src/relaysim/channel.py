@@ -3,9 +3,7 @@
 Fixed relays see per-subcarrier Rayleigh block fading: every inspected link gets
 a fresh Exp(1) power gain each frame, and a link is connected iff the gain clears
 the rate threshold. Mobile relays see pure pathloss: a link is connected iff the
-distance is within the coverage radius. The exact ergodic capacity is provided
-only as a validation oracle for the pathloss approximation and never runs inside
-the simulation loop.
+distance is within the coverage radius.
 """
 
 from __future__ import annotations
@@ -14,12 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-LN2 = math.log(2.0)
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the ergodic-capacity quadrature cannot certify 1e-6 bits."""
 
 
 @dataclass(frozen=True)
@@ -65,53 +57,6 @@ def coverage_radius(p: float, beta: float, alpha: float) -> float:
     return (p / beta) ** (1.0 / alpha)
 
 
-def ergodic_capacity_exact(p: float, d: float, alpha: float, n_subcarriers: int,
-                           quadrature_nodes: int = 32, upper: float = 60.0) -> float:
-    """N * E[log2(1 + p*g/d^alpha)] with g ~ Exp(1), by numeric integration.
-
-    Validation oracle only. The integrand has a knee at g = d^alpha/p, so the
-    range splits there, with the outer piece integrated in log space in panels
-    of width <= 2 (Gauss-Legendre, quadrature_nodes points per panel). The tail
-    beyond `upper` is bounded analytically; if that bound exceeds 1e-6 bits the
-    computation refuses rather than report an uncertified value.
-    """
-    if d <= 0.0 or quadrature_nodes < 16:
-        raise ValueError(f"need d > 0 and quadrature_nodes >= 16, got {(d, quadrature_nodes)}")
-    c = p / d ** alpha
-    # tail bound: log2(1+c*g) <= log2(1+c*G) + c*(g-G)/((1+c*G)*ln2) for g >= G
-    tail = math.exp(-upper) * (math.log2(1.0 + c * upper) + c / ((1.0 + c * upper) * LN2))
-    if tail > 1e-6:
-        raise QuadratureError(
-            f"tail-truncation error bound {tail:.3e} bits exceeds 1e-6 at upper={upper}")
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_nodes)
-
-    def panel(lo, hi, transform):
-        xs = 0.5 * (hi - lo) * nodes + 0.5 * (lo + hi)
-        ws = 0.5 * (hi - lo) * weights
-        return transform(xs, ws)
-
-    def linear(xs, ws):
-        return float(np.sum(ws * np.log2(1.0 + c * xs) * np.exp(-xs)))
-
-    def logspace(ts, ws):
-        gs = np.exp(ts)
-        return float(np.sum(ws * gs * np.log2(1.0 + c * gs) * np.exp(-gs)))
-
-    knee = min(1.0 / c, upper)
-    # width <= 4 keeps Gauss-Legendre at machine precision against exp(-g)
-    n_linear = max(1, math.ceil(knee / 4.0))
-    lin_edges = np.linspace(0.0, knee, n_linear + 1)
-    total = sum(panel(lo, hi, linear)
-                for lo, hi in zip(lin_edges[:-1], lin_edges[1:]))
-    if knee < upper:
-        t0, t1 = math.log(knee), math.log(upper)
-        n_panels = max(1, math.ceil((t1 - t0) / 2.0))
-        edges = np.linspace(t0, t1, n_panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += panel(lo, hi, logspace)
-    return n_subcarriers * total
-
-
 class FixedLinkSampler:
     """Lazy per-frame connectivity draws for fixed-relay links.
 
@@ -127,7 +72,7 @@ class FixedLinkSampler:
         self.rng = rng
         self.connect_probability = 1.0 / threshold.beta
         # log P(a link is down); beta = 1 means no link is ever down
-        self._log_down = (math.log1p(-self.connect_probability)
+        self.log_down = (math.log1p(-self.connect_probability)
                           if threshold.beta > 1.0 else -math.inf)
 
     def connected(self, count: int) -> np.ndarray:
@@ -165,7 +110,7 @@ class FixedLinkSampler:
         draw with probability 1 - (1 - 1/beta)^count, as for count i.i.d. links."""
         if count == 0:
             return False
-        return self.rng.random() < -math.expm1(count * self._log_down)
+        return self.rng.random() < -math.expm1(count * self.log_down)
 
     def pick_connected(self, held: np.ndarray, count: int) -> int:
         """Uniform pick among the connected links of the `count` relays with

@@ -20,7 +20,8 @@ import time
 from dataclasses import replace
 from importlib import resources
 
-from .experiment import FORMATS, emit, load_spec, parse_spec, run_experiment
+from .experiment import (FORMATS, check_writable, emit, load_spec, parse_spec,
+                         run_experiment)
 
 PRESETS = ("fig-fixed-tradeoff", "fig-mobile-tradeoff")
 
@@ -65,6 +66,7 @@ def main(argv=None) -> int:
             spec = replace(spec, out_format=args.out_format)
         if args.out is not None:
             spec = replace(spec, out_path=args.out)
+        check_writable(spec.out_path)    # fail before the sweep, not after
         started = time.perf_counter()
         table = run_experiment(spec)
         elapsed = time.perf_counter() - started

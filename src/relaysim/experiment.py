@@ -31,10 +31,12 @@ after whitespace) are ignored.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -330,7 +332,8 @@ def emit(table: list, out_format: str, path: str | None) -> None:
 
     CSV carries every column of COLUMNS in order with absent values as empty
     fields; JSON-lines omits absent keys. Floats are emitted as shortest
-    round-trip decimals, so identical tables produce identical bytes.
+    round-trip decimals, so identical tables produce identical bytes. A file
+    is written whole or left as it was (see _temp_sibling).
     """
     if not table:
         raise ValueError("refusing to emit an empty table")
@@ -349,6 +352,40 @@ def emit(table: list, out_format: str, path: str | None) -> None:
         raise ValueError(f"unknown format {out_format!r}")
     if path is None or path == "-":
         sys.stdout.write(buffer.getvalue())
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        return
+    target, temp = _temp_sibling(path)
+    try:
+        with open(temp or target, "x" if temp else "w", encoding="utf-8",
+                  newline="") as handle:
             handle.write(buffer.getvalue())
+        if temp:
+            os.replace(temp, target)
+    finally:
+        if temp and os.path.exists(temp):    # only after a failure
+            os.unlink(temp)
+
+
+def _temp_sibling(path: str):
+    """(target, temp): emit writes temp next to the file path resolves to,
+    then renames it over that file, so a failure never leaves it truncated.
+    temp is None when the target exists but is no regular file: a device or
+    pipe such as /dev/null is written in place, never replaced."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return target, None
+    head, tail = os.path.split(target)
+    return target, os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+
+
+def check_writable(path: str | None) -> None:
+    """Raise OSError now if emit could not write path later."""
+    if path is None or path == "-":
+        return
+    target, temp = _temp_sibling(path)
+    if temp:
+        open(temp, "x").close()
+        os.unlink(temp)
+    elif os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    elif not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)

@@ -12,9 +12,10 @@ draw and a mobile frame costs O(movers + relays touched), not O(K).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -48,18 +49,6 @@ class FrameOutcome:
     kind: str
     delivered: tuple = ()      # Packet instances handed to the destination
     transmitters: tuple = ()   # relay ids that transmitted this frame
-
-    @property
-    def bits(self) -> float:
-        return sum(p.size_bits for p in self.delivered)
-
-
-@dataclass
-class RelayState:
-    """Debug/test view of one relay: undelivered seqs per bank, FIFO order."""
-    relay_id: int
-    banks: list = field(default_factory=list)
-    region: int | None = None
 
 
 class _Fifos:
@@ -191,10 +180,6 @@ class OdwfFixed:
     def in_network(self) -> int:
         return sum(len(bank.holders) for bank in self.banks)
 
-    def relay_state(self, relay_id: int) -> RelayState:
-        return RelayState(relay_id=relay_id,
-                          banks=[bank.live(relay_id) for bank in self.banks])
-
 
 class BaselineFixed:
     """Baseline: genie-aided regular decode-and-forward over fixed relays.
@@ -204,7 +189,28 @@ class BaselineFixed:
     While packets remain, every frame is a RelayTx that delivers a maximum
     bipartite matching between undelivered packets and subcarriers; an edge
     exists iff some holder of the packet has a connected relay-destination link
-    on that subcarrier. A relay may serve several subcarriers in one frame.
+    on that subcarrier, and the lowest-id such holder transmits. A relay may
+    serve several subcarriers in one frame.
+
+    Relays are kept in holder cells: cell c is the sizes[c] relays
+    ids[first[c]:first[c] + sizes[c]], in ascending order, that hold exactly
+    the packets i of the batch with bit i set in labels[c]. Links are i.i.d.
+    Bernoulli(1/beta), so relays are exchangeable, only cell sizes enter the
+    laws, and a frame costs O(N * cells), whatever K is.
+    - Source phase: the members of a cell that connect on subcarrier n number
+      Binomial(size, 1/beta), independently across cells, which splits every
+      cell in two. Given the sizes, every assignment of relays to cells is
+      equally likely, so the cells are consecutive blocks of a uniformly
+      ordered sample of distinct ids.
+    - Relay phase: no member of a cell of s relays connects on a subcarrier
+      with probability (1 - 1/beta)^s, independently across cells and
+      subcarriers: one Bernoulli per (subcarrier, cell) decides the edges.
+      Cells with equal patterns are disjoint and need no merging, since
+      (1 - 1/beta)^(s+t) = (1 - 1/beta)^s (1 - 1/beta)^t.
+    - Transmitter: given that a cell is up, the index of its first connected
+      member in id order is geometric truncated to the cell size, drawn only
+      for delivered packets; the minimum id over the up cells holding the
+      packet is its lowest-id connected holder.
     """
 
     def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
@@ -214,69 +220,95 @@ class BaselineFixed:
         self.rate = threshold.rate
         self.rng = rng
         self.links = FixedLinkSampler(threshold, rng)
-        self.batch = {}   # seq -> sorted holder id array
-        self._held = None  # cached holder union, see _holder_union
-        self.origin = {}
-        self.created_frame = {}
+        self.pending = []    # undelivered packets i of the batch: seq base_seq + i
+        self.base_seq = self.created = 0    # created: the batch's creation frame
+        self.held = 0        # relays in live cells
         self.next_seq = 0
 
     def step(self, frame: int) -> FrameOutcome:
-        if self.batch:
+        if self.pending:
             return self._relay_tx(frame)
-        subsets = self.links.connected_subsets(self.K, self.N)
-        if subsets is None:
-            return FrameOutcome(frame, IDLE)
-        for n, ids in enumerate(subsets):
-            seq = self.next_seq
-            self.next_seq += 1
-            self.batch[seq] = ids
-            self.origin[seq] = n + 1
-            self.created_frame[seq] = frame
-        self._held = None
+        return self._source_tx(frame)
+
+    def _source_tx(self, frame):
+        rng, p = self.rng, self.links.connect_probability
+        labels, sizes = [0], [self.K]    # cell c holds packet i iff bit i of labels[c]
+        for n in range(self.N):
+            ups = (rng.binomial(sizes, p).tolist() if len(sizes) > 8
+                   else [rng.binomial(s, p) for s in sizes])   # cheaper when few
+            if not any(ups):
+                return FrameOutcome(frame, IDLE)
+            labels = ([label | 1 << n for label, up in zip(labels, ups) if up]
+                      + [label for label, size, up in zip(labels, sizes, ups) if size > up])
+            sizes = [up for up in ups if up] + [s - up for s, up in zip(sizes, ups) if s > up]
+        if labels[-1] == 0:    # the relays that connected nowhere, always last
+            labels, sizes = labels[:-1], sizes[:-1]
+        self.labels = np.array(labels, dtype=np.int64 if self.N < 63 else object)
+        self.sizes = np.array(sizes)
+        self.first = np.array([0, *accumulate(sizes[:-1])])
+        self.up_prob = -np.expm1(self.sizes * self.links.log_down)
+        self.held = held = int(sum(sizes))
+        # cells are consecutive blocks of the sample, so its order matters
+        # only when there are several
+        sample = rng.choice(self.K, held, replace=False, shuffle=len(sizes) > 1)
+        if len(sizes) == 1:
+            self.ids = np.sort(sample)
+        else:
+            cell = np.repeat(np.arange(len(sizes)), sizes)
+            self.ids = np.sort(cell * self.K + sample) - cell * self.K
+        self.pending = list(range(self.N))
+        self.base_seq, self.created = self.next_seq, frame
+        self.next_seq += self.N
         return FrameOutcome(frame, SOURCE_TX)
 
-    def _holder_union(self) -> np.ndarray:
-        """Sorted ids of relays holding any undelivered packet, cached until
-        the batch changes. Sort-and-drop-repeats gives np.unique's result;
-        np.unique hashes, which is about 15x slower on a few thousand ids."""
-        if self._held is None:
-            ids = np.sort(np.concatenate(list(self.batch.values())))
-            self._held = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-        return self._held
-
     def _relay_tx(self, frame):
-        seqs = list(self.batch)
-        union = self._holder_union()
-        conn = np.empty((self.N, union.size), dtype=bool)
-        for n in range(self.N):
-            conn[n] = self.links.connected(union.size)
-        holder_pos = [np.searchsorted(union, self.batch[s]) for s in seqs]
-        adjacency = [np.flatnonzero(conn[:, pos].any(axis=1)).tolist()
-                     for pos in holder_pos]
-        match_left, _ = max_bipartite_matching(adjacency, self.N)
-        delivered = []
-        transmitters = []
-        for i, seq in enumerate(seqs):
-            n = match_left[i]
-            if n < 0:
-                continue  # unmatched packets survive to the next RelayTx frame
-            pos = holder_pos[i]
-            k = int(union[pos[int(np.argmax(conn[n, pos]))]])
-            delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate,
-                                    self.origin.pop(seq)))
-            transmitters.append(k)
-            del self.batch[seq]
-        if delivered:
-            self._held = None
-        return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
+        rng, N, pending = self.rng, self.N, self.pending
+        one_cell = self.sizes.size == 1    # always at N = 1; drawn with scalars
+        if one_cell:
+            q = float(self.up_prob[0])
+            up = [n for n, u in enumerate(rng.random(N).tolist()) if u < q]
+            adjacency = [up] * len(pending)
+        else:
+            up = rng.random((N, self.sizes.size)) < self.up_prob   # up[n, c]
+            reach = np.bitwise_or.reduce(np.where(up, self.labels, 0), axis=1).tolist()
+            adjacency = [[n for n in range(N) if reach[n] >> i & 1] for i in pending]
+        match_left, _ = max_bipartite_matching(adjacency, N)
+        sent = [(i, n) for i, n in zip(pending, match_left) if n >= 0]
+        if not sent:
+            return FrameOutcome(frame, RELAY_TX)
+        packets, subs = (list(x) for x in zip(*sent))
+        # index of the first connected member of an up cell: the inverse of
+        # its law, P(index <= j) = (1 - (1 - 1/beta)^(j+1)) / up_prob, at a
+        # uniform draw; 0 at beta = 1, where log_down = -inf
+        log_down = self.links.log_down
+        if one_cell:
+            first, last = int(self.first[0]), int(self.first[0] + self.sizes[0] - 1)
+            transmitters = [
+                int(self.ids[min(first + int(math.log1p(-rng.random() * q) / log_down),
+                                 last)]) for _ in packets]
+        else:
+            # holders[j, c]: cell c holds packet packets[j] and is up on subs[j]
+            holders = up[subs] & (self.labels >> np.array(packets)[:, None] & 1).astype(bool)
+            index = np.log1p(-rng.random(holders.shape) * self.up_prob) / log_down
+            cand = self.ids[self.first + np.minimum(index.astype(np.int64), self.sizes - 1)]
+            transmitters = np.where(holders, cand, self.K).min(axis=1).tolist()
+        gone = sum(1 << i for i in packets)
+        self.pending = [i for i in pending if not gone >> i & 1]
+        self.labels = self.labels & ~gone
+        keep = np.flatnonzero(self.labels)
+        if keep.size < self.sizes.size:
+            for name in ("labels", "sizes", "first", "up_prob"):
+                setattr(self, name, getattr(self, name)[keep])
+            self.held = int(self.sizes.sum())
+        delivered = tuple(Packet(self.base_seq + i, self.created, self.rate, i + 1)
+                          for i in packets)
+        return FrameOutcome(frame, RELAY_TX, delivered, tuple(transmitters))
 
     def occupied_fraction(self) -> np.ndarray:
-        if not self.batch:
-            return np.zeros(self.N)
-        return np.full(self.N, self._holder_union().size / self.K)
+        return np.full(self.N, self.held / self.K)
 
     def in_network(self) -> int:
-        return len(self.batch)
+        return len(self.pending)
 
 
 class _MobileScheme:
@@ -442,10 +474,6 @@ class OdwfMobile(_MobileScheme):
 
     def in_network(self) -> int:
         return len(self.bank.holders)
-
-    def relay_state(self, relay_id: int) -> RelayState:
-        return RelayState(relay_id=relay_id, banks=[self.bank.live(relay_id)],
-                          region=int(self.regions[relay_id]))
 
 
 class BaselineMobile(_MobileScheme):

@@ -1,24 +1,146 @@
 """Reference code the tests compare the simulator against.
 
-The scalar channel and mobility helpers spell out the model one link or one
-relay at a time; the simulator never calls them. DenseOdwfMobile and
-DenseBaselineMobile are the mobile schemes as they were before coverage
-became a per-strip probability: they walk every relay each frame and draw
-coordinates for every relay a coverage disk can reach.
+flow_balance_residual checks the occupancy fixed point, and
+ergodic_capacity_exact integrates the exact ergodic capacity that the mobile
+pathloss model approximates. The scalar channel and mobility helpers spell
+out the model one link or one relay at a time; the simulator never calls
+them. DenseOdwfMobile and DenseBaselineMobile are the mobile schemes as
+they were before coverage became a per-strip probability: they walk every
+relay each frame and draw coordinates for every relay a coverage disk can
+reach. DenseBaselineFixed is the fixed baseline as it was before holder
+cells: it keeps every holder id per packet and draws one indicator per
+holder link. RelayState and relay_state give a per-relay view of the ODWF
+FIFOs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from relaysim.channel import RateThreshold, coverage_radius
+from relaysim.analytics import delta_of, occupancy_alpha
+from relaysim.channel import FixedLinkSampler, RateThreshold, coverage_radius
+from relaysim.matching import max_bipartite_matching
 from relaysim.mobility import DiskGeometry, sample_positions_in_region
 from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BufferOverflowError,
-                               FrameOutcome, Packet, RelayState)
+                               FrameOutcome, Packet)
+
+# ---------------------------------------------------------------- analytics
+
+
+def flow_balance_residual(beta: float, K: float, N: int) -> float:
+    """Defect of the occupancy fixed point; ~0 up to roundoff by construction.
+
+    With alpha*K relays occupied, the relay-transmit frequency is
+    y = [1 - (1-1/beta)^(alpha*K)]^N and flow balance demands
+    y = (1-y) * delta^N.
+    """
+    alpha, singular = occupancy_alpha(beta, K, N)
+    if singular:
+        return 0.0
+    y = (-math.expm1(alpha * K * math.log1p(-1.0 / beta))) ** N
+    return y - (1.0 - y) * delta_of(beta, K) ** N
+
+
+# ---------------------------------------------------------------- protocol
+
+
+@dataclass
+class RelayState:
+    """View of one relay: undelivered seqs per bank, FIFO order."""
+    relay_id: int
+    banks: list = field(default_factory=list)
+    region: int | None = None
+
+
+def relay_state(proto, relay_id: int) -> RelayState:
+    """The FIFOs of one relay of an OdwfFixed (one bank per subcarrier) or
+    an OdwfMobile (one bank, plus the relay's strip)."""
+    if hasattr(proto, "banks"):
+        return RelayState(relay_id, [bank.live(relay_id) for bank in proto.banks])
+    return RelayState(relay_id, [proto.bank.live(relay_id)],
+                      int(proto.regions[relay_id]))
+
+
+def delivered_bits(out: FrameOutcome) -> float:
+    return sum(p.size_bits for p in out.delivered)
+
+
+class DenseBaselineFixed:
+    """BaselineFixed keeping every holder id and drawing every holder link.
+
+    A fresh batch of N packets (one per subcarrier) is injected only when the
+    network is empty and every subcarrier has a connected source-relay link.
+    While packets remain, every frame is a RelayTx that delivers a maximum
+    bipartite matching between undelivered packets and subcarriers; an edge
+    exists iff some holder of the packet has a connected relay-destination link
+    on that subcarrier, and the lowest-id such holder transmits.
+    """
+
+    def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
+                 rng: np.random.Generator):
+        self.K = n_relays
+        self.N = n_subcarriers
+        self.rate = threshold.rate
+        self.rng = rng
+        self.links = FixedLinkSampler(threshold, rng)
+        self.batch = {}   # seq -> sorted holder id array
+        self.origin = {}
+        self.created_frame = {}
+        self.next_seq = 0
+
+    def step(self, frame: int) -> FrameOutcome:
+        if self.batch:
+            return self._relay_tx(frame)
+        subsets = self.links.connected_subsets(self.K, self.N)
+        if subsets is None:
+            return FrameOutcome(frame, IDLE)
+        for n, ids in enumerate(subsets):
+            seq = self.next_seq
+            self.next_seq += 1
+            self.batch[seq] = ids
+            self.origin[seq] = n + 1
+            self.created_frame[seq] = frame
+        return FrameOutcome(frame, SOURCE_TX)
+
+    def holder_union(self) -> np.ndarray:
+        """Sorted ids of the relays holding any undelivered packet."""
+        if not self.batch:
+            return np.empty(0, dtype=np.int32)
+        return np.unique(np.concatenate(list(self.batch.values())))
+
+    def _relay_tx(self, frame):
+        seqs = list(self.batch)
+        union = self.holder_union()
+        conn = np.empty((self.N, union.size), dtype=bool)
+        for n in range(self.N):
+            conn[n] = self.links.connected(union.size)
+        holder_pos = [np.searchsorted(union, self.batch[s]) for s in seqs]
+        adjacency = [np.flatnonzero(conn[:, pos].any(axis=1)).tolist()
+                     for pos in holder_pos]
+        match_left, _ = max_bipartite_matching(adjacency, self.N)
+        delivered = []
+        transmitters = []
+        for i, seq in enumerate(seqs):
+            n = match_left[i]
+            if n < 0:
+                continue  # unmatched packets survive to the next RelayTx frame
+            pos = holder_pos[i]
+            k = int(union[pos[int(np.argmax(conn[n, pos]))]])
+            delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate,
+                                    self.origin.pop(seq)))
+            transmitters.append(k)
+            del self.batch[seq]
+        return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
+
+    def occupied_fraction(self) -> np.ndarray:
+        return np.full(self.N, self.holder_union().size / self.K)
+
+    def in_network(self) -> int:
+        return len(self.batch)
 
 # ------------------------------------------------------------------ channel
 
@@ -53,6 +175,60 @@ def is_connected_mobile(r: RateThreshold, p: float, d: float, alpha: float) -> b
     if d <= 0.0:
         raise ValueError(f"distance must be positive, got {d}")
     return d <= coverage_radius(p, r.beta, alpha)
+
+
+LN2 = math.log(2.0)
+
+
+class QuadratureError(RuntimeError):
+    """Raised when the ergodic-capacity quadrature cannot certify 1e-6 bits."""
+
+
+def ergodic_capacity_exact(p: float, d: float, alpha: float, n_subcarriers: int,
+                           quadrature_nodes: int = 32, upper: float = 60.0) -> float:
+    """N * E[log2(1 + p*g/d^alpha)] with g ~ Exp(1), by numeric integration.
+
+    The oracle for the pathloss approximation. The integrand has a knee at g = d^alpha/p, so the
+    range splits there, with the outer piece integrated in log space in panels
+    of width <= 2 (Gauss-Legendre, quadrature_nodes points per panel). The tail
+    beyond `upper` is bounded analytically; if that bound exceeds 1e-6 bits the
+    computation refuses rather than report an uncertified value.
+    """
+    if d <= 0.0 or quadrature_nodes < 16:
+        raise ValueError(f"need d > 0 and quadrature_nodes >= 16, got {(d, quadrature_nodes)}")
+    c = p / d ** alpha
+    # tail bound: log2(1+c*g) <= log2(1+c*G) + c*(g-G)/((1+c*G)*ln2) for g >= G
+    tail = math.exp(-upper) * (math.log2(1.0 + c * upper) + c / ((1.0 + c * upper) * LN2))
+    if tail > 1e-6:
+        raise QuadratureError(
+            f"tail-truncation error bound {tail:.3e} bits exceeds 1e-6 at upper={upper}")
+    nodes, weights = np.polynomial.legendre.leggauss(quadrature_nodes)
+
+    def panel(lo, hi, transform):
+        xs = 0.5 * (hi - lo) * nodes + 0.5 * (lo + hi)
+        ws = 0.5 * (hi - lo) * weights
+        return transform(xs, ws)
+
+    def linear(xs, ws):
+        return float(np.sum(ws * np.log2(1.0 + c * xs) * np.exp(-xs)))
+
+    def logspace(ts, ws):
+        gs = np.exp(ts)
+        return float(np.sum(ws * gs * np.log2(1.0 + c * gs) * np.exp(-gs)))
+
+    knee = min(1.0 / c, upper)
+    # width <= 4 keeps Gauss-Legendre at machine precision against exp(-g)
+    n_linear = max(1, math.ceil(knee / 4.0))
+    lin_edges = np.linspace(0.0, knee, n_linear + 1)
+    total = sum(panel(lo, hi, linear)
+                for lo, hi in zip(lin_edges[:-1], lin_edges[1:]))
+    if knee < upper:
+        t0, t1 = math.log(knee), math.log(upper)
+        n_panels = max(1, math.ceil((t1 - t0) / 2.0))
+        edges = np.linspace(t0, t1, n_panels + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total += panel(lo, hi, logspace)
+    return n_subcarriers * total
 
 
 # ----------------------------------------------------------------- mobility
@@ -303,11 +479,6 @@ class DenseOdwfMobile(_DenseMobileScheme):
 
     def in_network(self) -> int:
         return len(self.holders)
-
-    def relay_state(self, relay_id: int) -> RelayState:
-        bank = [s for s in self.buffers.get(relay_id, ()) if s in self.holders]
-        return RelayState(relay_id=relay_id, banks=[bank],
-                          region=int(self.regions[relay_id]))
 
 
 class DenseBaselineMobile(_DenseMobileScheme):

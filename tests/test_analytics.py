@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import flow_balance_residual
 from relaysim.analytics import (CoverageModelError, baseline_fixed_prediction,
                                 baseline_mobile_prediction, c_of, delta_of,
-                                expected_covered_relays, flow_balance_residual,
-                                occupancy_alpha, occupancy_limit,
-                                odwf_fixed_prediction, odwf_mobile_prediction,
-                                p_rd)
+                                expected_covered_relays, occupancy_alpha,
+                                occupancy_limit, odwf_fixed_prediction,
+                                odwf_mobile_prediction, p_rd)
 
 # frozen from 50-digit evaluations
 DELTA_1E6 = 0.6321207427683549057142          # delta(beta=1e6, K=1e6)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import (is_connected_fixed, is_connected_mobile,
-                     mutual_information, sample_power_gain, sample_power_gains)
-from relaysim.channel import (FixedLinkSampler, QuadratureError, RateThreshold,
-                              coverage_radius, ergodic_capacity_exact)
+from oracles import (QuadratureError, ergodic_capacity_exact, is_connected_fixed,
+                     is_connected_mobile, mutual_information, sample_power_gain,
+                     sample_power_gains)
+from relaysim.channel import FixedLinkSampler, RateThreshold, coverage_radius
 
 # E[log2(1 + c*g)], g ~ Exp(1), frozen from a 50-digit evaluation of
 # exp(1/c)*E1(1/c)/ln2

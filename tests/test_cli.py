@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
 from relaysim.cli import PRESETS, load_preset, main
-from relaysim.experiment import COLUMNS
+from relaysim.experiment import COLUMNS, _temp_sibling
 
 SPEC = """\
 schema_version = 1
@@ -102,9 +103,49 @@ def test_unwritable_output_exits_3(spec_file, tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "res.csv"
     assert main(["predict", "--spec", str(spec_file),
                  "--out", str(target)]) == 3
-    # the timing line lands on stderr first; the failure is the last line
+    # the failure is the last line on stderr
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: io:")
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_fails_before_simulating(spec_file, tmp_path, capsys,
+                                                   monkeypatch, where):
+    rows = []
+    monkeypatch.setattr("relaysim.cli.run_experiment",
+                        lambda spec: rows.append(spec) or [])
+    target = tmp_path / "no" / "res.csv" if where == "missing_dir" else tmp_path
+    assert main(["simulate", "--spec", str(spec_file), "--out", str(target)]) == 3
+    assert rows == []
+    assert capsys.readouterr().err.startswith("error: io:")
+
+
+def test_failed_write_leaves_the_old_output_intact(spec_file, tmp_path,
+                                                   monkeypatch):
+    out = tmp_path / "res.csv"
+    out.write_bytes(b"row,T\n0,1.5\n")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("relaysim.experiment.os.replace", fail)
+    assert main(["predict", "--spec", str(spec_file), "--out", str(out)]) == 3
+    assert out.read_bytes() == b"row,T\n0,1.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "res.csv"]
+
+
+def test_output_through_a_rename_keeps_the_bytes(spec_file, tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    out.write_text("stale and longer than the new table\n" * 100, encoding="utf-8")
+    assert main(["predict", "--spec", str(spec_file), "--out", str(out)]) == 0
+    assert main(["predict", "--spec", str(spec_file)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "res.csv"]
+
+
+def test_devices_are_written_in_place():
+    # a device cannot be renamed over, so its path takes no temporary file
+    assert _temp_sibling(os.devnull) == (os.path.realpath(os.devnull), None)
 
 
 def test_spec_and_preset_are_mutually_exclusive(spec_file, capsys):

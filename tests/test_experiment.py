@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysim.experiment import (COLUMNS, STATUS_NO_PREDICTION, STATUS_OK,
                                  STATUS_OVERFLOW, ExperimentSpec, SpecError, _row_seed, emit,
@@ -139,6 +141,49 @@ def test_parse_enforces_point_cap():
     with pytest.raises(SpecError, match="sweep has 6 points, cap is 5"):
         parse_spec(text)
     parse_spec(text.replace("max_points = 5", "max_points = 6"))
+
+
+_SPEC_KEYS = ("schema_version", "scenario", "scheme", "K", "N", "p", "beta",
+              "alpha", "M", "q", "R", "warmup_frames", "measure_frames",
+              "replications", "seed", "buffer_cap", "max_points", "mode",
+              "format", "path", "bogus")
+_SPEC_VALUES = st.one_of(
+    st.sampled_from(("1", "0", "-1", "2.5", "1e400", "nan", "-inf", "", "fixed",
+                     "mobile", "odwf", "baseline", "both", "jsonl", "4, 8",
+                     "1,,2", "3 # note", "1_000", "0x10", "10**3")),
+    st.integers(-10**25, 10**25).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12))
+_SPEC_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_SPEC_KEYS), _SPEC_VALUES),
+    st.sampled_from(("[system]", "[sweep]", "[output]", "[other]", "[]", "[",
+                     "# comment", "; comment", "", "=", "schema_version = 1")),
+    st.text(max_size=24))
+
+
+def _parses_or_says_why(text):
+    try:
+        parse_spec(text)
+    except ValueError as exc:   # SpecError and its config-field causes
+        assert str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SPEC_LINES, max_size=16))
+def test_parse_spec_fuzzed_lines_parse_or_raise_spec_errors(lines):
+    _parses_or_says_why("\n".join(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 20), _SPEC_LINES), max_size=6),
+       st.sets(st.integers(0, 20), max_size=3))
+def test_parse_spec_mutated_valid_spec_parses_or_raises_spec_errors(inserts, drops):
+    # a valid spec with lines inserted and dropped reaches the later checks
+    lines = (MINIMAL + "[sweep]\nbeta = 4, 8\n[output]\nmode = both\n").splitlines()
+    lines = [line for i, line in enumerate(lines) if i not in drops]
+    for pos, line in inserts:
+        lines.insert(pos, line)
+    _parses_or_says_why("\n".join(lines))
 
 
 def test_load_spec_reads_files(tmp_path):

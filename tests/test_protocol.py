@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import DenseBaselineMobile, DenseOdwfMobile
+from oracles import (DenseBaselineFixed, DenseBaselineMobile, DenseOdwfMobile,
+                     delivered_bits, relay_state)
 from relaysim.analytics import p_rd
 from relaysim.channel import FixedLinkSampler, RateThreshold
 from relaysim.mobility import build_geometry
@@ -42,7 +43,7 @@ def test_packet_and_outcome_are_frozen():
         pkt.seq = 1
     from relaysim.protocol import FrameOutcome
     out = FrameOutcome(7, RELAY_TX, (pkt, pkt), (4, 4))
-    assert out.bits == 3.0
+    assert delivered_bits(out) == 3.0
 
 
 # ---------------------------------------------------------------- fixed ODWF
@@ -63,7 +64,7 @@ def test_fixed_odwf_relay_frames_deliver_one_per_subcarrier():
         if out.kind == RELAY_TX:
             assert len(out.delivered) == 3 and len(out.transmitters) == 3
             assert sorted(p.subcarrier_of_origin for p in out.delivered) == [1, 2, 3]
-            assert out.bits == 3 * proto.rate
+            assert delivered_bits(out) == 3 * proto.rate
         elif out.kind == SOURCE_TX:
             assert out.delivered == () and out.transmitters == ()
 
@@ -76,7 +77,7 @@ def test_fixed_odwf_purges_delivered_everywhere():
         gone.update(p.seq for p in out.delivered)
         if out.kind == RELAY_TX:
             for k in range(proto.K):
-                state = proto.relay_state(k)
+                state = relay_state(proto, k)
                 assert not gone.intersection(s for bank in state.banks for s in bank)
 
 
@@ -84,7 +85,7 @@ def test_fixed_odwf_banks_stay_fifo():
     proto = make_fixed(OdwfFixed, 25, 2, 1.0, 5.0, 24)
     drive(proto, 600)
     for k in range(proto.K):
-        for bank in proto.relay_state(k).banks:
+        for bank in relay_state(proto, k).banks:
             assert bank == sorted(bank)
 
 
@@ -319,9 +320,16 @@ def test_baseline_fixed_partial_delivery_survives():
     assert len(seqs) + proto.in_network() == proto.next_seq
 
 
+def holder_ids(proto, i):
+    """Ids of the relays of a BaselineFixed that hold packet i of the batch."""
+    cells = np.flatnonzero(proto.labels >> i & 1)
+    return np.concatenate([proto.ids[proto.first[c]:proto.first[c] + proto.sizes[c]]
+                           for c in cells])
+
+
 def test_baseline_fixed_occupancy_tracks_the_holder_union():
-    # partial deliveries shrink the batch between source frames, so a stale
-    # cached union would show up as a wrong occupancy
+    # partial deliveries shrink the batch between source frames, so a cell
+    # left holding only delivered packets would show up as a wrong occupancy
     proto = make_fixed(BaselineFixed, 30, 3, 1.0, 6.0, 36)
     changed = 0
     for t in range(1500):
@@ -329,11 +337,12 @@ def test_baseline_fixed_occupancy_tracks_the_holder_union():
         proto.step(t)
         changed += proto.in_network() not in (0, before)
         frac = proto.occupied_fraction()
-        held = (np.unique(np.concatenate(list(proto.batch.values())))
-                if proto.batch else np.empty(0))
+        holders = [holder_ids(proto, i) for i in proto.pending]
+        held = np.unique(np.concatenate(holders)) if holders else np.empty(0)
         assert np.array_equal(frac, np.full(3, held.size / proto.K))
-        if proto.batch:
-            assert np.array_equal(proto._holder_union(), held)
+        assert all(ids.size for ids in holders)   # no undelivered packet is lost
+        for ids in holders:
+            assert np.unique(ids).size == ids.size   # cells never share a relay
     assert changed > 50
 
 
@@ -342,6 +351,81 @@ def test_baseline_fixed_one_relay_may_serve_both_subcarriers():
     outs = drive(proto, 500)
     both = [o for o in outs if len(o.delivered) == 2]
     assert both and all(o.transmitters == (0, 0) for o in both)
+
+
+def test_baseline_fixed_handles_more_subcarriers_than_label_bits():
+    # N >= 63 keeps the packet masks of the cells as Python integers
+    proto = make_fixed(BaselineFixed, 20, 70, 1.0, 1.5, 37)
+    outs = drive(proto, 300)
+    seqs = delivered_seqs(outs)
+    assert seqs and len(seqs) == len(set(seqs))
+    assert len(seqs) + proto.in_network() == proto.next_seq
+    assert all(0 <= k < 20 for o in outs for k in o.transmitters)
+    for i in proto.pending:
+        assert holder_ids(proto, i).size
+
+
+# ------------------------------------ dense oracle for the fixed baseline
+
+
+def baseline_snapshot(scheme, seed, frames, K, N, beta):
+    """Phase of the last of `frames` frames, packets in flight and relays
+    holding them after it, then the packets the next relay frame delivers."""
+    proto = make_fixed(scheme, K, N, 1.0, beta, seed)
+    for t in range(frames):
+        out = proto.step(t)
+    snap = (out.kind, proto.in_network(), round(proto.occupied_fraction()[0] * K))
+    for t in range(frames, frames + 10_000):
+        nxt = proto.step(t)
+        if nxt.kind == RELAY_TX:
+            return snap + (len(nxt.delivered),)
+    raise AssertionError("no relay frame")
+
+
+# (K, N, beta): K = 6 and K = 1 deliver part of a batch often (K = 1 keeps a
+# single cell, the scalar path), K = 30 splits into up to seven cells, and
+# K = 200 at beta = sqrt(K)/ln K nearly always drains a batch in one frame
+BASELINE_LAWS = [(6, 3, 6.0), (1, 2, 4.0), (30, 3, 6.0), (200, 4, 2.67)]
+
+
+@pytest.mark.parametrize("K,N,beta", BASELINE_LAWS)
+def test_fixed_baseline_agrees_with_dense_links(K, N, beta):
+    # one snapshot per independent run, so the contingency tests' cells are i.i.d.
+    runs, frames = 300, 25
+    new = [baseline_snapshot(BaselineFixed, 3000 + r, frames, K, N, beta)
+           for r in range(runs)]
+    old = [baseline_snapshot(DenseBaselineFixed, 9000 + r, frames, K, N, beta)
+           for r in range(runs)]
+    kinds = (SOURCE_TX, RELAY_TX, IDLE)
+    assert_same_law([kinds.index(s[0]) for s in new], [kinds.index(s[0]) for s in old])
+    for i in (1, 2, 3):   # in flight, holders, delivered per relay frame
+        assert_same_law([s[i] for s in new], [s[i] for s in old])
+
+
+def first_transmitter(scheme, seed, K, N, beta):
+    """The relay that delivers the first packet of a run."""
+    proto = make_fixed(scheme, K, N, 1.0, beta, seed)
+    for t in range(10_000):
+        out = proto.step(t)
+        if out.delivered:
+            return out.transmitters[0]
+    raise AssertionError("nothing delivered")
+
+
+@pytest.mark.parametrize("K,N,beta", [(12, 3, 2.0), (5, 1, 2.0)])
+def test_fixed_baseline_transmitter_is_the_lowest_connected_holder(K, N, beta):
+    # the lowest-id rule skews the transmitter towards low ids; a uniform
+    # pick would not, nor would the first up cell holding the packet in
+    # place of the lowest id over all of them (at K = 12, N = 3, beta = 2
+    # about four cells hold each packet; N = 1 keeps one cell)
+    runs = 2000
+    new = [first_transmitter(BaselineFixed, 20_000 + r, K, N, beta) for r in range(runs)]
+    old = [first_transmitter(DenseBaselineFixed, 40_000 + r, K, N, beta)
+           for r in range(runs)]
+    table = np.array([np.bincount(side, minlength=K) for side in (new, old)])
+    table = table[:, table.sum(axis=0) > 0]
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+    assert np.argmax(table[0]) == 0
 
 
 # --------------------------------------------------------------- mobile ODWF
@@ -361,7 +445,7 @@ def test_mobile_odwf_full_coverage_alternates():
     proto2 = make_mobile(OdwfMobile, 8, 1, seed=36, **FULL_COVER)
     proto2.step(0)
     assert proto2.occupied_fraction() == 1.0
-    assert all(proto2.relay_state(k).banks == [[0]] for k in range(8))
+    assert all(relay_state(proto2, k).banks == [[0]] for k in range(8))
     proto2.step(1)
     assert proto2.occupied_fraction() == 0.0 and proto2.in_network() == 0
 
@@ -389,7 +473,7 @@ def test_mobile_odwf_conservation_and_fifo():
             assert out.frame - pkt.created_frame >= 1
             assert pkt.subcarrier_of_origin == 0
             # FIFO: the head was the oldest seq this relay still held
-            assert all(s > pkt.seq for s in proto.relay_state(k).banks[0])
+            assert all(s > pkt.seq for s in relay_state(proto, k).banks[0])
     seqs = delivered_seqs(outs)
     assert len(seqs) == len(set(seqs))
     assert len(seqs) + proto.in_network() == proto.next_seq
@@ -403,7 +487,7 @@ def test_mobile_odwf_occupancy_counter_matches_state():
         proto.step(t)
         frac = proto.occupied_fraction()
         recount = sum(
-            1 for k in range(proto.K) if proto.relay_state(k).banks[0]
+            1 for k in range(proto.K) if relay_state(proto, k).banks[0]
         ) / proto.K
         assert frac == pytest.approx(recount)
 
@@ -609,6 +693,6 @@ def test_odwf_fifos_hold_at_most_twice_their_live_seqs(make):
                 assert lengths.sum() <= 2 * live + bank.SLACK * proto.K
                 dead_seen += int(np.count_nonzero(lengths > bank.count))
     assert dead_seen > 0    # dead seqs do occur and are tolerated up to the bound
-    held = [s for k in range(proto.K) for bank in proto.relay_state(k).banks
+    held = [s for k in range(proto.K) for bank in relay_state(proto, k).banks
             for s in bank]
     assert len(held) == sum(int(b.count.sum()) for b in banks)
