@@ -9,7 +9,8 @@ the spec file (default both). Command-line flags override spec-file values and
 the effective values are echoed into the output rows. No environment variable
 is consulted. Exit codes: 0 success, 2 bad spec, 3 I/O failure. Errors print
 one "error: <category>: <detail>" line to stderr; wall time is logged to
-stderr as well so output files stay byte-identical across reruns.
+stderr as well so output files stay byte-identical across reruns, and so is
+a "relaysim: row i/n" progress line when stderr is a terminal.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_progress(row: int, n_rows: int):
+    """Overwrite one progress line on a terminal's stderr."""
+    end = "\n" if row + 1 == n_rows else ""
+    print(f"\rrelaysim: row {row + 1}/{n_rows}", end=end, file=sys.stderr, flush=True)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -68,7 +75,7 @@ def main(argv=None) -> int:
             spec = replace(spec, out_path=args.out)
         check_writable(spec.out_path)    # fail before the sweep, not after
         started = time.perf_counter()
-        table = run_experiment(spec)
+        table = run_experiment(spec, _show_progress if sys.stderr.isatty() else None)
         elapsed = time.perf_counter() - started
         print(f"relaysim: {len(table)} rows in {elapsed:.2f} s",
               file=sys.stderr)

@@ -2,7 +2,8 @@
 
 run_once executes warmup_frames (discarded) then measure_frames of the
 configured scheme and collects per-frame series; run_replicated aggregates
-independent replications into means with 95% normal-approximation intervals.
+independent replications into means with 95% intervals (Student-t for up to
+30 replications, normal above).
 Per-replication RNG streams are spawned from the master seed, so results are
 deterministic and independent of execution order.
 """
@@ -215,12 +216,21 @@ def measure_delay(trace: MetricsTrace) -> float | None:
     return float(trace.per_packet_delay.mean())
 
 
+# Student-t 0.975 quantiles with 1..29 degrees of freedom, for 2..30
+# replications; above 30 the normal quantile 1.96 is used
+_T975 = (12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
+         2.2622, 2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199,
+         2.1098, 2.1009, 2.0930, 2.0860, 2.0796, 2.0739, 2.0687, 2.0639,
+         2.0595, 2.0555, 2.0518, 2.0484, 2.0452)
+
+
 def _mean_ci(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if arr.size < 2:
         return mean, 0.0
-    return mean, float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
+    quantile = _T975[arr.size - 2] if arr.size <= 30 else 1.96
+    return mean, float(quantile * arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 def summarize(traces: list) -> RunSummary:

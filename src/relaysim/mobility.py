@@ -125,12 +125,6 @@ def sample_positions_in_region(geom: DiskGeometry, region: int, count: int,
     return xs, ys
 
 
-def init_regions(geom: DiskGeometry, n_relays: int, rng: np.random.Generator) -> np.ndarray:
-    """Strips of a fresh uniform-on-disk population: the strips have equal
-    area, so each relay's strip is uniform on 1..M."""
-    return rng.integers(1, geom.n_regions + 1, size=n_relays, dtype=np.int64)
-
-
 def _lens_area(x0: float, x1: float, disks) -> float:
     """Area of the part of the strip x0 <= x <= x1 inside every disk.
 

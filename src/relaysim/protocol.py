@@ -7,7 +7,8 @@ diagnostic when a configuration is divergent.
 
 Mobile relays carry a strip, never coordinates: positions are redrawn
 uniformly within the strip every frame, so coverage is a per-strip Bernoulli
-draw and a mobile frame costs O(movers + relays touched), not O(K).
+draw. Relays with nothing to forward are only counted per strip, so a mobile
+frame costs O(M + buffered relays touched) draws, not O(K).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from .channel import FixedLinkSampler, RateThreshold, coverage_radius
 from .matching import max_bipartite_matching
-from .mobility import (DiskGeometry, coverage_probabilities, init_regions,
-                       step_regions)
-from .mobility import sample_positions_in_region  # noqa: F401, perfbench/tracing.py patches it
+from .mobility import DiskGeometry, coverage_probabilities
+# no scheme calls these; perfbench/tracing.py patches them by name here
+from .mobility import sample_positions_in_region, step_regions  # noqa: F401
 
 SOURCE_TX = "source_tx"
 RELAY_TX = "relay_tx"
@@ -48,7 +49,7 @@ class FrameOutcome:
     frame: int
     kind: str
     delivered: tuple = ()      # Packet instances handed to the destination
-    transmitters: tuple = ()   # relay ids that transmitted this frame
+    transmitters: tuple = ()   # relay ids that transmitted, if the scheme has ids
 
 
 class _Fifos:
@@ -314,17 +315,42 @@ class BaselineFixed:
 class _MobileScheme:
     """Strip bookkeeping shared by the two mobile schemes.
 
-    regions[k] is relay k's strip; strip_relays[r] counts the relays in strip
-    r and strip_buffered[r] those with a nonempty buffer (0 for the baseline),
-    both kept current in O(movers) per frame. p_src[r] and p_dst[r] are the
-    probabilities that a relay of strip r is inside source and destination
-    coverage in a frame (entry 0 unused).
+    A relay is idle while its buffer is empty (ODWF) or it does not hold the
+    outstanding packet (baseline), and buffered otherwise. counts[0, r] =
+    idle[r] and counts[1, r] = buffered[r] count the idle and buffered relays
+    of strip r; p_src[r] and p_dst[r] are the probabilities that a relay of
+    strip r is inside source and destination coverage in a frame. Per-strip
+    arrays leave entry 0 unused.
+
+    Every draw concerns relays independently, and an idle relay enters every
+    law only through its strip, so the idle relays of a strip are
+    exchangeable and the chain lumps exactly onto their counts. So every
+    metric keeps its law:
+    - Start: the strips have equal area, so the idle counts are one
+      Multinomial(K, 1/M) draw.
+    - Walk: a relay moves up with probability q and down with q, and a move
+      past strip 1 or M reflects into a stay. Per strip the (up, down, stay)
+      counts of a class are Multinomial(n; q, q, 1 - 2q), one vectorised
+      draw over the strips, which numpy makes as Binomial(n, q) up, then
+      Binomial(n - up, q/(1 - q)) down. When 2qK <= FEW relays move per
+      frame on average, the call overhead of that draw outweighs drawing the
+      movers one by one: their number is Binomial(K, 2q), drawn ahead in
+      blocks, each is uniform over the relays not picked yet, so it falls in
+      a strip and class in proportion to those left there, and a fair bit
+      sends it up or down.
+    - Coverage: per strip and class the relays inside a coverage disk number
+      Binomial(n, p), and given the count every subset of that size is
+      equally likely.
+    Uniform integer picks come from uniforms drawn ahead in blocks, as
+    floor(u * n), exact to float precision like any Bernoulli draw.
     """
+
+    FEW = 8.0
 
     def __init__(self, n_relays: int, geom: DiskGeometry, threshold: RateThreshold,
                  p: float, pathloss_exp: float, q: float, rng: np.random.Generator):
         self.K = n_relays
-        self.M = geom.n_regions
+        self.M = M = geom.n_regions
         self.rate = threshold.rate
         self.q = q
         self.rng = rng
@@ -337,76 +363,82 @@ class _MobileScheme:
         # buffered relay survives phase II, so any value will do
         self.p_src_given_no_dst = np.clip(np.divide(
             self.p_src - p_both, 1.0 - self.p_dst,
-            out=np.zeros(self.M + 1), where=self.p_dst < 1.0), 0.0, 1.0)
-        self.buffer_count = np.zeros(n_relays, dtype=np.int32)
-        self.place(init_regions(geom, n_relays, rng))
+            out=np.zeros(M + 1), where=self.p_dst < 1.0), 0.0, 1.0)
+        self.counts = np.zeros((2, M + 1), dtype=np.int64)
+        self.idle, self.buffered = self.counts    # views, updated in place
+        self.idle[1:] = rng.multinomial(n_relays, np.full(M, 1.0 / M))
+        self.split = [q, q, 1.0 - 2.0 * q]
+        # where the up, down and staying movers of strip r, class c land in
+        # counts.ravel(), for strips 1..M of the idle, then the buffered class
+        strips = np.arange(1, M + 1)
+        self.dest = (np.stack((np.minimum(strips + 1, M), np.maximum(strips - 1, 1),
+                               strips), axis=1).ravel() + [[0], [M + 1]]).ravel()
+        self.few = 2.0 * q * n_relays <= self.FEW
+        self.n_movers = self.uniforms = iter(())
 
-    def place(self, regions):
-        """Put relay k in strip regions[k] and rebuild the per-strip counts."""
-        self.regions = np.array(regions, dtype=np.int64)
-        self.strip_relays = self._tally(self.regions)
-        self.strip_buffered = self._tally(self.regions[self.buffer_count > 0])
-
-    def _tally(self, regions: np.ndarray) -> np.ndarray:
-        return np.bincount(regions, minlength=self.M + 1)
+    def _below(self, n: int) -> int:
+        """A uniform integer in [0, n)."""
+        u = next(self.uniforms, None)
+        if u is None:
+            self.uniforms = iter(self.rng.random(1024).tolist())
+            u = next(self.uniforms)
+        return min(int(u * n), n - 1)
 
     def _walk(self):
-        movers, old = step_regions(self.regions, self.M, self.q, self.rng)
-        if movers.size:
-            self.strip_relays += self._tally(self.regions[movers]) - self._tally(old)
-            held = self.buffer_count[movers] > 0
-            if held.any():
-                self.strip_buffered += (self._tally(self.regions[movers[held]])
-                                        - self._tally(old[held]))
+        """One frame of the walk for every relay."""
+        if not self.q:
+            return
+        if not self.few:
+            self._walk_many()
+            return
+        n = next(self.n_movers, None)
+        if n is None:
+            self.n_movers = iter(self.rng.binomial(self.K, 2.0 * self.q, 1024).tolist())
+            n = next(self.n_movers)
+        left = self._groups()    # relays not picked yet, per group
+        for i in range(n):
+            pick = self._below(2 * (self.K - i))
+            index, group = pick >> 1, 0
+            while index >= left[group]:
+                index -= left[group]
+                group += 1
+            left[group] -= 1
+            self._move(group, index, pick & 1)
 
-    def _source_covered(self):
-        """Ids of the relays inside source coverage this frame, or None.
+    def _groups(self) -> list:
+        """Sizes of the groups the few-movers walk picks from: here the idle,
+        then the buffered relays of strips 1..M."""
+        return self.counts[:, 1:].ravel().tolist()
 
-        Unbuffered relays are covered independently with p_src. ODWF's phase I
-        runs only when no buffered relay is in destination coverage, so those
-        are covered with p_src_given_no_dst, unlike p_src only where p_dst > 0.
-        Per strip and class the count is Binomial(relays, p), and given the
-        count every subset of that size is equally likely.
-        """
-        picks = []
-        for strip in range(1, self.src_max_region + 1):
-            total, buffered = int(self.strip_relays[strip]), int(self.strip_buffered[strip])
-            if buffered and self.p_dst[strip] > 0.0:
-                classes = ((total - buffered, self.p_src[strip], False),
-                           (buffered, self.p_src_given_no_dst[strip], True))
-            else:
-                classes = ((total, self.p_src[strip], None),)
-            for members, prob, held in classes:
-                size = int(self.rng.binomial(members, prob)) if members else 0
-                if size:
-                    picks.append(self._members(strip, held, size, members))
-        return np.concatenate(picks) if picks else None
+    def _move(self, group: int, index: int, up: int):
+        """Move up (up = 1) or down the index-th relay of group not picked
+        yet; a counted relay needs no index."""
+        row, strip = divmod(group, self.M)
+        self.counts[row, strip + 1] -= 1
+        self.counts[row, min(max(strip + 2 * up, 1), self.M)] += 1
 
-    def _belongs(self, ids, strip, held):
-        ok = self.regions[ids] == strip
-        if held is not None:
-            ok &= (self.buffer_count[ids] > 0) if held else (self.buffer_count[ids] == 0)
-        return ok
+    def _walk_many(self):
+        moves = self.rng.multinomial(self.counts[:, 1:], self.split)
+        self.counts[:] = np.bincount(self.dest, moves.ravel(),
+                                     self.counts.size).reshape(self.counts.shape)
 
-    def _members(self, strip: int, held, size: int, total: int) -> np.ndarray:
-        """`size` distinct uniform ids among the `total` relays of `strip`
-        with a nonempty buffer (held True), an empty one (False) or any (None).
+    def _in_dest_coverage(self) -> list:
+        """Running totals over strips dest_min_region..M of the buffered
+        relays inside destination coverage."""
+        return list(accumulate(
+            int(self.rng.binomial(b, p)) if b else 0
+            for b, p in zip(self.buffered[self.dest_min_region:].tolist(),
+                            self.p_dst[self.dest_min_region:].tolist())))
 
-        A uniform id that belongs is uniform over the members, so the first
-        `size` distinct members drawn are a uniform subset. One batch of four
-        times the mean draws this needs, at most size*K/(total - size + 1), is
-        tried; if it comes up short, or would cost more than a scan of all K
-        relays, a uniform subset of the scanned members is drawn instead.
-        """
-        K = self.K
-        tries = -(-4 * K * size // (total - size + 1))
-        if tries < K:
-            ids = self.rng.integers(K, size=tries)
-            distinct = list(dict.fromkeys(ids[self._belongs(ids, strip, held)].tolist()))
-            if len(distinct) >= size:
-                return np.array(distinct[:size])
-        ids = np.flatnonzero(self._belongs(slice(None), strip, held))
-        return self.rng.choice(ids, size, replace=False)
+    def _in_source_coverage(self):
+        """Per strip, the idle relays inside source coverage this frame; None
+        if there are none."""
+        fresh = [0] + [int(self.rng.binomial(n, p)) if n else 0 for n, p in zip(
+            self.idle[1:self.src_max_region + 1].tolist(),
+            self.p_src[1:self.src_max_region + 1].tolist())]
+        if not any(fresh):
+            return None
+        return np.array(fresh + [0] * (self.M - self.src_max_region))
 
 
 class OdwfMobile(_MobileScheme):
@@ -417,12 +449,27 @@ class OdwfMobile(_MobileScheme):
     the seq is purged from every buffer. Phase I when phase II fails and some
     relay sits inside source coverage: the source broadcasts one packet and
     every in-coverage relay enqueues it. Otherwise Idle.
+
+    A buffered relay has an id, taken from a pool of K free ids when it is
+    covered and given back when it empties; ids are only labels. The
+    buffered relays form one swap-remove array: held[i] for i < K - n_free
+    is a relay id, held_strip[i] its strip, and relay k sits at index pos[k]
+    (-1 while k is free). A pick within a strip scans held_strip in one
+    numpy call. The few-movers walk picks buffered movers from the whole
+    array, moving each picked one behind those not picked yet; when many
+    move, one uniform per buffered relay decides its move (up below q, down
+    in [q, 2q)).
     """
 
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.bank = _Fifos(self.buffer_count)
+        self.held = np.zeros(n_relays, dtype=np.intp)
+        self.held_strip = np.zeros(n_relays, dtype=np.int64)
+        self.pos = np.full(n_relays, -1, dtype=np.intp)    # -1: a free id
+        self.free = np.arange(n_relays)
+        self.n_free = n_relays
+        self.bank = _Fifos(np.zeros(n_relays, dtype=np.int32))
         self.buffer_cap = buffer_cap
         self.created_frame = {}
         self.next_seq = 0
@@ -432,37 +479,103 @@ class OdwfMobile(_MobileScheme):
         k = self._deliverer()
         if k is not None:
             return self._relay_tx(frame, k)
-        covered = self._source_covered()
+        covered = self._covered()
         if covered is not None:
-            return self._source_tx(frame, covered)
+            return self._source_tx(frame, *covered)
         return FrameOutcome(frame, IDLE)
+
+    def _groups(self) -> list:
+        """The idle relays of strips 1..M, then all buffered ones, none of
+        them picked yet."""
+        self.unpicked = self.K - self.n_free
+        return self.idle[1:].tolist() + [self.unpicked]
+
+    def _move(self, group, index, up):
+        if group < self.M:
+            super()._move(group, index, up)
+            return
+        # swap the pick behind the buffered relays not picked yet
+        self.unpicked -= 1
+        i, j = index, self.unpicked
+        held, strips = self.held, self.held_strip
+        held[i], held[j] = held[j], held[i]
+        strips[i], strips[j] = strips[j], strips[i]
+        self.pos[held[i]], self.pos[held[j]] = i, j
+        strip = int(strips[j])
+        to = min(max(strip + 2 * up - 1, 1), self.M)
+        strips[j] = to
+        self.buffered[strip] -= 1
+        self.buffered[to] += 1
+
+    def _walk_many(self):
+        moves = self.rng.multinomial(self.idle[1:], self.split)
+        self.idle[:] = np.bincount(self.dest[:3 * self.M], moves.ravel(), self.M + 1)
+        nb = self.K - self.n_free
+        u, strips = self.rng.random(nb), self.held_strip[:nb]
+        strips += u < self.q
+        strips -= (u >= self.q) & (u < 2.0 * self.q)
+        np.clip(strips, 1, self.M, out=strips)
+        self.buffered[:] = np.bincount(strips, minlength=self.M + 1)
+
+    def _members(self, strip: int) -> np.ndarray:
+        """Indices into held of the buffered relays of strip."""
+        return np.flatnonzero(self.held_strip[:self.K - self.n_free] == strip)
 
     def _deliverer(self):
         """A uniform pick among the buffered relays in destination coverage, or
-        None: per strip their count is Binomial(buffered, p_dst) and any subset
-        of that size is as likely, so a strip is picked in proportion, then any
-        of its buffered relays."""
-        lo = self.dest_min_region
-        counts = list(accumulate(
-            int(self.rng.binomial(b, p)) if b else 0
-            for b, p in zip(self.strip_buffered[lo:].tolist(), self.p_dst[lo:].tolist())))
+        None: a strip is picked in proportion to its count, then any of its
+        buffered relays."""
+        counts = self._in_dest_coverage()
         if counts[-1] == 0:
             return None
-        strip = lo + bisect_right(counts, int(self.rng.integers(counts[-1])))
-        return int(self._members(strip, True, 1, int(self.strip_buffered[strip]))[0])
+        strip = self.dest_min_region + bisect_right(counts, self._below(counts[-1]))
+        members = self._members(strip)
+        return int(self.held[members[self._below(members.size)]])
+
+    def _covered(self):
+        """(held, fresh), or None if no relay is inside source coverage: held
+        are the ids of the buffered relays inside it, and fresh[r] counts the
+        idle ones of strip r.
+
+        ODWF's phase I runs only when no buffered relay is in destination
+        coverage, so those are covered with p_src_given_no_dst, unlike p_src
+        only where p_dst > 0, each independently. When the largest of these,
+        p, is at most 1/16, fewer draws do: candidates come at rate p as a
+        Bernoulli process, whose gaps are Geometric(p), and a candidate of
+        strip r stays with probability p_src_given_no_dst[r] / p.
+        """
+        fresh = self._in_source_coverage()
+        nb, p = self.K - self.n_free, max(self.p_src_given_no_dst.tolist())
+        if p > 0.0625:
+            held = self.held[:nb][self.rng.random(nb)
+                                  < self.p_src_given_no_dst[self.held_strip[:nb]]]
+        elif nb and p:
+            mean = nb * p
+            pos = np.cumsum(self.rng.geometric(p, int(mean + 4 * math.sqrt(mean) + 8))) - 1
+            while pos[-1] < nb:    # too few gaps drawn to pass nb: rare
+                pos = np.concatenate((pos, pos[-1] + np.cumsum(self.rng.geometric(p, 64))))
+            pos = pos[:np.searchsorted(pos, nb)]
+            keep = self.rng.random(pos.size) * p < self.p_src_given_no_dst[self.held_strip[pos]]
+            held = self.held[pos[keep]]
+        else:
+            held = np.empty(0, dtype=np.intp)
+        if fresh is None and held.size == 0:
+            return None
+        return held, fresh
 
     def _relay_tx(self, frame, k):
         seq, emptied = self.bank.deliver(k)
-        self.strip_buffered -= self._tally(self.regions[emptied])
+        self._release(emptied)
         pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
         return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
 
-    def _source_tx(self, frame, covered):
+    def _source_tx(self, frame, held, fresh):
         seq = self.next_seq
         self.next_seq += 1
         self.created_frame[seq] = frame
-        fresh = self.bank.add(seq, covered)
-        self.strip_buffered += self._tally(self.regions[fresh])
+        if fresh is not None:
+            held = np.concatenate((held, self._take(fresh)))
+        self.bank.add(seq, held)
         if len(self.bank.holders) > self.buffer_cap:
             raise BufferOverflowError(
                 f"{len(self.bank.holders)} undelivered packets exceed the guard cap "
@@ -470,10 +583,44 @@ class OdwfMobile(_MobileScheme):
         return FrameOutcome(frame, SOURCE_TX)
 
     def occupied_fraction(self) -> float:
-        return int(self.strip_buffered.sum()) / self.K
+        return (self.K - self.n_free) / self.K
 
     def in_network(self) -> int:
         return len(self.bank.holders)
+
+    def _take(self, fresh) -> np.ndarray:
+        """Free ids for the fresh[r] idle relays of each strip r that turn
+        buffered."""
+        nb, n = self.K - self.n_free, int(fresh.sum())
+        self.n_free -= n
+        ids = self.free[self.n_free:self.n_free + n].copy()
+        self.held[nb:nb + n] = ids
+        self.held_strip[nb:nb + n] = np.repeat(np.arange(self.M + 1), fresh)
+        self.pos[ids] = np.arange(nb, nb + n)
+        self.idle -= fresh
+        self.buffered += fresh
+        return ids
+
+    def _release(self, ids):
+        """Turn the buffered relays ids idle: out of the array by swap-remove
+        (the live relays among the last ids.size fill the holes below them),
+        their ids back to the pool. A released relay holds no live seq, and
+        its FIFO at most SLACK dead ones, which a reuse of its id skips."""
+        nb = self.K - self.n_free
+        keep = nb - ids.size
+        at = self.pos[ids]
+        gone = np.bincount(self.held_strip[at], minlength=self.M + 1)
+        self.idle += gone
+        self.buffered -= gone
+        self.pos[ids] = -1
+        tail = np.arange(keep, nb)
+        tail = tail[self.pos[self.held[tail]] >= 0]
+        holes = at[at < keep]
+        self.held[holes] = self.held[tail]
+        self.held_strip[holes] = self.held_strip[tail]
+        self.pos[self.held[holes]] = holes
+        self.free[self.n_free:self.n_free + ids.size] = ids
+        self.n_free += ids.size
 
 
 class BaselineMobile(_MobileScheme):
@@ -482,39 +629,39 @@ class BaselineMobile(_MobileScheme):
     With the network empty, the source broadcasts to every relay in source
     coverage. The packet then waits while its holders walk; as soon as any
     holder enters destination coverage the genie delivers through it and the
-    network empties again.
+    network empties again. The holders, the buffered relays, are
+    exchangeable as well, so they are only counted, and no transmitter id is
+    reported.
     """
 
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.outstanding = None  # (seq, holder id array)
+        self.outstanding = None  # seq of the packet in the network
         self.created_frame = {}
         self.next_seq = 0
 
     def step(self, frame: int) -> FrameOutcome:
         self._walk()
         if self.outstanding is not None:
-            seq, hold = self.outstanding
-            elig = hold[self.rng.random(hold.size) < self.p_dst[self.regions[hold]]]
-            if elig.size:
-                k = int(elig[self.rng.integers(elig.size)])
-                pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
-                self.outstanding = None
-                return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
-            return FrameOutcome(frame, IDLE)
-        covered = self._source_covered()
+            if self._in_dest_coverage()[-1] == 0:
+                return FrameOutcome(frame, IDLE)
+            seq, self.outstanding = self.outstanding, None
+            self.idle += self.buffered
+            self.buffered[:] = 0
+            pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
+            return FrameOutcome(frame, RELAY_TX, (pkt,))
+        covered = self._in_source_coverage()    # the network is empty
         if covered is not None:
-            seq = self.next_seq
+            self.idle -= covered
+            self.buffered += covered
+            self.outstanding = seq = self.next_seq
             self.next_seq += 1
-            self.outstanding = (seq, covered)
             self.created_frame[seq] = frame
             return FrameOutcome(frame, SOURCE_TX)
         return FrameOutcome(frame, IDLE)
 
     def occupied_fraction(self) -> float:
-        if self.outstanding is None:
-            return 0.0
-        return self.outstanding[1].size / self.K
+        return 0.0 if self.outstanding is None else int(self.buffered.sum()) / self.K
 
     def in_network(self) -> int:
         return 0 if self.outstanding is None else 1

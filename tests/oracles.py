@@ -7,26 +7,33 @@ out the model one link or one relay at a time; the simulator never calls
 them. DenseOdwfMobile and DenseBaselineMobile are the mobile schemes as
 they were before coverage became a per-strip probability: they walk every
 relay each frame and draw coordinates for every relay a coverage disk can
-reach. DenseBaselineFixed is the fixed baseline as it was before holder
-cells: it keeps every holder id per packet and draws one indicator per
-holder link. RelayState and relay_state give a per-relay view of the ODWF
-FIFOs.
+reach. StripOdwfMobile and StripBaselineMobile are the mobile schemes as
+they were before idle relays became per-strip counts: every relay keeps an
+id and a strip, the walk moves ids, and coverage is a per-strip
+probability. DenseBaselineFixed is the fixed baseline as it was before
+holder cells: it keeps every holder id per packet and draws one indicator
+per holder link. RelayState and relay_state give a per-relay view of the
+ODWF FIFOs, and place(proto, regions) puts the relays of a mobile scheme
+into given strips.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from relaysim.analytics import delta_of, occupancy_alpha
 from relaysim.channel import FixedLinkSampler, RateThreshold, coverage_radius
 from relaysim.matching import max_bipartite_matching
-from relaysim.mobility import DiskGeometry, sample_positions_in_region
+from relaysim.mobility import (DiskGeometry, coverage_probabilities,
+                               sample_positions_in_region, step_regions)
 from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BufferOverflowError,
-                               FrameOutcome, Packet)
+                               FrameOutcome, Packet, _Fifos)
 
 # ---------------------------------------------------------------- analytics
 
@@ -58,11 +65,35 @@ class RelayState:
 
 def relay_state(proto, relay_id: int) -> RelayState:
     """The FIFOs of one relay of an OdwfFixed (one bank per subcarrier) or
-    an OdwfMobile (one bank, plus the relay's strip)."""
+    an OdwfMobile (one bank, plus the relay's strip; None while the id is
+    free, its relay idle and anonymous)."""
     if hasattr(proto, "banks"):
         return RelayState(relay_id, [bank.live(relay_id) for bank in proto.banks])
+    i = int(proto.pos[relay_id])
     return RelayState(relay_id, [proto.bank.live(relay_id)],
-                      int(proto.regions[relay_id]))
+                      int(proto.held_strip[i]) if i >= 0 else None)
+
+
+def place(proto, regions):
+    """Put relay k of a mobile scheme in strip regions[k].
+
+    In OdwfMobile relay k is the buffered relay with id k, or an idle one
+    when id k is free; the baseline must hold no packet, so all its relays
+    are idle. The strip-walking oracles place every relay by id.
+    """
+    regions = np.asarray(regions, dtype=np.int64)
+    if hasattr(proto, "place"):
+        proto.place(regions)
+        return
+    assert regions.size == proto.K
+    buffered = np.zeros(regions.size, dtype=bool)
+    if hasattr(proto, "pos"):
+        buffered = proto.pos >= 0
+        proto.held_strip[proto.pos[buffered]] = regions[buffered]
+    else:
+        assert proto.outstanding is None
+    proto.idle[:] = np.bincount(regions[~buffered], minlength=proto.M + 1)
+    proto.buffered[:] = np.bincount(regions[buffered], minlength=proto.M + 1)
 
 
 def delivered_bits(out: FrameOutcome) -> float:
@@ -256,6 +287,12 @@ def step_region(current: int, n_regions: int, q: float, rng: np.random.Generator
     u = rng.random()
     proposal = current + (1 if u < q else (-1 if u < 2.0 * q else 0))
     return min(max(proposal, 1), n_regions)
+
+
+def init_regions(geom: DiskGeometry, n_relays: int, rng: np.random.Generator) -> np.ndarray:
+    """Strips of a fresh uniform-on-disk population: the strips have equal
+    area, so each relay's strip is uniform on 1..M."""
+    return rng.integers(1, geom.n_regions + 1, size=n_relays, dtype=np.int64)
 
 
 def step_regions_dense(regions: np.ndarray, n_regions: int, q: float,
@@ -514,6 +551,205 @@ class DenseBaselineMobile(_DenseMobileScheme):
                 self.outstanding = (seq, covered.astype(np.int32))
                 self.created_frame[seq] = frame
                 return FrameOutcome(frame, SOURCE_TX)
+        return FrameOutcome(frame, IDLE)
+
+    def occupied_fraction(self) -> float:
+        if self.outstanding is None:
+            return 0.0
+        return self.outstanding[1].size / self.K
+
+    def in_network(self) -> int:
+        return 0 if self.outstanding is None else 1
+
+
+# ------------------------------------------------ strip-walking mobile schemes
+
+
+class _StripMobileScheme:
+    """Strip bookkeeping shared by the two strip-walking mobile schemes.
+
+    regions[k] is relay k's strip; strip_relays[r] counts the relays in strip
+    r and strip_buffered[r] those with a nonempty buffer (0 for the baseline),
+    both kept current in O(movers) per frame. p_src[r] and p_dst[r] are the
+    probabilities that a relay of strip r is inside source and destination
+    coverage in a frame (entry 0 unused).
+    """
+
+    def __init__(self, n_relays: int, geom: DiskGeometry, threshold: RateThreshold,
+                 p: float, pathloss_exp: float, q: float, rng: np.random.Generator):
+        self.K = n_relays
+        self.M = geom.n_regions
+        self.rate = threshold.rate
+        self.q = q
+        self.rng = rng
+        cov = coverage_radius(p, threshold.beta, pathloss_exp)
+        self.p_src, self.p_dst, p_both = coverage_probabilities(geom, cov)
+        # coverage reaches strips 1..src_max_region and dest_min_region..M
+        self.src_max_region = int(np.flatnonzero(self.p_src)[-1])
+        self.dest_min_region = int(np.flatnonzero(self.p_dst)[0])
+        # source coverage given no destination coverage; where p_dst = 1 no
+        # buffered relay survives phase II, so any value will do
+        self.p_src_given_no_dst = np.clip(np.divide(
+            self.p_src - p_both, 1.0 - self.p_dst,
+            out=np.zeros(self.M + 1), where=self.p_dst < 1.0), 0.0, 1.0)
+        self.buffer_count = np.zeros(n_relays, dtype=np.int32)
+        self.place(init_regions(geom, n_relays, rng))
+
+    def place(self, regions):
+        """Put relay k in strip regions[k] and rebuild the per-strip counts."""
+        self.regions = np.array(regions, dtype=np.int64)
+        self.strip_relays = self._tally(self.regions)
+        self.strip_buffered = self._tally(self.regions[self.buffer_count > 0])
+
+    def _tally(self, regions: np.ndarray) -> np.ndarray:
+        return np.bincount(regions, minlength=self.M + 1)
+
+    def _walk(self):
+        movers, old = step_regions(self.regions, self.M, self.q, self.rng)
+        if movers.size:
+            self.strip_relays += self._tally(self.regions[movers]) - self._tally(old)
+            held = self.buffer_count[movers] > 0
+            if held.any():
+                self.strip_buffered += (self._tally(self.regions[movers[held]])
+                                        - self._tally(old[held]))
+
+    def _source_covered(self):
+        """Ids of the relays inside source coverage this frame, or None.
+
+        Unbuffered relays are covered independently with p_src. ODWF's phase I
+        runs only when no buffered relay is in destination coverage, so those
+        are covered with p_src_given_no_dst, unlike p_src only where p_dst > 0.
+        Per strip and class the count is Binomial(relays, p), and given the
+        count every subset of that size is equally likely.
+        """
+        picks = []
+        for strip in range(1, self.src_max_region + 1):
+            total, buffered = int(self.strip_relays[strip]), int(self.strip_buffered[strip])
+            if buffered and self.p_dst[strip] > 0.0:
+                classes = ((total - buffered, self.p_src[strip], False),
+                           (buffered, self.p_src_given_no_dst[strip], True))
+            else:
+                classes = ((total, self.p_src[strip], None),)
+            for members, prob, held in classes:
+                size = int(self.rng.binomial(members, prob)) if members else 0
+                if size:
+                    picks.append(self._members(strip, held, size, members))
+        return np.concatenate(picks) if picks else None
+
+    def _belongs(self, ids, strip, held):
+        ok = self.regions[ids] == strip
+        if held is not None:
+            ok &= (self.buffer_count[ids] > 0) if held else (self.buffer_count[ids] == 0)
+        return ok
+
+    def _members(self, strip: int, held, size: int, total: int) -> np.ndarray:
+        """`size` distinct uniform ids among the `total` relays of `strip`
+        with a nonempty buffer (held True), an empty one (False) or any (None).
+
+        A uniform id that belongs is uniform over the members, so the first
+        `size` distinct members drawn are a uniform subset. One batch of four
+        times the mean draws this needs, at most size*K/(total - size + 1), is
+        tried; if it comes up short, or would cost more than a scan of all K
+        relays, a uniform subset of the scanned members is drawn instead.
+        """
+        K = self.K
+        tries = -(-4 * K * size // (total - size + 1))
+        if tries < K:
+            ids = self.rng.integers(K, size=tries)
+            distinct = list(dict.fromkeys(ids[self._belongs(ids, strip, held)].tolist()))
+            if len(distinct) >= size:
+                return np.array(distinct[:size])
+        ids = np.flatnonzero(self._belongs(slice(None), strip, held))
+        return self.rng.choice(ids, size, replace=False)
+
+
+class StripOdwfMobile(_StripMobileScheme):
+    """OdwfMobile walking every relay id through its strip."""
+
+    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
+                 buffer_cap: int = 100_000):
+        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
+        self.bank = _Fifos(self.buffer_count)
+        self.buffer_cap = buffer_cap
+        self.created_frame = {}
+        self.next_seq = 0
+
+    def step(self, frame: int) -> FrameOutcome:
+        self._walk()
+        k = self._deliverer()
+        if k is not None:
+            return self._relay_tx(frame, k)
+        covered = self._source_covered()
+        if covered is not None:
+            return self._source_tx(frame, covered)
+        return FrameOutcome(frame, IDLE)
+
+    def _deliverer(self):
+        """A uniform pick among the buffered relays in destination coverage, or
+        None: per strip their count is Binomial(buffered, p_dst) and any subset
+        of that size is as likely, so a strip is picked in proportion, then any
+        of its buffered relays."""
+        lo = self.dest_min_region
+        counts = list(accumulate(
+            int(self.rng.binomial(b, p)) if b else 0
+            for b, p in zip(self.strip_buffered[lo:].tolist(), self.p_dst[lo:].tolist())))
+        if counts[-1] == 0:
+            return None
+        strip = lo + bisect_right(counts, int(self.rng.integers(counts[-1])))
+        return int(self._members(strip, True, 1, int(self.strip_buffered[strip]))[0])
+
+    def _relay_tx(self, frame, k):
+        seq, emptied = self.bank.deliver(k)
+        self.strip_buffered -= self._tally(self.regions[emptied])
+        pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
+        return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
+
+    def _source_tx(self, frame, covered):
+        seq = self.next_seq
+        self.next_seq += 1
+        self.created_frame[seq] = frame
+        fresh = self.bank.add(seq, covered)
+        self.strip_buffered += self._tally(self.regions[fresh])
+        if len(self.bank.holders) > self.buffer_cap:
+            raise BufferOverflowError(
+                f"{len(self.bank.holders)} undelivered packets exceed the guard cap "
+                f"{self.buffer_cap}")
+        return FrameOutcome(frame, SOURCE_TX)
+
+    def occupied_fraction(self) -> float:
+        return int(self.strip_buffered.sum()) / self.K
+
+    def in_network(self) -> int:
+        return len(self.bank.holders)
+
+
+class StripBaselineMobile(_StripMobileScheme):
+    """BaselineMobile walking every relay id through its strip."""
+
+    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
+        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
+        self.outstanding = None  # (seq, holder id array)
+        self.created_frame = {}
+        self.next_seq = 0
+
+    def step(self, frame: int) -> FrameOutcome:
+        self._walk()
+        if self.outstanding is not None:
+            seq, hold = self.outstanding
+            elig = hold[self.rng.random(hold.size) < self.p_dst[self.regions[hold]]]
+            if elig.size:
+                k = int(elig[self.rng.integers(elig.size)])
+                pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
+                self.outstanding = None
+                return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
+            return FrameOutcome(frame, IDLE)
+        covered = self._source_covered()
+        if covered is not None:
+            seq = self.next_seq
+            self.next_seq += 1
+            self.outstanding = (seq, covered)
+            self.created_frame[seq] = frame
+            return FrameOutcome(frame, SOURCE_TX)
         return FrameOutcome(frame, IDLE)
 
     def occupied_fraction(self) -> float:

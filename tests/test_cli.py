@@ -49,6 +49,30 @@ def test_simulate_writes_csv(spec_file, tmp_path, capsys):
     assert "1 rows in" in err and "s" in err
 
 
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_progress_goes_to_a_terminal_only(spec_file, tmp_path, capsys, monkeypatch):
+    spec_file.write_text(SPEC + "[sweep]\nbeta = 4, 8, 16\n", encoding="utf-8")
+    argv = ["sweep", "--spec", str(spec_file)]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert "row 1/3" not in plain.err
+    terminal = Terminal()
+    monkeypatch.setattr("sys.stderr", terminal)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain.out
+    err = terminal.getvalue()
+    assert err.startswith("\rrelaysim: row 1/3\rrelaysim: row 2/3\rrelaysim: row 3/3\n")
+    assert err.splitlines()[-1].startswith("relaysim: 3 rows in ")
+    assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    monkeypatch.undo()
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_predict_skips_simulation_columns(spec_file, tmp_path):
     out = tmp_path / "res.csv"
     assert main(["predict", "--spec", str(spec_file), "--out", str(out)]) == 0

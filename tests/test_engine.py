@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from relaysim.analytics import occupancy_alpha, p_rd
-from relaysim.engine import (BASELINE, FIXED, MOBILE, ODWF, MetricsTrace,
-                             SystemConfig, default_warmup, measure_delay,
+from relaysim.engine import (_T975, BASELINE, FIXED, MOBILE, ODWF, MetricsTrace,
+                             SystemConfig, _mean_ci, default_warmup, measure_delay,
                              measure_throughput, resolve_warmup, run_once,
                              run_replicated, summarize)
 from relaysim.protocol import IDLE, RELAY_TX, SOURCE_TX
@@ -162,6 +163,23 @@ def test_single_replication_has_zero_halfwidths():
     assert s.replications == 1
     assert s.throughput_ci95 == 0.0 and s.occupancy_ci95 == 0.0
     assert s.delay_ci95 == 0.0
+
+
+def test_t_quantiles_match_scipy():
+    # 2..30 replications use the Student-t quantile, to 3 decimals
+    assert len(_T975) == 29
+    for n, quantile in enumerate(_T975, start=2):
+        assert abs(quantile - stats.t.ppf(0.975, n - 1)) < 5e-4
+
+
+@pytest.mark.parametrize("n,quantile", [(1, 0.0), (2, 12.7062), (3, 4.3027),
+                                        (30, 2.0452), (31, 1.96), (200, 1.96)])
+def test_halfwidth_uses_the_t_quantile_up_to_30_replications(n, quantile):
+    values = np.arange(n, dtype=float) ** 2
+    mean, half = _mean_ci(values)
+    assert mean == values.mean()
+    spread = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    assert half == pytest.approx(quantile * spread)
 
 
 def test_replication_is_deterministic_given_seed():

@@ -8,12 +8,12 @@ import pytest
 from scipy import stats
 
 from oracles import (RelayPosition, coverage_window, distance_to_destination,
-                     distance_to_source, init_relays, region_of,
+                     distance_to_source, init_regions, init_relays, region_of,
                      sample_position_in_region, step_region, transition_matrix)
 from relaysim.channel import coverage_radius
 from relaysim.mobility import (build_geometry, coverage_probabilities,
-                               init_regions, sample_positions_in_region,
-                               step_regions, strip_area)
+                               sample_positions_in_region, step_regions,
+                               strip_area)
 
 # interior boundaries for R=1 frozen from 50-digit root-finding on the
 # circular-segment area equation

@@ -9,7 +9,8 @@ import pytest
 from scipy import stats
 
 from oracles import (DenseBaselineFixed, DenseBaselineMobile, DenseOdwfMobile,
-                     delivered_bits, relay_state)
+                     StripBaselineMobile, StripOdwfMobile, delivered_bits, place,
+                     relay_state, transition_matrix)
 from relaysim.analytics import p_rd
 from relaysim.channel import FixedLinkSampler, RateThreshold
 from relaysim.mobility import build_geometry
@@ -454,10 +455,10 @@ def test_mobile_odwf_frozen_walk_out_of_reach_idles():
     proto = make_mobile(OdwfMobile, 2, 1, p=1.0, beta=1e6, alpha=2.0,
                         M=5, q=0.0, R=1.0, seed=37)
     assert proto.src_max_region == 1 and proto.dest_min_region == 5
-    proto.place([2, 3])
+    place(proto, [2, 3])
     outs = drive(proto, 200)
     assert all(o.kind == IDLE for o in outs)
-    assert np.array_equal(proto.regions, [2, 3])
+    assert proto.idle.tolist() == [0, 0, 1, 1, 0, 0]     # the relays in strips 2, 3
     assert proto.next_seq == 0
 
 
@@ -494,7 +495,10 @@ def test_mobile_odwf_occupancy_counter_matches_state():
 
 def test_mobile_odwf_buffer_guard_trips():
     proto = make_mobile(OdwfMobile, 5, 1, seed=40, buffer_cap=4, **FULL_COVER)
-    proto.p_dst[:] = 0.0   # no relay ever reaches destination coverage
+    # no relay ever reaches destination coverage, so source coverage is no
+    # longer conditioned on missing it
+    proto.p_dst[:] = 0.0
+    proto.p_src_given_no_dst[:] = proto.p_src
     with pytest.raises(BufferOverflowError):
         drive(proto, 10)
     assert proto.next_seq == 5
@@ -530,7 +534,7 @@ def test_mobile_baseline_stranded_holder_never_delivers():
     # frozen, can never reach destination coverage
     proto = make_mobile(BaselineMobile, 1, 1, p=1.0, beta=16.0, alpha=4.0,
                         M=5, q=0.0, R=1.0, seed=43)
-    proto.place([1])
+    place(proto, [1])
     outs = drive(proto, 600)
     kinds = [o.kind for o in outs]
     assert SOURCE_TX in kinds
@@ -561,30 +565,132 @@ def test_mobile_baseline_single_outstanding_packet():
     assert min(delays) >= 1 and max(delays) > 1
 
 
+def mobile_state_is_consistent(proto):
+    """The per-strip counts add up to K and, for ODWF, match the buffered
+    relays: held lists exactly the relays with undelivered seqs, each at
+    its pos, with strips tallying to the buffered counts."""
+    assert proto.counts.min() >= 0 and proto.counts[:, 0].tolist() == [0, 0]
+    assert int(proto.counts.sum()) == proto.K
+    if isinstance(proto, BaselineMobile):
+        assert (proto.buffered.sum() > 0) == (proto.outstanding is not None)
+        return
+    nb = proto.K - proto.n_free
+    held = proto.held[:nb]
+    assert np.array_equal(np.sort(held), np.flatnonzero(proto.bank.count > 0))
+    assert np.array_equal(proto.pos[held], np.arange(nb))
+    assert np.count_nonzero(proto.pos >= 0) == nb
+    assert np.array_equal(np.sort(proto.free[:proto.n_free]),
+                          np.flatnonzero(proto.pos < 0))
+    assert np.array_equal(proto.buffered,
+                          np.bincount(proto.held_strip[:nb], minlength=proto.M + 1))
+
+
 def test_mobile_strip_counters_match_state():
     # the per-strip counts are kept current through moves, deliveries and
-    # broadcasts; q = 0.02 takes the sparse walk, q = 0.3 the dense one
+    # broadcasts; q = 0.02 takes the few-movers walk, q = 0.3 the other one
     for scheme in (OdwfMobile, BaselineMobile):
         for q, seed in ((0.02, 45), (0.3, 46)):
             proto = make_mobile(scheme, 120, 1, p=4.0, beta=2.0, alpha=4.0,
                                 M=5, q=q, R=1.0, seed=seed)
+            assert proto.few == (q == 0.02)
             kinds = set()
             for t in range(400):
                 kinds.add(proto.step(t).kind)
-                tally = np.bincount(proto.regions, minlength=6)
-                assert np.array_equal(proto.strip_relays, tally)
-                held = proto.regions[proto.buffer_count > 0]
-                assert np.array_equal(proto.strip_buffered,
-                                      np.bincount(held, minlength=6))
+                mobile_state_is_consistent(proto)
+                assert proto.occupied_fraction() == proto.buffered.sum() / proto.K
             assert {SOURCE_TX, RELAY_TX} <= kinds
 
 
 def test_mobile_place_rebuilds_counters():
     proto = make_mobile(OdwfMobile, 6, 1, seed=47, **FULL_COVER)
     proto.step(0)                      # everyone buffers packet 0
-    proto.place([1, 1, 2, 5, 5, 5])
-    assert proto.strip_relays.tolist() == [0, 2, 1, 0, 0, 3]
-    assert proto.strip_buffered.tolist() == [0, 2, 1, 0, 0, 3]
+    place(proto, [1, 1, 2, 5, 5, 5])
+    assert (proto.idle + proto.buffered).tolist() == [0, 2, 1, 0, 0, 3]
+    assert proto.buffered.tolist() == [0, 2, 1, 0, 0, 3]
+    mobile_state_is_consistent(proto)
+
+
+# ------------------------------------------------------- walk of the counts
+
+
+def buffer_relays(proto, fresh):
+    """Make fresh[r] idle relays of strip r buffered: ODWF gives them a
+    packet, the baseline holds one."""
+    fresh = np.asarray(fresh, dtype=np.int64)
+    if isinstance(proto, OdwfMobile):
+        proto._source_tx(0, np.empty(0, dtype=np.intp), fresh)
+    else:
+        proto.outstanding, proto.created_frame[0] = 0, 0
+        proto.idle -= fresh
+        proto.buffered += fresh
+
+
+@pytest.mark.parametrize("q", [0.02, 0.3, 0.5])
+def test_mobile_idle_counts_stay_multinomial(q):
+    # the walk is doubly stochastic, so Multinomial(K, 1/M) strip counts, as
+    # drawn at the start, keep that law; K = 40 takes the few-movers walk at
+    # q = 0.02 and the multinomial one above
+    K, M, runs, steps = 40, 3, 1500, 5
+    rng = np.random.default_rng(60)
+    walked = []
+    for r in range(runs):
+        proto = make_mobile(BaselineMobile, K, 1, p=1.0, beta=4.0, alpha=4.0,
+                            M=M, q=q, R=1.0, seed=3000 + r)
+        for _ in range(steps):
+            proto._walk()
+        walked.append(proto.idle[1:].copy())
+    assert proto.few == (q == 0.02)
+    walked = np.array(walked)
+    fresh = rng.multinomial(K, [1.0 / M] * M, size=runs)
+    assert np.all(walked.sum(axis=1) == K)
+    for strip in range(M):
+        assert_same_law(walked[:, strip].tolist(), fresh[:, strip].tolist())
+    assert_same_law((walked[:, 0] - walked[:, -1]).tolist(),
+                    (fresh[:, 0] - fresh[:, -1]).tolist())
+
+
+@pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])
+def test_mobile_walk_frozen_at_q_zero(scheme):
+    proto = make_mobile(scheme, 50, 1, p=1.0, beta=4.0, alpha=4.0, M=5, q=0.0,
+                        R=1.0, seed=61)
+    buffer_relays(proto, [0, 3, 0, 2, 0, 0])
+    counts = proto.counts.copy()
+    strips = proto.held_strip.copy() if scheme is OdwfMobile else None
+    for _ in range(200):
+        proto._walk()
+    assert np.array_equal(proto.counts, counts)
+    if scheme is OdwfMobile:
+        assert np.array_equal(proto.held_strip, strips)
+
+
+@pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])
+@pytest.mark.parametrize("q", [0.05, 0.3])
+def test_mobile_walk_flows_match_transition_matrix(scheme, q):
+    # all relays start in one strip, split between the idle and the buffered
+    # class; one step sends each class along the row of the transition matrix,
+    # reflecting at strips 1 and M. K = 40 takes the few-movers walk at
+    # q = 0.05 and the multinomial one at q = 0.3
+    K, M, runs = 40, 4, 600
+    Q = transition_matrix(M, q)
+    for start in range(1, M + 1):
+        landed = np.zeros((2, M), dtype=np.int64)
+        for r in range(runs):
+            proto = make_mobile(scheme, K, 1, p=1.0, beta=4.0, alpha=4.0,
+                                M=M, q=q, R=1.0, seed=4000 + 1000 * start + r)
+            place(proto, [start] * K)
+            fresh = np.zeros(M + 1, dtype=np.int64)
+            fresh[start] = K // 4
+            buffer_relays(proto, fresh)
+            proto._walk()
+            mobile_state_is_consistent(proto)
+            landed += proto.counts[:, 1:]
+        assert proto.few == (q == 0.05)
+        for cls, n in ((0, K - K // 4), (1, K // 4)):
+            total = runs * n
+            for j in range(M):
+                want = Q[start - 1, j]
+                sigma = math.sqrt(want * (1 - want) / total)
+                assert abs(landed[cls, j] / total - want) <= 4 * sigma + 1e-12
 
 
 # --------------------------------- coordinate-sampling oracle, mobile schemes
@@ -596,11 +702,17 @@ def test_mobile_place_rebuilds_counters():
 # (in strip 3 a buffered relay outside destination coverage is in source
 # coverage with probability 0.35, against 0.64 for any relay there); and
 # 2.0 in FULL_COVER, which covers the whole disk from either end. q = 0.05
-# takes the sparse walk, q = 0.1 the dense one.
+# takes the sparse walk, q = 0.1 the dense one. All of these move at most
+# 8 relays per frame on average (2qK <= 8), so the new schemes walk them
+# mover by mover; "apart_many" walks by the multinomial draw. In "narrow"
+# (radius 0.18, M = 2) a strip is inside a disk with probability 0.03, so
+# ODWF draws which buffered relays are covered by thinning.
 MOBILE_LAWS = {
     "apart": (60, dict(p=1.0, beta=4.0, alpha=4.0, M=5, q=0.05, R=1.0)),
     "overlapping": (6, dict(p=4.0, beta=2.0, alpha=4.0, M=5, q=0.1, R=1.0)),
     "full_cover": (8, FULL_COVER),
+    "apart_many": (60, dict(p=1.0, beta=4.0, alpha=4.0, M=5, q=0.2, R=1.0)),
+    "narrow": (300, dict(p=1.0, beta=1024.0, alpha=4.0, M=2, q=0.01, R=1.0)),
 }
 
 
@@ -614,13 +726,16 @@ def mobile_snapshot(scheme, seed, frames, K, cfg):
 
 
 @pytest.mark.parametrize("law", sorted(MOBILE_LAWS))
-@pytest.mark.parametrize("scheme,dense", [(OdwfMobile, DenseOdwfMobile),
-                                          (BaselineMobile, DenseBaselineMobile)])
-def test_mobile_schemes_agree_with_coordinate_sampling(scheme, dense, law):
-    # one snapshot per independent run, as for the fixed schemes
+@pytest.mark.parametrize("scheme,oracle", [(OdwfMobile, DenseOdwfMobile),
+                                           (BaselineMobile, DenseBaselineMobile),
+                                           (OdwfMobile, StripOdwfMobile),
+                                           (BaselineMobile, StripBaselineMobile)])
+def test_mobile_schemes_agree_with_coordinate_sampling(scheme, oracle, law):
+    # one snapshot per independent run, as for the fixed schemes; the oracle
+    # samples coordinates, or walks every relay id through its strip
     runs, frames, (K, cfg) = 300, 40, MOBILE_LAWS[law]
     new = [mobile_snapshot(scheme, 2000 + r, frames, K, cfg) for r in range(runs)]
-    old = [mobile_snapshot(dense, 7000 + r, frames, K, cfg) for r in range(runs)]
+    old = [mobile_snapshot(oracle, 7000 + r, frames, K, cfg) for r in range(runs)]
     kinds = (SOURCE_TX, RELAY_TX, IDLE)
     assert_same_law([kinds.index(s[0]) for s in new], [kinds.index(s[0]) for s in old])
     for i in (1, 2):    # relays holding packets, then packets in flight
@@ -633,21 +748,23 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
     # without changing the state. The coordinate sampler decides both phases
     # from one position per relay, so in phase I a buffered relay is in
     # source coverage with probability 0.35, not 0.64 as an unbuffered one
+    # (the new scheme counts the four idle ones)
     K, trials = 6, 8000
     cfg = dict(MOBILE_LAWS["overlapping"][1], q=0.0)
     new = make_mobile(OdwfMobile, K, 1, seed=50, **cfg)
     dense = make_mobile(DenseOdwfMobile, K, 1, seed=51, **cfg)
-    new.place([3] * K)
+    place(new, [3] * K)
+    buffer_relays(new, [0, 0, 0, 2, 0, 0])
+    assert new.idle[3] == 4 and new.buffered[3] == 2
     dense.regions = np.full(K, 3, dtype=np.int64)
-    for proto in (new, dense):
-        proto._source_tx(0, np.array([0, 1]))
+    dense._source_tx(0, np.array([0, 1]))
     outcomes = {"new": ([], []), "dense": ([], [])}
     for _ in range(trials):
         if new._deliverer() is None:
-            covered = new._source_covered()
-            covered = np.empty(0) if covered is None else covered
-            outcomes["new"][0].append(int(np.count_nonzero(covered < 2)))
-            outcomes["new"][1].append(int(np.count_nonzero(covered >= 2)))
+            covered = new._covered()
+            held, fresh = (np.empty(0), None) if covered is None else covered
+            outcomes["new"][0].append(held.size)
+            outcomes["new"][1].append(0 if fresh is None else int(fresh.sum()))
         else:
             outcomes["new"][0].append(-1)
         xs, ys = dense._positions_for(np.arange(K))
@@ -661,6 +778,37 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
         assert_same_law(outcomes["new"][i], outcomes["dense"][i])
     phase_one = [n for n in outcomes["new"][0] if n >= 0]
     assert abs(np.mean(phase_one) / 2 - 0.354) < 0.05
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+def test_mobile_odwf_covers_buffered_relays_independently(scale):
+    # sixty buffered relays in each of strips 1-3, covered with probability
+    # 0.5, 0.2, 0 (scale 1: one uniform per relay) or 0.05, 0.02, 0 (scale
+    # 0.1: thinning): per strip the covered count is Binomial(60, p), and
+    # every relay of a strip is as likely to be covered
+    trials, rng = 4000, np.random.default_rng(63)
+    proto = make_mobile(OdwfMobile, 300, 1, p=1.0, beta=4.0, alpha=4.0, M=5,
+                        q=0.0, R=1.0, seed=62)
+    place(proto, [1] * 100 + [2] * 100 + [3] * 100)
+    buffer_relays(proto, [0, 60, 60, 60, 0, 0])
+    probs = np.array([0.0, 0.5, 0.2, 0.0, 0.0, 0.0]) * scale
+    proto.p_src_given_no_dst[:] = probs
+    hits = np.zeros(proto.K, dtype=np.int64)
+    per_strip = []
+    for _ in range(trials):
+        covered = proto._covered()
+        held = np.empty(0, dtype=np.intp) if covered is None else covered[0]
+        assert np.unique(held).size == held.size
+        hits[held] += 1
+        per_strip.append(np.bincount(proto.held_strip[proto.pos[held]], minlength=6))
+    per_strip = np.array(per_strip)
+    for strip in (1, 2, 3):
+        want = rng.binomial(60, probs[strip], trials)
+        assert_same_law(per_strip[:, strip].tolist(), want.tolist())
+        members = proto.held[:proto.K - proto.n_free][
+            proto.held_strip[:proto.K - proto.n_free] == strip]
+        if probs[strip]:
+            assert stats.chisquare(hits[members]).pvalue > 1e-3
 
 
 # ------------------------------------------------------ FIFO memory bound
