@@ -333,11 +333,14 @@ class _MobileScheme:
       counts of a class are Multinomial(n; q, q, 1 - 2q), one vectorised
       draw over the strips, which numpy makes as Binomial(n, q) up, then
       Binomial(n - up, q/(1 - q)) down. When 2qK <= FEW relays move per
-      frame on average, the call overhead of that draw outweighs drawing the
-      movers one by one: their number is Binomial(K, 2q), drawn ahead in
-      blocks, each is uniform over the relays not picked yet, so it falls in
-      a strip and class in proportion to those left there, and a fair bit
-      sends it up or down.
+      frame on average, drawing the movers one by one is faster: their
+      number is Binomial(K, 2q), drawn ahead in blocks, each is uniform over
+      the relays not picked yet, so it falls in a strip and class in
+      proportion to those left there, and a fair bit sends it up or down.
+      Each mover costs a few Python statements, against a fixed numpy cost
+      for the multinomial walk (plus one uniform per buffered relay for
+      ODWF), so the mover-by-mover walk is the faster one up to about 5
+      movers for the baseline and 10-15 for ODWF; FEW lies between.
     - Coverage: per strip and class the relays inside a coverage disk number
       Binomial(n, p), and given the count every subset of that size is
       equally likely.
@@ -461,6 +464,8 @@ class OdwfMobile(_MobileScheme):
     in [q, 2q)).
     """
 
+    THIN_FROM = 2048
+
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
@@ -540,16 +545,19 @@ class OdwfMobile(_MobileScheme):
         ODWF's phase I runs only when no buffered relay is in destination
         coverage, so those are covered with p_src_given_no_dst, unlike p_src
         only where p_dst > 0, each independently. When the largest of these,
-        p, is at most 1/16, fewer draws do: candidates come at rate p as a
-        Bernoulli process, whose gaps are Geometric(p), and a candidate of
-        strip r stays with probability p_src_given_no_dst[r] / p.
+        p, is at most 1/16 and at least THIN_FROM relays are buffered, fewer
+        draws do: candidates come at rate p as a Bernoulli process, whose
+        gaps are Geometric(p), and a candidate of strip r stays with
+        probability p_src_given_no_dst[r] / p. Its dozen numpy calls cost
+        more than one uniform per relay below about 2,000 buffered relays,
+        or above p = 1/8.
         """
         fresh = self._in_source_coverage()
         nb, p = self.K - self.n_free, max(self.p_src_given_no_dst.tolist())
-        if p > 0.0625:
+        if nb < self.THIN_FROM or p > 0.0625:
             held = self.held[:nb][self.rng.random(nb)
                                   < self.p_src_given_no_dst[self.held_strip[:nb]]]
-        elif nb and p:
+        elif p:
             mean = nb * p
             pos = np.cumsum(self.rng.geometric(p, int(mean + 4 * math.sqrt(mean) + 8))) - 1
             while pos[-1] < nb:    # too few gaps drawn to pass nb: rare

@@ -706,7 +706,8 @@ def test_mobile_walk_flows_match_transition_matrix(scheme, q):
 # 8 relays per frame on average (2qK <= 8), so the new schemes walk them
 # mover by mover; "apart_many" walks by the multinomial draw. In "narrow"
 # (radius 0.18, M = 2) a strip is inside a disk with probability 0.03, so
-# ODWF draws which buffered relays are covered by thinning.
+# ODWF, allowed to thin from any number of buffered relays, draws which of
+# them are covered by thinning.
 MOBILE_LAWS = {
     "apart": (60, dict(p=1.0, beta=4.0, alpha=4.0, M=5, q=0.05, R=1.0)),
     "overlapping": (6, dict(p=4.0, beta=2.0, alpha=4.0, M=5, q=0.1, R=1.0)),
@@ -720,6 +721,8 @@ def mobile_snapshot(scheme, seed, frames, K, cfg):
     """Phase of the last frame, then relays holding packets and packets in
     flight after it."""
     proto = make_mobile(scheme, K, 1, seed=seed, **cfg)
+    if scheme is OdwfMobile:
+        proto.THIN_FROM = 0    # so that "narrow" thins at K = 300
     for t in range(frames):
         out = proto.step(t)
     return out.kind, round(proto.occupied_fraction() * K), proto.in_network()
@@ -791,6 +794,7 @@ def test_mobile_odwf_covers_buffered_relays_independently(scale):
                         q=0.0, R=1.0, seed=62)
     place(proto, [1] * 100 + [2] * 100 + [3] * 100)
     buffer_relays(proto, [0, 60, 60, 60, 0, 0])
+    proto.THIN_FROM = 0    # thinning at 180 buffered relays, where p allows
     probs = np.array([0.0, 0.5, 0.2, 0.0, 0.0, 0.0]) * scale
     proto.p_src_given_no_dst[:] = probs
     hits = np.zeros(proto.K, dtype=np.int64)
