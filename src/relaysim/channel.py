@@ -44,11 +44,6 @@ class RateThreshold:
     def for_mobile(cls, n_subcarriers: int, beta: float) -> "RateThreshold":
         return cls(rate=n_subcarriers * math.log2(beta), beta=float(beta))
 
-    @property
-    def gain_threshold(self) -> float:
-        """Fixed-scenario connectivity threshold ln(beta) on the power gain."""
-        return math.log(self.beta)
-
 
 def coverage_radius(p: float, beta: float, alpha: float) -> float:
     """Distance (p/beta)^(1/alpha) within which a pathloss-only link is connected."""

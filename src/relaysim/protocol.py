@@ -61,12 +61,14 @@ class _Fifos:
     from its live seqs (dropped if none) once longer than twice those plus
     SLACK, which spares FIFOs with few live seqs. Each entry is dropped once,
     by a pop or by a rebuild that drops more than it keeps: O(1) amortized.
+    More than cap undelivered seqs abort the run.
     """
 
     SLACK = 8
 
-    def __init__(self, count: np.ndarray):
+    def __init__(self, count: np.ndarray, cap: int):
         self.count = count  # int32 per relay, a view owned by the scheme
+        self.cap = cap
         self.length = np.zeros(count.size, dtype=np.int32)
         self.fifo = defaultdict(deque)
         self.holders = {}
@@ -75,6 +77,9 @@ class _Fifos:
         """Enqueue seq at the distinct relays ids; return those that held nothing."""
         ids = ids.astype(np.intp, copy=False)  # indexes faster than int32
         self.holders[seq] = ids
+        if len(self.holders) > self.cap:
+            raise BufferOverflowError(f"{len(self.holders)} undelivered packets "
+                                      f"exceed the guard cap {self.cap}")
         fresh = ids[self.count[ids] == 0]
         self.count[ids] += 1
         self.length[ids] += 1
@@ -128,10 +133,9 @@ class OdwfFixed:
         self.rate = threshold.rate
         self.rng = rng
         self.links = FixedLinkSampler(threshold, rng)
-        self.buffer_cap = buffer_cap
         self.bank_count = np.zeros((self.N, self.K), dtype=np.int32)
         self.occupied = np.zeros(self.N, dtype=np.int64)
-        self.banks = [_Fifos(self.bank_count[n]) for n in range(self.N)]
+        self.banks = [_Fifos(self.bank_count[n], buffer_cap) for n in range(self.N)]
         self.created_frame = {}
         self.next_seq = 0
 
@@ -167,12 +171,7 @@ class OdwfFixed:
             seq = self.next_seq
             self.next_seq += 1
             self.created_frame[seq] = frame
-            bank = self.banks[n]
-            self.occupied[n] += bank.add(seq, ids).size
-            if len(bank.holders) > self.buffer_cap:
-                raise BufferOverflowError(
-                    f"subcarrier {n}: {len(bank.holders)} undelivered packets "
-                    f"exceed the guard cap {self.buffer_cap}")
+            self.occupied[n] += self.banks[n].add(seq, ids).size
         return FrameOutcome(frame, SOURCE_TX)
 
     def occupied_fraction(self) -> np.ndarray:
@@ -190,28 +189,21 @@ class BaselineFixed:
     While packets remain, every frame is a RelayTx that delivers a maximum
     bipartite matching between undelivered packets and subcarriers; an edge
     exists iff some holder of the packet has a connected relay-destination link
-    on that subcarrier, and the lowest-id such holder transmits. A relay may
-    serve several subcarriers in one frame.
+    on that subcarrier. A relay may serve several subcarriers in one frame.
+    Which relay transmits changes no metric, so none is reported.
 
-    Relays are kept in holder cells: cell c is the sizes[c] relays
-    ids[first[c]:first[c] + sizes[c]], in ascending order, that hold exactly
-    the packets i of the batch with bit i set in labels[c]. Links are i.i.d.
-    Bernoulli(1/beta), so relays are exchangeable, only cell sizes enter the
-    laws, and a frame costs O(N * cells), whatever K is.
+    Relays are kept in holder cells: cell c is sizes[c] relays that hold
+    exactly the packets i of the batch with bit i set in labels[c]. Links are
+    i.i.d. Bernoulli(1/beta), so relays are exchangeable, only cell sizes
+    enter the laws, and a frame costs O(N * cells), whatever K is.
     - Source phase: the members of a cell that connect on subcarrier n number
       Binomial(size, 1/beta), independently across cells, which splits every
-      cell in two. Given the sizes, every assignment of relays to cells is
-      equally likely, so the cells are consecutive blocks of a uniformly
-      ordered sample of distinct ids.
+      cell in two.
     - Relay phase: no member of a cell of s relays connects on a subcarrier
       with probability (1 - 1/beta)^s, independently across cells and
       subcarriers: one Bernoulli per (subcarrier, cell) decides the edges.
       Cells with equal patterns are disjoint and need no merging, since
       (1 - 1/beta)^(s+t) = (1 - 1/beta)^s (1 - 1/beta)^t.
-    - Transmitter: given that a cell is up, the index of its first connected
-      member in id order is geometric truncated to the cell size, drawn only
-      for delivered packets; the minimum id over the up cells holding the
-      packet is its lowest-id connected holder.
     """
 
     def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
@@ -246,64 +238,33 @@ class BaselineFixed:
             labels, sizes = labels[:-1], sizes[:-1]
         self.labels = np.array(labels, dtype=np.int64 if self.N < 63 else object)
         self.sizes = np.array(sizes)
-        self.first = np.array([0, *accumulate(sizes[:-1])])
         self.up_prob = -np.expm1(self.sizes * self.links.log_down)
-        self.held = held = int(sum(sizes))
-        # cells are consecutive blocks of the sample, so its order matters
-        # only when there are several
-        sample = rng.choice(self.K, held, replace=False, shuffle=len(sizes) > 1)
-        if len(sizes) == 1:
-            self.ids = np.sort(sample)
-        else:
-            cell = np.repeat(np.arange(len(sizes)), sizes)
-            self.ids = np.sort(cell * self.K + sample) - cell * self.K
+        self.held = int(sum(sizes))
         self.pending = list(range(self.N))
         self.base_seq, self.created = self.next_seq, frame
         self.next_seq += self.N
         return FrameOutcome(frame, SOURCE_TX)
 
     def _relay_tx(self, frame):
-        rng, N, pending = self.rng, self.N, self.pending
-        one_cell = self.sizes.size == 1    # always at N = 1; drawn with scalars
-        if one_cell:
-            q = float(self.up_prob[0])
-            up = [n for n, u in enumerate(rng.random(N).tolist()) if u < q]
-            adjacency = [up] * len(pending)
-        else:
-            up = rng.random((N, self.sizes.size)) < self.up_prob   # up[n, c]
-            reach = np.bitwise_or.reduce(np.where(up, self.labels, 0), axis=1).tolist()
-            adjacency = [[n for n in range(N) if reach[n] >> i & 1] for i in pending]
+        N, pending = self.N, self.pending
+        up = self.rng.random((N, self.sizes.size)) < self.up_prob   # up[n, c]
+        reach = np.bitwise_or.reduce(np.where(up, self.labels, 0), axis=1).tolist()
+        adjacency = [[n for n in range(N) if reach[n] >> i & 1] for i in pending]
         match_left, _ = max_bipartite_matching(adjacency, N)
-        sent = [(i, n) for i, n in zip(pending, match_left) if n >= 0]
-        if not sent:
+        packets = [i for i, n in zip(pending, match_left) if n >= 0]
+        if not packets:
             return FrameOutcome(frame, RELAY_TX)
-        packets, subs = (list(x) for x in zip(*sent))
-        # index of the first connected member of an up cell: the inverse of
-        # its law, P(index <= j) = (1 - (1 - 1/beta)^(j+1)) / up_prob, at a
-        # uniform draw; 0 at beta = 1, where log_down = -inf
-        log_down = self.links.log_down
-        if one_cell:
-            first, last = int(self.first[0]), int(self.first[0] + self.sizes[0] - 1)
-            transmitters = [
-                int(self.ids[min(first + int(math.log1p(-rng.random() * q) / log_down),
-                                 last)]) for _ in packets]
-        else:
-            # holders[j, c]: cell c holds packet packets[j] and is up on subs[j]
-            holders = up[subs] & (self.labels >> np.array(packets)[:, None] & 1).astype(bool)
-            index = np.log1p(-rng.random(holders.shape) * self.up_prob) / log_down
-            cand = self.ids[self.first + np.minimum(index.astype(np.int64), self.sizes - 1)]
-            transmitters = np.where(holders, cand, self.K).min(axis=1).tolist()
         gone = sum(1 << i for i in packets)
         self.pending = [i for i in pending if not gone >> i & 1]
         self.labels = self.labels & ~gone
         keep = np.flatnonzero(self.labels)
         if keep.size < self.sizes.size:
-            for name in ("labels", "sizes", "first", "up_prob"):
+            for name in ("labels", "sizes", "up_prob"):
                 setattr(self, name, getattr(self, name)[keep])
             self.held = int(self.sizes.sum())
         delivered = tuple(Packet(self.base_seq + i, self.created, self.rate, i + 1)
                           for i in packets)
-        return FrameOutcome(frame, RELAY_TX, delivered, tuple(transmitters))
+        return FrameOutcome(frame, RELAY_TX, delivered)
 
     def occupied_fraction(self) -> np.ndarray:
         return np.full(self.N, self.held / self.K)
@@ -474,8 +435,7 @@ class OdwfMobile(_MobileScheme):
         self.pos = np.full(n_relays, -1, dtype=np.intp)    # -1: a free id
         self.free = np.arange(n_relays)
         self.n_free = n_relays
-        self.bank = _Fifos(np.zeros(n_relays, dtype=np.int32))
-        self.buffer_cap = buffer_cap
+        self.bank = _Fifos(np.zeros(n_relays, dtype=np.int32), buffer_cap)
         self.created_frame = {}
         self.next_seq = 0
 
@@ -584,10 +544,6 @@ class OdwfMobile(_MobileScheme):
         if fresh is not None:
             held = np.concatenate((held, self._take(fresh)))
         self.bank.add(seq, held)
-        if len(self.bank.holders) > self.buffer_cap:
-            raise BufferOverflowError(
-                f"{len(self.bank.holders)} undelivered packets exceed the guard cap "
-                f"{self.buffer_cap}")
         return FrameOutcome(frame, SOURCE_TX)
 
     def occupied_fraction(self) -> float:

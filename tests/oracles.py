@@ -198,7 +198,7 @@ def is_connected_fixed(r: RateThreshold, p: float, gain: float) -> bool:
     gain >= ln(beta) so the connect probability is exactly 1/beta with no
     transcendental round-trip at the boundary.
     """
-    return gain >= r.gain_threshold
+    return gain >= math.log(r.beta)
 
 
 def is_connected_mobile(r: RateThreshold, p: float, d: float, alpha: float) -> bool:
@@ -669,8 +669,7 @@ class StripOdwfMobile(_StripMobileScheme):
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.bank = _Fifos(self.buffer_count)
-        self.buffer_cap = buffer_cap
+        self.bank = _Fifos(self.buffer_count, buffer_cap)
         self.created_frame = {}
         self.next_seq = 0
 
@@ -710,10 +709,6 @@ class StripOdwfMobile(_StripMobileScheme):
         self.created_frame[seq] = frame
         fresh = self.bank.add(seq, covered)
         self.strip_buffered += self._tally(self.regions[fresh])
-        if len(self.bank.holders) > self.buffer_cap:
-            raise BufferOverflowError(
-                f"{len(self.bank.holders)} undelivered packets exceed the guard cap "
-                f"{self.buffer_cap}")
         return FrameOutcome(frame, SOURCE_TX)
 
     def occupied_fraction(self) -> float:

@@ -178,3 +178,26 @@ def test_criterion_10_presets_are_byte_deterministic(tmp_path):
             assert int(record["row"]) >= 0
             float(record["pred_T"])
             float(record["T"])
+
+
+def test_criterion_11_odwf_with_k_relays_matches_baseline_with_k_squared():
+    # the fixed-relay headline, simulated: ODWF with K relays at
+    # beta = K/ln K against the best baseline with K^2 relays over
+    # beta in (1/2, 1, 2) * beta*. Over seeds 0-8 at these settings the
+    # relative gap was -0.52 to -1.16 % at K = 10^2 and within 0.32 % at
+    # 10^3 and 10^4 (seed 0: -0.88, -0.20, +0.32 %), and D/K at most 0.18
+    N, p = 2, 1e8
+    shared = dict(scenario="fixed", N=N, p=p, measure_frames=5000, seed=0)
+    gaps, delay_over_k = [], []
+    for K in (10**2, 10**3, 10**4):
+        odwf = run_replicated(SystemConfig(scheme="odwf", K=K, beta=K / math.log(K),
+                                           **shared))
+        beta_star = baseline_fixed_prediction(K**2, N, p).beta_opt
+        best = max(run_replicated(SystemConfig(scheme="baseline", K=K**2,
+                                               beta=f * beta_star, **shared)).mean_throughput
+                   for f in (0.5, 1.0, 2.0))
+        gaps.append((odwf.mean_throughput - best) / best)
+        delay_over_k.append(odwf.mean_delay / K)
+    assert all(abs(gap) <= 0.02 for gap in gaps)
+    assert abs(gaps[-1]) <= abs(gaps[0])
+    assert all(ratio <= 0.25 for ratio in delay_over_k)

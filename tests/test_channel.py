@@ -106,7 +106,7 @@ def test_is_connected_fixed_agrees_with_rate_comparison():
         r = RateThreshold.for_fixed(p, beta)
         via_rate = mutual_information(p, gain) >= r.rate - 1e-9
         via_threshold = is_connected_fixed(r, p, gain)
-        if abs(gain - r.gain_threshold) > 1e-6:  # skip the float boundary
+        if abs(gain - math.log(r.beta)) > 1e-6:  # skip the float boundary
             assert via_threshold == (mutual_information(p, gain) >= r.rate) == via_rate
 
 

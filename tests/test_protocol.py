@@ -297,6 +297,7 @@ def test_baseline_fixed_conservation_and_origins():
     assert len(seqs) == len(set(seqs))
     assert len(seqs) + proto.in_network() == proto.next_seq
     for out in outs:
+        assert out.transmitters == ()    # the baseline keeps no relay ids
         for pkt in out.delivered:
             assert 1 <= pkt.subcarrier_of_origin <= 3
             assert out.frame - pkt.created_frame >= 1
@@ -321,11 +322,9 @@ def test_baseline_fixed_partial_delivery_survives():
     assert len(seqs) + proto.in_network() == proto.next_seq
 
 
-def holder_ids(proto, i):
-    """Ids of the relays of a BaselineFixed that hold packet i of the batch."""
-    cells = np.flatnonzero(proto.labels >> i & 1)
-    return np.concatenate([proto.ids[proto.first[c]:proto.first[c] + proto.sizes[c]]
-                           for c in cells])
+def holders(proto, i):
+    """How many relays of a BaselineFixed hold packet i of the batch."""
+    return int(proto.sizes[np.flatnonzero(proto.labels >> i & 1)].sum())
 
 
 def test_baseline_fixed_occupancy_tracks_the_holder_union():
@@ -338,20 +337,21 @@ def test_baseline_fixed_occupancy_tracks_the_holder_union():
         proto.step(t)
         changed += proto.in_network() not in (0, before)
         frac = proto.occupied_fraction()
-        holders = [holder_ids(proto, i) for i in proto.pending]
-        held = np.unique(np.concatenate(holders)) if holders else np.empty(0)
-        assert np.array_equal(frac, np.full(3, held.size / proto.K))
-        assert all(ids.size for ids in holders)   # no undelivered packet is lost
-        for ids in holders:
-            assert np.unique(ids).size == ids.size   # cells never share a relay
+        if not proto.pending:
+            assert np.array_equal(frac, np.zeros(3))
+            continue
+        # cells of relays that hold an undelivered packet
+        live = (proto.labels & sum(1 << i for i in proto.pending)) != 0
+        assert np.array_equal(frac, np.full(3, proto.sizes[live].sum() / proto.K))
+        assert (proto.sizes > 0).all() and proto.sizes.sum() <= proto.K
+        assert all(holders(proto, i) for i in proto.pending)   # no packet is lost
     assert changed > 50
 
 
 def test_baseline_fixed_one_relay_may_serve_both_subcarriers():
     proto = make_fixed(BaselineFixed, 1, 2, 1.0, 2.0, 35)
     outs = drive(proto, 500)
-    both = [o for o in outs if len(o.delivered) == 2]
-    assert both and all(o.transmitters == (0, 0) for o in both)
+    assert any(len(o.delivered) == 2 for o in outs)
 
 
 def test_baseline_fixed_handles_more_subcarriers_than_label_bits():
@@ -361,9 +361,8 @@ def test_baseline_fixed_handles_more_subcarriers_than_label_bits():
     seqs = delivered_seqs(outs)
     assert seqs and len(seqs) == len(set(seqs))
     assert len(seqs) + proto.in_network() == proto.next_seq
-    assert all(0 <= k < 20 for o in outs for k in o.transmitters)
     for i in proto.pending:
-        assert holder_ids(proto, i).size
+        assert holders(proto, i)
 
 
 # ------------------------------------ dense oracle for the fixed baseline
@@ -384,7 +383,7 @@ def baseline_snapshot(scheme, seed, frames, K, N, beta):
 
 
 # (K, N, beta): K = 6 and K = 1 deliver part of a batch often (K = 1 keeps a
-# single cell, the scalar path), K = 30 splits into up to seven cells, and
+# single cell), K = 30 splits into up to seven cells, and
 # K = 200 at beta = sqrt(K)/ln K nearly always drains a batch in one frame
 BASELINE_LAWS = [(6, 3, 6.0), (1, 2, 4.0), (30, 3, 6.0), (200, 4, 2.67)]
 
@@ -401,32 +400,6 @@ def test_fixed_baseline_agrees_with_dense_links(K, N, beta):
     assert_same_law([kinds.index(s[0]) for s in new], [kinds.index(s[0]) for s in old])
     for i in (1, 2, 3):   # in flight, holders, delivered per relay frame
         assert_same_law([s[i] for s in new], [s[i] for s in old])
-
-
-def first_transmitter(scheme, seed, K, N, beta):
-    """The relay that delivers the first packet of a run."""
-    proto = make_fixed(scheme, K, N, 1.0, beta, seed)
-    for t in range(10_000):
-        out = proto.step(t)
-        if out.delivered:
-            return out.transmitters[0]
-    raise AssertionError("nothing delivered")
-
-
-@pytest.mark.parametrize("K,N,beta", [(12, 3, 2.0), (5, 1, 2.0)])
-def test_fixed_baseline_transmitter_is_the_lowest_connected_holder(K, N, beta):
-    # the lowest-id rule skews the transmitter towards low ids; a uniform
-    # pick would not, nor would the first up cell holding the packet in
-    # place of the lowest id over all of them (at K = 12, N = 3, beta = 2
-    # about four cells hold each packet; N = 1 keeps one cell)
-    runs = 2000
-    new = [first_transmitter(BaselineFixed, 20_000 + r, K, N, beta) for r in range(runs)]
-    old = [first_transmitter(DenseBaselineFixed, 40_000 + r, K, N, beta)
-           for r in range(runs)]
-    table = np.array([np.bincount(side, minlength=K) for side in (new, old)])
-    table = table[:, table.sum(axis=0) > 0]
-    assert stats.chi2_contingency(table).pvalue > 1e-3
-    assert np.argmax(table[0]) == 0
 
 
 # --------------------------------------------------------------- mobile ODWF
