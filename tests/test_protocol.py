@@ -365,6 +365,26 @@ def test_baseline_fixed_handles_more_subcarriers_than_label_bits():
         assert holders(proto, i)
 
 
+@pytest.mark.parametrize("K", [10**8, 10**12])
+def test_fixed_baseline_holder_counts_are_binomial_at_huge_k(K):
+    # relay counts no id array could hold: after a source frame the holders
+    # of a packet number Binomial(K, 1/beta) and the relays holding anything
+    # Binomial(K, 1 - (1 - 1/beta)^N); one relay frame then drains the batch
+    N, beta, runs = 3, 4.0, 300
+    p, p_any = 1 / beta, 1 - (1 - 1 / beta) ** N
+    z_one, z_any = [], []
+    for r in range(runs):
+        proto = make_fixed(BaselineFixed, K, N, 1.0, beta, 60_000 + r)
+        assert proto.step(0).kind == SOURCE_TX
+        z_one.append((holders(proto, r % N) - K * p) / math.sqrt(K * p * (1 - p)))
+        z_any.append((proto.occupied_fraction()[0] * K - K * p_any)
+                     / math.sqrt(K * p_any * (1 - p_any)))
+        out = proto.step(1)
+        assert len(out.delivered) == N and proto.in_network() == 0
+    for z in (z_one, z_any):
+        assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
 # ------------------------------------ dense oracle for the fixed baseline
 
 
