@@ -131,7 +131,11 @@ def odwf_fixed_prediction(K: float, N: int, p: float, beta: float) -> Prediction
 
 
 def baseline_fixed_prediction(K: float, N: int, p: float) -> Prediction:
-    """Fixed-relay baseline at its optimal threshold beta* = sqrt(K)/ln(K).
+    """Fixed-relay baseline at its asymptotically optimal threshold
+    beta* = sqrt(K)/ln(K). At finite K a larger beta can do better: with
+    N = 2, p = 10^8 and K = 10^4 to 10^8, frames alternate inject/deliver
+    at each of (1/2, 1, 2)*beta*, so T = (N/2)*log2(1 + p*ln(beta)) rises
+    with beta across them.
 
     T = (N/2)*log2(1 + p*ln(sqrt(K))) and D = 1: a batch rarely needs more
     than one relay-transmit frame, so frames alternate inject/deliver.

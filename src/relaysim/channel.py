@@ -58,8 +58,8 @@ class FixedLinkSampler:
     Uses the inverse-transform coupling U = exp(-gain): the event
     {Exp(1) gain >= ln beta} is exactly {U <= 1/beta}, so connectivity can be
     drawn as Bernoulli(1/beta) without materializing gains. Links are i.i.d.
-    across relays, so the sparse samplers below draw only what the protocol
-    uses: about count/beta connected ids rather than count indicators.
+    across relays, so the fixed schemes draw counts of connected links from
+    connect_probability and log_down rather than one indicator per link.
     """
 
     def __init__(self, threshold: RateThreshold, rng: np.random.Generator):
@@ -73,57 +73,3 @@ class FixedLinkSampler:
     def connected(self, count: int) -> np.ndarray:
         """Connectivity indicators for `count` distinct links in this frame."""
         return self.rng.random(count) < self.connect_probability
-
-    def connected_ids(self, count: int) -> np.ndarray:
-        """Sorted int32 ids of the connected links among `count` in this frame.
-
-        Same law as flatnonzero(connected(count)): i.i.d. indicators are
-        exchangeable, so their number m is Binomial(count, 1/beta) and, given
-        m, every m-subset is equally likely. Drawing m, then a uniform
-        m-subset with Generator.choice, costs O(m) instead of O(count).
-        """
-        m = self.rng.binomial(count, self.connect_probability)
-        if m == 0:
-            return np.empty(0, dtype=np.int32)
-        ids = self.rng.choice(count, m, replace=False, shuffle=False)
-        ids.sort()
-        return ids.astype(np.int32)
-
-    def connected_subsets(self, count: int, n_subcarriers: int):
-        """connected_ids(count) on each subcarrier, or None as soon as one
-        subcarrier has no connected link (later ones are then never drawn)."""
-        subsets = []
-        for _ in range(n_subcarriers):
-            ids = self.connected_ids(count)
-            if ids.size == 0:
-                return None
-            subsets.append(ids)
-        return subsets
-
-    def any_connected(self, count: int) -> bool:
-        """Whether any of `count` links connects in this frame: one Bernoulli
-        draw with probability 1 - (1 - 1/beta)^count, as for count i.i.d. links."""
-        if count == 0:
-            return False
-        return self.rng.random() < -math.expm1(count * self.log_down)
-
-    def pick_connected(self, held: np.ndarray, count: int) -> int:
-        """Uniform pick among the connected links of the `count` relays with
-        held[id] > 0, given that any_connected(count) was True.
-
-        The links are i.i.d., so given that some connect, each of these relays
-        is equally likely to be picked: the pick needs no link draws. The
-        first hit among uniform ids is uniform over the relays; if a batch of
-        about 4/occupancy tries misses, or would cover all ids, a uniform draw
-        from the scanned relays takes over, which is the same law.
-        """
-        size = held.size
-        tries = -(-4 * size // count)
-        if tries < size:
-            ids = self.rng.integers(size, size=tries)
-            hit = held[ids] > 0
-            first = int(hit.argmax())
-            if hit[first]:
-                return int(ids[first])
-        ids = np.flatnonzero(held)
-        return int(ids[self.rng.integers(ids.size)])

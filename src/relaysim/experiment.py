@@ -140,7 +140,13 @@ def parse_spec(text: str) -> ExperimentSpec:
     sweep_lines: dict = {}
     output: dict = {}
     max_points = DEFAULT_MAX_POINTS
+    seen = set()    # (section, key) of the keys that may appear once
     for lineno, section, key, value in _scan(text):
+        if section in (None, "output") or key == "max_points":
+            if (section, key) in seen:
+                where = f"[{section}] key " if section else "key "
+                raise SpecError(lineno, f"duplicate {where}{key!r}")
+            seen.add((section, key))
         if section is None:
             if key != "schema_version":
                 raise SpecError(lineno, f"unknown top-level key {key!r} "
@@ -164,6 +170,8 @@ def parse_spec(text: str) -> ExperimentSpec:
                     raise SpecError(
                         lineno, f"max_points expects an integer, got {value!r}"
                     ) from None
+                if max_points < 1:
+                    raise SpecError(lineno, f"max_points must be >= 1, got {max_points}")
                 continue
             if key not in _SWEEPABLE:
                 raise SpecError(lineno, f"{key!r} is not a sweepable parameter")

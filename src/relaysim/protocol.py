@@ -52,8 +52,45 @@ class FrameOutcome:
     transmitters: tuple = ()   # relay ids that transmitted, if the scheme has ids
 
 
+class _Uniforms:
+    """Uniforms in [0, 1) drawn from rng 1,024 at a time, which spares a
+    numpy call per scalar draw. Integer picks are floor(u * n), exact to
+    float precision like any Bernoulli draw."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block = iter(())
+
+    def __call__(self) -> float:
+        u = next(self.block, None)
+        if u is None:
+            self.block = iter(self.rng.random(1024).tolist())
+            u = next(self.block)
+        return u
+
+    def below(self, n: int) -> int:
+        """A uniform integer in [0, n)."""
+        u = next(self.block, None)    # inline: one more call per pick showed in timings
+        return min(int((self() if u is None else u) * n), n - 1)
+
+    def subset(self, n: int, m: int) -> list:
+        """A uniform m-subset of range(n), by Floyd's algorithm."""
+        picked = set()
+        for j in range(n - m, n):
+            t = self.below(j + 1)
+            picked.add(j if t in picked else t)
+        return list(picked)
+
+
 class _Fifos:
-    """Per-relay FIFOs of undelivered seqs on one subcarrier.
+    """Per-relay FIFOs of undelivered seqs on one subcarrier, and the ids of
+    the relays holding any.
+
+    A relay holding no undelivered seq is idle and has no id. The others,
+    the occupied relays, take ids from a pool and sit in one swap-remove
+    array: held is a permutation of range(K) whose first size entries are
+    the occupied ids and whose rest is the pool, with relay k at pos[k].
+    tag[i] is a label the scheme keeps with held[i] (a mobile relay's strip).
 
     holders maps each undelivered seq to its relay ids; count[k] is the number
     of undelivered seqs relay k holds, length[k] the length of its FIFO. Dead
@@ -61,36 +98,45 @@ class _Fifos:
     from its live seqs (dropped if none) once longer than twice those plus
     SLACK, which spares FIFOs with few live seqs. Each entry is dropped once,
     by a pop or by a rebuild that drops more than it keeps: O(1) amortized.
-    More than cap undelivered seqs abort the run.
+    A relay that turns idle keeps at most SLACK dead seqs, which a reuse of
+    its id skips. More than cap undelivered seqs abort the run.
     """
 
     SLACK = 8
 
-    def __init__(self, count: np.ndarray, cap: int):
-        self.count = count  # int32 per relay, a view owned by the scheme
+    def __init__(self, n_relays: int, cap: int):
         self.cap = cap
-        self.length = np.zeros(count.size, dtype=np.int32)
+        self.count = np.zeros(n_relays, dtype=np.int32)
+        self.length = np.zeros(n_relays, dtype=np.int32)
         self.fifo = defaultdict(deque)
         self.holders = {}
+        self.held = np.arange(n_relays)
+        self.pos = np.arange(n_relays)
+        self.tag = np.zeros(n_relays, dtype=np.int64)
+        self.size = 0
 
-    def add(self, seq: int, ids: np.ndarray) -> np.ndarray:
-        """Enqueue seq at the distinct relays ids; return those that held nothing."""
-        ids = ids.astype(np.intp, copy=False)  # indexes faster than int32
+    def add(self, seq: int, ids: np.ndarray, fresh: int):
+        """Enqueue seq at the occupied relays ids and at fresh idle relays,
+        which take the next ids of the pool at held[size:size + fresh]."""
+        size = self.size
+        self.size += fresh
+        if fresh:
+            taken = self.held[size:self.size]
+            ids = np.concatenate((ids, taken)) if ids.size else taken.copy()
         self.holders[seq] = ids
         if len(self.holders) > self.cap:
             raise BufferOverflowError(f"{len(self.holders)} undelivered packets "
                                       f"exceed the guard cap {self.cap}")
-        fresh = ids[self.count[ids] == 0]
         self.count[ids] += 1
         self.length[ids] += 1
         fifo = self.fifo
         for k in ids.tolist():
             fifo[k].append(seq)
-        return fresh
 
     def deliver(self, k: int):
-        """Pop relay k's oldest undelivered seq and purge it everywhere;
-        return it with the ids of the relays it leaves holding nothing."""
+        """Pop relay k's oldest undelivered seq and purge it everywhere; the
+        relays it leaves holding nothing turn idle. Return the seq and the
+        tags of those relays."""
         fifo, holders = self.fifo, self.holders
         head = fifo[k]
         seq = head.popleft()
@@ -99,8 +145,8 @@ class _Fifos:
         self.length[k] = len(head)
         hold = holders.pop(seq)
         count, length = self.count, self.length
-        count[hold] -= 1
-        left = count[hold]
+        left = count[hold] - 1
+        count[hold] = left
         for j in hold[length[hold] > 2 * left + self.SLACK].tolist():
             live = self.live(j)
             length[j] = len(live)
@@ -108,7 +154,28 @@ class _Fifos:
                 fifo[j] = deque(live)
             else:
                 del fifo[j]
-        return seq, hold[left == 0]
+        emptied = hold[left == 0]
+        return seq, self._release(emptied) if emptied.size else emptied
+
+    def _release(self, ids: np.ndarray) -> np.ndarray:
+        """Move the occupied relays ids to the pool by swap-remove: the
+        occupied ones among the last ids.size entries fill, in order, the
+        holes below them. Return their tags."""
+        held, pos, tag = self.held, self.pos, self.tag
+        size = self.size
+        keep = self.size = size - ids.size
+        at = pos[ids]
+        tags = tag[at]
+        pos[ids] = -1
+        to = np.arange(keep, size)
+        tail = to[pos[held[keep:size]] >= 0]
+        holes = at[at < keep]
+        held[holes] = held[tail]
+        tag[holes] = tag[tail]
+        pos[held[holes]] = holes
+        held[keep:size] = ids
+        pos[ids] = to
+        return tags
 
     def live(self, k: int) -> list:
         return [s for s in self.fifo.get(k, ()) if s in self.holders]
@@ -124,6 +191,22 @@ class OdwfFixed:
     phase II fails and every subcarrier has a connected source-relay link; the
     source emits one fresh packet per subcarrier and every connected relay
     enqueues it. Otherwise the frame idles.
+
+    Each subcarrier n keeps its own _Fifos, whose idle relays (no undelivered
+    seq in bank n) are only counted, as K minus the occupied ones; relay ids
+    are labels per subcarrier. Every link is Bernoulli(1/beta), independently
+    across relays, subcarriers and frames, so every metric keeps its law:
+    - Idle relays of a subcarrier are exchangeable: they hold nothing in its
+      bank, and no draw involves a relay's state on another subcarrier. So
+      only their number enters, and phase I's newly covered ones number
+      Binomial(K - occ_n, 1/beta) and take pool ids.
+    - The covered occupied relays number Binomial(occ_n, 1/beta), and given
+      that number every subset of that size is equally likely.
+    - Some occupied relay connects to the destination with probability
+      1 - (1 - 1/beta)^occ_n: one Bernoulli draw. Given that some do, the
+      uniform pick among them is, by symmetry, uniform over all occ_n
+      occupied relays, and no other link of the frame is used.
+    So a frame costs O(N + connected relays), whatever K is.
     """
 
     def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
@@ -133,49 +216,53 @@ class OdwfFixed:
         self.rate = threshold.rate
         self.rng = rng
         self.links = FixedLinkSampler(threshold, rng)
-        self.bank_count = np.zeros((self.N, self.K), dtype=np.int32)
-        self.occupied = np.zeros(self.N, dtype=np.int64)
-        self.banks = [_Fifos(self.bank_count[n], buffer_cap) for n in range(self.N)]
+        self.uniforms = _Uniforms(rng)
+        self.banks = [_Fifos(n_relays, buffer_cap) for _ in range(self.N)]
         self.created_frame = {}
         self.next_seq = 0
 
     def step(self, frame: int) -> FrameOutcome:
         transmitters = self._relay_eligibility()
-        if transmitters is not None:
-            return self._relay_tx(frame, transmitters)
-        subsets = self.links.connected_subsets(self.K, self.N)
-        if subsets is not None:
-            return self._source_tx(frame, subsets)
-        return FrameOutcome(frame, IDLE)
+        if transmitters is None:
+            return self._source_tx(frame)
+        delivered = []
+        for n, (bank, k) in enumerate(zip(self.banks, transmitters)):
+            seq = bank.deliver(k)[0]
+            delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate, n + 1))
+        return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
 
     def _relay_eligibility(self):
         """Per-subcarrier transmitter ids, or None if any subcarrier has no
         occupied relay behind a connected relay-destination link."""
-        links = self.links
-        for n in range(self.N):
-            if not links.any_connected(int(self.occupied[n])):
+        u, log_down = self.uniforms, self.links.log_down
+        for bank in self.banks:
+            if not bank.size or u() >= -math.expm1(bank.size * log_down):
                 return None
-        return [links.pick_connected(self.bank_count[n], int(self.occupied[n]))
-                for n in range(self.N)]
+        return [int(bank.held[u.below(bank.size)]) for bank in self.banks]
 
-    def _relay_tx(self, frame, transmitters):
-        delivered = []
-        for n, k in enumerate(transmitters):
-            seq, emptied = self.banks[n].deliver(k)
-            self.occupied[n] -= emptied.size
-            delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate, n + 1))
-        return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
-
-    def _source_tx(self, frame, subsets):
-        for n, ids in enumerate(subsets):
+    def _source_tx(self, frame):
+        """Phase I: on each subcarrier, the relays with a connected
+        source-relay link, counted per class and then a uniform subset of
+        the occupied ones, enqueue a fresh packet. The frame idles as soon
+        as a subcarrier has none (later ones are then never drawn)."""
+        rng, p, subset = self.rng, self.links.connect_probability, self.uniforms.subset
+        covered = []
+        for bank in self.banks:
+            occ = bank.size
+            fresh = rng.binomial(self.K - occ, p)
+            hit = rng.binomial(occ, p) if occ else 0
+            if not fresh + hit:
+                return FrameOutcome(frame, IDLE)
+            covered.append((bank.held[subset(occ, hit)], fresh))
+        for bank, (ids, fresh) in zip(self.banks, covered):
             seq = self.next_seq
             self.next_seq += 1
             self.created_frame[seq] = frame
-            self.occupied[n] += self.banks[n].add(seq, ids).size
+            bank.add(seq, ids, fresh)
         return FrameOutcome(frame, SOURCE_TX)
 
     def occupied_fraction(self) -> np.ndarray:
-        return self.occupied / self.K
+        return np.array([bank.size / self.K for bank in self.banks])
 
     def in_network(self) -> int:
         return sum(len(bank.holders) for bank in self.banks)
@@ -305,8 +392,7 @@ class _MobileScheme:
     - Coverage: per strip and class the relays inside a coverage disk number
       Binomial(n, p), and given the count every subset of that size is
       equally likely.
-    Uniform integer picks come from uniforms drawn ahead in blocks, as
-    floor(u * n), exact to float precision like any Bernoulli draw.
+    Uniform integer picks come from uniforms drawn ahead in blocks.
     """
 
     FEW = 8.0
@@ -338,15 +424,8 @@ class _MobileScheme:
         self.dest = (np.stack((np.minimum(strips + 1, M), np.maximum(strips - 1, 1),
                                strips), axis=1).ravel() + [[0], [M + 1]]).ravel()
         self.few = 2.0 * q * n_relays <= self.FEW
-        self.n_movers = self.uniforms = iter(())
-
-    def _below(self, n: int) -> int:
-        """A uniform integer in [0, n)."""
-        u = next(self.uniforms, None)
-        if u is None:
-            self.uniforms = iter(self.rng.random(1024).tolist())
-            u = next(self.uniforms)
-        return min(int(u * n), n - 1)
+        self.n_movers = iter(())
+        self.uniforms = _Uniforms(rng)
 
     def _walk(self):
         """One frame of the walk for every relay."""
@@ -361,7 +440,7 @@ class _MobileScheme:
             n = next(self.n_movers)
         left = self._groups()    # relays not picked yet, per group
         for i in range(n):
-            pick = self._below(2 * (self.K - i))
+            pick = self.uniforms.below(2 * (self.K - i))
             index, group = pick >> 1, 0
             while index >= left[group]:
                 index -= left[group]
@@ -414,11 +493,9 @@ class OdwfMobile(_MobileScheme):
     relay sits inside source coverage: the source broadcasts one packet and
     every in-coverage relay enqueues it. Otherwise Idle.
 
-    A buffered relay has an id, taken from a pool of K free ids when it is
-    covered and given back when it empties; ids are only labels. The
-    buffered relays form one swap-remove array: held[i] for i < K - n_free
-    is a relay id, held_strip[i] its strip, and relay k sits at index pos[k]
-    (-1 while k is free). A pick within a strip scans held_strip in one
+    A buffered relay has an id from the pool of bank, a _Fifos, and its
+    strip is its tag there: the buffered relays are bank.held[:nb], their
+    strips bank.tag[:nb]. A pick within a strip scans those strips in one
     numpy call. The few-movers walk picks buffered movers from the whole
     array, moving each picked one behind those not picked yet; when many
     move, one uniform per buffered relay decides its move (up below q, down
@@ -430,12 +507,7 @@ class OdwfMobile(_MobileScheme):
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.held = np.zeros(n_relays, dtype=np.intp)
-        self.held_strip = np.zeros(n_relays, dtype=np.int64)
-        self.pos = np.full(n_relays, -1, dtype=np.intp)    # -1: a free id
-        self.free = np.arange(n_relays)
-        self.n_free = n_relays
-        self.bank = _Fifos(np.zeros(n_relays, dtype=np.int32), buffer_cap)
+        self.bank = _Fifos(n_relays, buffer_cap)
         self.created_frame = {}
         self.next_seq = 0
 
@@ -452,7 +524,7 @@ class OdwfMobile(_MobileScheme):
     def _groups(self) -> list:
         """The idle relays of strips 1..M, then all buffered ones, none of
         them picked yet."""
-        self.unpicked = self.K - self.n_free
+        self.unpicked = self.bank.size
         return self.idle[1:].tolist() + [self.unpicked]
 
     def _move(self, group, index, up):
@@ -462,10 +534,10 @@ class OdwfMobile(_MobileScheme):
         # swap the pick behind the buffered relays not picked yet
         self.unpicked -= 1
         i, j = index, self.unpicked
-        held, strips = self.held, self.held_strip
+        held, strips, pos = self.bank.held, self.bank.tag, self.bank.pos
         held[i], held[j] = held[j], held[i]
         strips[i], strips[j] = strips[j], strips[i]
-        self.pos[held[i]], self.pos[held[j]] = i, j
+        pos[held[i]], pos[held[j]] = i, j
         strip = int(strips[j])
         to = min(max(strip + 2 * up - 1, 1), self.M)
         strips[j] = to
@@ -475,16 +547,12 @@ class OdwfMobile(_MobileScheme):
     def _walk_many(self):
         moves = self.rng.multinomial(self.idle[1:], self.split)
         self.idle[:] = np.bincount(self.dest[:3 * self.M], moves.ravel(), self.M + 1)
-        nb = self.K - self.n_free
-        u, strips = self.rng.random(nb), self.held_strip[:nb]
+        nb = self.bank.size
+        u, strips = self.rng.random(nb), self.bank.tag[:nb]
         strips += u < self.q
         strips -= (u >= self.q) & (u < 2.0 * self.q)
         np.clip(strips, 1, self.M, out=strips)
         self.buffered[:] = np.bincount(strips, minlength=self.M + 1)
-
-    def _members(self, strip: int) -> np.ndarray:
-        """Indices into held of the buffered relays of strip."""
-        return np.flatnonzero(self.held_strip[:self.K - self.n_free] == strip)
 
     def _deliverer(self):
         """A uniform pick among the buffered relays in destination coverage, or
@@ -493,9 +561,9 @@ class OdwfMobile(_MobileScheme):
         counts = self._in_dest_coverage()
         if counts[-1] == 0:
             return None
-        strip = self.dest_min_region + bisect_right(counts, self._below(counts[-1]))
-        members = self._members(strip)
-        return int(self.held[members[self._below(members.size)]])
+        strip = self.dest_min_region + bisect_right(counts, self.uniforms.below(counts[-1]))
+        members = np.flatnonzero(self.bank.tag[:self.bank.size] == strip)
+        return int(self.bank.held[members[self.uniforms.below(members.size)]])
 
     def _covered(self):
         """(held, fresh), or None if no relay is inside source coverage: held
@@ -513,18 +581,18 @@ class OdwfMobile(_MobileScheme):
         or above p = 1/8.
         """
         fresh = self._in_source_coverage()
-        nb, p = self.K - self.n_free, max(self.p_src_given_no_dst.tolist())
+        nb, p = self.bank.size, max(self.p_src_given_no_dst.tolist())
+        ids, strips = self.bank.held, self.bank.tag
         if nb < self.THIN_FROM or p > 0.0625:
-            held = self.held[:nb][self.rng.random(nb)
-                                  < self.p_src_given_no_dst[self.held_strip[:nb]]]
+            held = ids[:nb][self.rng.random(nb) < self.p_src_given_no_dst[strips[:nb]]]
         elif p:
             mean = nb * p
             pos = np.cumsum(self.rng.geometric(p, int(mean + 4 * math.sqrt(mean) + 8))) - 1
             while pos[-1] < nb:    # too few gaps drawn to pass nb: rare
                 pos = np.concatenate((pos, pos[-1] + np.cumsum(self.rng.geometric(p, 64))))
             pos = pos[:np.searchsorted(pos, nb)]
-            keep = self.rng.random(pos.size) * p < self.p_src_given_no_dst[self.held_strip[pos]]
-            held = self.held[pos[keep]]
+            keep = self.rng.random(pos.size) * p < self.p_src_given_no_dst[strips[pos]]
+            held = ids[pos[keep]]
         else:
             held = np.empty(0, dtype=np.intp)
         if fresh is None and held.size == 0:
@@ -532,8 +600,11 @@ class OdwfMobile(_MobileScheme):
         return held, fresh
 
     def _relay_tx(self, frame, k):
-        seq, emptied = self.bank.deliver(k)
-        self._release(emptied)
+        seq, strips = self.bank.deliver(k)
+        if strips.size:
+            gone = np.bincount(strips, minlength=self.M + 1)
+            self.idle += gone
+            self.buffered -= gone
         pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
         return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
 
@@ -541,50 +612,21 @@ class OdwfMobile(_MobileScheme):
         seq = self.next_seq
         self.next_seq += 1
         self.created_frame[seq] = frame
+        nb, n = self.bank.size, 0
         if fresh is not None:
-            held = np.concatenate((held, self._take(fresh)))
-        self.bank.add(seq, held)
+            n = int(fresh.sum())
+            self.idle -= fresh
+            self.buffered += fresh
+        self.bank.add(seq, held, n)
+        if n:
+            self.bank.tag[nb:nb + n] = np.repeat(np.arange(self.M + 1), fresh)
         return FrameOutcome(frame, SOURCE_TX)
 
     def occupied_fraction(self) -> float:
-        return (self.K - self.n_free) / self.K
+        return self.bank.size / self.K
 
     def in_network(self) -> int:
         return len(self.bank.holders)
-
-    def _take(self, fresh) -> np.ndarray:
-        """Free ids for the fresh[r] idle relays of each strip r that turn
-        buffered."""
-        nb, n = self.K - self.n_free, int(fresh.sum())
-        self.n_free -= n
-        ids = self.free[self.n_free:self.n_free + n].copy()
-        self.held[nb:nb + n] = ids
-        self.held_strip[nb:nb + n] = np.repeat(np.arange(self.M + 1), fresh)
-        self.pos[ids] = np.arange(nb, nb + n)
-        self.idle -= fresh
-        self.buffered += fresh
-        return ids
-
-    def _release(self, ids):
-        """Turn the buffered relays ids idle: out of the array by swap-remove
-        (the live relays among the last ids.size fill the holes below them),
-        their ids back to the pool. A released relay holds no live seq, and
-        its FIFO at most SLACK dead ones, which a reuse of its id skips."""
-        nb = self.K - self.n_free
-        keep = nb - ids.size
-        at = self.pos[ids]
-        gone = np.bincount(self.held_strip[at], minlength=self.M + 1)
-        self.idle += gone
-        self.buffered -= gone
-        self.pos[ids] = -1
-        tail = np.arange(keep, nb)
-        tail = tail[self.pos[self.held[tail]] >= 0]
-        holes = at[at < keep]
-        self.held[holes] = self.held[tail]
-        self.held_strip[holes] = self.held_strip[tail]
-        self.pos[self.held[holes]] = holes
-        self.free[self.n_free:self.n_free + ids.size] = ids
-        self.n_free += ids.size
 
 
 class BaselineMobile(_MobileScheme):

@@ -12,7 +12,10 @@ they were before idle relays became per-strip counts: every relay keeps an
 id and a strip, the walk moves ids, and coverage is a per-strip
 probability. DenseBaselineFixed is the fixed baseline as it was before
 holder cells: it keeps every holder id per packet and draws one indicator
-per holder link. RelayState and relay_state give a per-relay view of the
+per holder link. DenseOdwfFixed is fixed ODWF as it was before idle relays
+lost their ids: every relay keeps its id and one FIFO per subcarrier
+(IdFifos), and every link the protocol uses gets its own indicator.
+RelayState and relay_state give a per-relay view of the
 ODWF FIFOs, and place(proto, regions) puts the relays of a mobile scheme
 into given strips.
 """
@@ -33,7 +36,7 @@ from relaysim.matching import max_bipartite_matching
 from relaysim.mobility import (DiskGeometry, coverage_probabilities,
                                sample_positions_in_region, step_regions)
 from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BufferOverflowError,
-                               FrameOutcome, Packet, _Fifos)
+                               FrameOutcome, Packet)
 
 # ---------------------------------------------------------------- analytics
 
@@ -69,9 +72,10 @@ def relay_state(proto, relay_id: int) -> RelayState:
     free, its relay idle and anonymous)."""
     if hasattr(proto, "banks"):
         return RelayState(relay_id, [bank.live(relay_id) for bank in proto.banks])
-    i = int(proto.pos[relay_id])
-    return RelayState(relay_id, [proto.bank.live(relay_id)],
-                      int(proto.held_strip[i]) if i >= 0 else None)
+    bank = proto.bank
+    i = int(bank.pos[relay_id])
+    return RelayState(relay_id, [bank.live(relay_id)],
+                      int(bank.tag[i]) if i < bank.size else None)
 
 
 def place(proto, regions):
@@ -87,9 +91,10 @@ def place(proto, regions):
         return
     assert regions.size == proto.K
     buffered = np.zeros(regions.size, dtype=bool)
-    if hasattr(proto, "pos"):
-        buffered = proto.pos >= 0
-        proto.held_strip[proto.pos[buffered]] = regions[buffered]
+    if hasattr(proto, "bank"):
+        bank = proto.bank
+        buffered = bank.pos < bank.size
+        bank.tag[bank.pos[buffered]] = regions[buffered]
     else:
         assert proto.outstanding is None
     proto.idle[:] = np.bincount(regions[~buffered], minlength=proto.M + 1)
@@ -126,9 +131,12 @@ class DenseBaselineFixed:
     def step(self, frame: int) -> FrameOutcome:
         if self.batch:
             return self._relay_tx(frame)
-        subsets = self.links.connected_subsets(self.K, self.N)
-        if subsets is None:
-            return FrameOutcome(frame, IDLE)
+        subsets = []
+        for _ in range(self.N):
+            ids = np.flatnonzero(self.links.connected(self.K))
+            if ids.size == 0:
+                return FrameOutcome(frame, IDLE)
+            subsets.append(ids)
         for n, ids in enumerate(subsets):
             seq = self.next_seq
             self.next_seq += 1
@@ -172,6 +180,104 @@ class DenseBaselineFixed:
 
     def in_network(self) -> int:
         return len(self.batch)
+
+
+class IdFifos:
+    """Per-relay FIFOs of undelivered seqs on one subcarrier, keyed by relay
+    id. holders maps each undelivered seq to its relay ids and count[k] is
+    the number of undelivered seqs relay k holds; heads skip dead seqs."""
+
+    def __init__(self, count: np.ndarray, cap: int):
+        self.cap = cap
+        self.count = count    # int32 per relay, a view owned by the scheme
+        self.fifo = defaultdict(deque)
+        self.holders = {}
+
+    def add(self, seq: int, ids: np.ndarray) -> np.ndarray:
+        """Enqueue seq at the distinct relays ids; return those that held nothing."""
+        self.holders[seq] = ids
+        if len(self.holders) > self.cap:
+            raise BufferOverflowError(f"{len(self.holders)} undelivered packets "
+                                      f"exceed the guard cap {self.cap}")
+        fresh = ids[self.count[ids] == 0]
+        self.count[ids] += 1
+        for k in ids.tolist():
+            self.fifo[k].append(seq)
+        return fresh
+
+    def deliver(self, k: int):
+        """Pop relay k's oldest undelivered seq and purge it everywhere;
+        return it with the ids of the relays it leaves holding nothing."""
+        head = self.fifo[k]
+        seq = head.popleft()
+        while seq not in self.holders:
+            seq = head.popleft()
+        hold = self.holders.pop(seq)
+        self.count[hold] -= 1
+        return seq, hold[self.count[hold] == 0]
+
+    def live(self, k: int) -> list:
+        return [s for s in self.fifo.get(k, ()) if s in self.holders]
+
+
+class DenseOdwfFixed:
+    """OdwfFixed keeping every relay id and drawing every link it uses.
+
+    Phase II draws the relay-destination link of every occupied relay of
+    each subcarrier, stopping at the first subcarrier where none connects,
+    and picks each transmitter uniformly among the connected ones. Phase I
+    draws every source-relay link of each subcarrier, and every connected
+    relay enqueues that subcarrier's packet.
+    """
+
+    def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
+                 rng: np.random.Generator, buffer_cap: int = 100_000):
+        self.K = n_relays
+        self.N = n_subcarriers
+        self.rate = threshold.rate
+        self.rng = rng
+        self.links = FixedLinkSampler(threshold, rng)
+        self.banks = [IdFifos(np.zeros(n_relays, dtype=np.int32), buffer_cap)
+                      for _ in range(self.N)]
+        self.created_frame = {}
+        self.next_seq = 0
+
+    def step(self, frame: int) -> FrameOutcome:
+        transmitters = self._relay_eligibility()
+        if transmitters is not None:
+            delivered = []
+            for n, (bank, k) in enumerate(zip(self.banks, transmitters)):
+                seq, _ = bank.deliver(k)
+                delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate, n + 1))
+            return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
+        covered = []
+        for _ in range(self.N):
+            ids = np.flatnonzero(self.links.connected(self.K))
+            if ids.size == 0:
+                return FrameOutcome(frame, IDLE)
+            covered.append(ids)
+        for bank, ids in zip(self.banks, covered):
+            seq = self.next_seq
+            self.next_seq += 1
+            self.created_frame[seq] = frame
+            bank.add(seq, ids)
+        return FrameOutcome(frame, SOURCE_TX)
+
+    def _relay_eligibility(self):
+        transmitters = []
+        for bank in self.banks:
+            occupied = np.flatnonzero(bank.count)
+            eligible = occupied[self.links.connected(occupied.size)]
+            if eligible.size == 0:
+                return None
+            transmitters.append(int(eligible[self.rng.integers(eligible.size)]))
+        return transmitters
+
+    def occupied_fraction(self) -> np.ndarray:
+        return np.array([np.count_nonzero(bank.count) for bank in self.banks]) / self.K
+
+    def in_network(self) -> int:
+        return sum(len(bank.holders) for bank in self.banks)
 
 # ------------------------------------------------------------------ channel
 
@@ -669,7 +775,7 @@ class StripOdwfMobile(_StripMobileScheme):
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.bank = _Fifos(self.buffer_count, buffer_cap)
+        self.bank = IdFifos(self.buffer_count, buffer_cap)
         self.created_frame = {}
         self.next_seq = 0
 

@@ -1,11 +1,9 @@
 """Link statistics, connectivity thresholds, and the ergodic-capacity oracle."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from oracles import (QuadratureError, ergodic_capacity_exact, is_connected_fixed,
                      is_connected_mobile, mutual_information, sample_power_gain,
@@ -216,107 +214,3 @@ def test_link_sampler_is_deterministic_under_seed():
     a = FixedLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
     b = FixedLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
     assert np.array_equal(a.connected(257), b.connected(257))
-
-
-# ------------------------------------------------------- sparse link samplers
-
-
-def chi2_pvalue(counts, expected):
-    """Goodness-of-fit p-value after merging cells expected below 5."""
-    counts, expected = np.asarray(counts, float), np.asarray(expected, float)
-    keep_c, keep_e, acc_c, acc_e = [], [], 0.0, 0.0
-    for c, e in zip(counts, expected):
-        acc_c, acc_e = acc_c + c, acc_e + e
-        if acc_e >= 5.0:
-            keep_c.append(acc_c)
-            keep_e.append(acc_e)
-            acc_c = acc_e = 0.0
-    keep_c[-1] += acc_c
-    keep_e[-1] += acc_e
-    return stats.chisquare(keep_c, keep_e).pvalue
-
-
-def test_connected_ids_count_is_binomial():
-    K, beta, frames = 1000, 100.0, 20000
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, beta),
-                               np.random.default_rng(51))
-    sizes = np.array([sampler.connected_ids(K).size for _ in range(frames)])
-    support = np.arange(sizes.max() + 1)
-    expected = frames * stats.binom.pmf(support, K, 1 / beta)
-    expected[-1] += frames * stats.binom.sf(support[-1], K, 1 / beta)
-    assert chi2_pvalue(np.bincount(sizes), expected) > 1e-3
-
-
-def test_connected_ids_are_sorted_distinct_and_uniform():
-    K, beta, frames = 40, 4.0, 20000
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, beta),
-                               np.random.default_rng(52))
-    hits = np.zeros(K)
-    for _ in range(frames):
-        ids = sampler.connected_ids(K)
-        assert ids.dtype == np.int32
-        assert np.all(np.diff(ids) > 0) and (ids.size == 0 or 0 <= ids[0] <= ids[-1] < K)
-        hits[ids] += 1
-    # every link connects with probability exactly 1/beta
-    assert stats.chisquare(hits).pvalue > 1e-3
-    assert abs(hits.sum() / (K * frames) - 1 / beta) < 4 * math.sqrt(
-        (1 / beta) * (1 - 1 / beta) / (K * frames))
-
-
-def test_connected_subsets_stop_at_first_empty_subcarrier():
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, 1.0),
-                               np.random.default_rng(53))
-    subsets = sampler.connected_subsets(7, 3)
-    assert len(subsets) == 3
-    assert all(np.array_equal(ids, np.arange(7)) for ids in subsets)
-    never = FixedLinkSampler(RateThreshold.for_fixed(1.0, 1e9),
-                             np.random.default_rng(54))
-    assert never.connected_subsets(7, 3) is None
-
-
-def test_any_connected_matches_one_minus_all_down():
-    beta, frames = 8.0, 40000
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, beta),
-                               np.random.default_rng(55))
-    for count in (1, 5, 20):
-        want = 1.0 - (1.0 - 1.0 / beta) ** count
-        phat = np.mean([sampler.any_connected(count) for _ in range(frames)])
-        assert abs(phat - want) <= 4 * math.sqrt(want * (1 - want) / frames)
-    assert not sampler.any_connected(0)
-
-
-def test_pick_connected_is_uniform_over_holders():
-    # five holders among 1000 relays: mostly found by rejection, now and then
-    # by the scan after a failed batch; both must give the same uniform law
-    held = np.zeros(1000, dtype=np.int32)
-    holders = np.array([3, 250, 251, 600, 999])
-    held[holders] = [1, 4, 1, 2, 1]    # bank depth must not bias the pick
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, 4.0),
-                               np.random.default_rng(56))
-    picks = np.array([sampler.pick_connected(held, holders.size)
-                      for _ in range(20000)])
-    assert set(picks.tolist()) == set(holders.tolist())
-    counts = np.array([np.count_nonzero(picks == k) for k in holders])
-    assert stats.chisquare(counts).pvalue > 1e-3
-
-
-def test_pick_connected_lone_holder():
-    held = np.zeros(10_000, dtype=np.int32)
-    held[4321] = 3
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, 2.0),
-                               np.random.default_rng(57))
-    assert all(sampler.pick_connected(held, 1) == 4321 for _ in range(50))
-
-
-@pytest.mark.parametrize("beta", [1.0, 1e9])
-def test_sparse_samplers_at_extreme_beta_raise_no_warning(beta):
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, beta),
-                               np.random.default_rng(58))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ids = sampler.connected_ids(500)
-        hit = sampler.any_connected(500)
-    if beta == 1.0:
-        assert np.array_equal(ids, np.arange(500)) and hit
-    else:
-        assert ids.size == 0 and not hit

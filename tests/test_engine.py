@@ -83,8 +83,10 @@ def test_trace_shapes_and_tallies():
 
 
 def test_trace_bits_accounting_is_exact():
+    # N = 2, so each frame's bits, 0 or 2 x rate, are exact products and
+    # their exact sum is rate x packets; a rounded float sum need not be
     trace = run_trace(fixed_cfg())
-    total_bits = trace.bits_delivered_per_frame.sum()
+    total_bits = math.fsum(trace.bits_delivered_per_frame)
     assert total_bits == trace.rate * int(trace.delivered_per_frame.sum())
     assert measure_throughput(trace) == trace.rate * int(
         trace.delivered_per_frame.sum()) / trace.measure_frames

@@ -82,6 +82,29 @@ def test_parse_rejects_bad_specs(mangle, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("text,needle", [
+    ("schema_version = 1\n" + MINIMAL, "duplicate key 'schema_version'"),
+    (MINIMAL + "[output]\nmode = simulate\nmode = predict\n",
+     "duplicate [output] key 'mode'"),
+    (MINIMAL + "[output]\nformat = csv\nformat = jsonl\n",
+     "duplicate [output] key 'format'"),
+    (MINIMAL + "[output]\npath = a.csv\npath = b.csv\n",
+     "duplicate [output] key 'path'"),
+    (MINIMAL + "[sweep]\nmax_points = 5\nmax_points = 6\n",
+     "duplicate [sweep] key 'max_points'"),
+    (MINIMAL + "[sweep]\nmax_points = 0\nbeta = 1\n", "max_points must be >= 1, got 0"),
+], ids=["schema_version", "mode", "format", "path", "max_points", "zero_cap"])
+def test_parse_anchors_repeated_keys_and_a_bad_cap_to_their_line(text, needle):
+    # the last assignment of the key is the offending line
+    key = needle.split("'")[1] if "'" in needle else "max_points"
+    lines = text.splitlines()
+    lineno = max(i for i, line in enumerate(lines, 1) if line.startswith(key))
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert err.value.line == lineno
+    assert str(err.value) == f"line {lineno}: {needle}"
+
+
 def test_parse_missing_required_key():
     with pytest.raises(SpecError, match="missing required key 'beta'"):
         parse_spec(MINIMAL.replace("beta = 8\n", ""))

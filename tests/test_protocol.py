@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import (DenseBaselineFixed, DenseBaselineMobile, DenseOdwfMobile,
-                     StripBaselineMobile, StripOdwfMobile, delivered_bits, place,
-                     relay_state, transition_matrix)
+from oracles import (DenseBaselineFixed, DenseBaselineMobile, DenseOdwfFixed,
+                     DenseOdwfMobile, StripBaselineMobile, StripOdwfMobile,
+                     delivered_bits, place, relay_state, transition_matrix)
 from relaysim.analytics import p_rd
-from relaysim.channel import FixedLinkSampler, RateThreshold
+from relaysim.channel import RateThreshold
 from relaysim.mobility import build_geometry
 from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BaselineFixed,
                                BaselineMobile, BufferOverflowError, OdwfFixed,
@@ -134,14 +134,34 @@ def test_fixed_odwf_relay_frame_frequency_matches_prediction():
     assert abs(relay_frac - source_frac) < 0.05 * want
 
 
+def odwf_pool_is_consistent(bank, K):
+    """The occupied list, positions and free pool of an ODWF bank agree:
+    held is a permutation of range(K) with pos its inverse, its first size
+    ids (the occupied list) are exactly the relays holding an undelivered
+    seq, and the rest (the pool) are idle."""
+    held, occupied = bank.held, bank.held[:bank.size]
+    assert np.array_equal(np.sort(held), np.arange(K))
+    assert np.array_equal(bank.pos[held], np.arange(K))
+    live = {k for ids in bank.holders.values() for k in ids.tolist()}
+    assert set(occupied.tolist()) == live
+    assert not live.intersection(held[bank.size:].tolist())
+    assert np.array_equal(np.sort(occupied), np.flatnonzero(bank.count > 0))
+
+
 def test_fixed_odwf_occupancy_counter_matches_state():
-    proto = make_fixed(OdwfFixed, 40, 2, 1.0, 6.0, 29)
-    for t in range(300):
-        proto.step(t)
-        frac = proto.occupied_fraction()
-        assert frac.shape == (2,)
-        recount = (proto.bank_count > 0).sum(axis=1) / proto.K
-        assert np.array_equal(frac, recount)
+    # beta = 6 at K = 40 takes and frees several relays per frame; beta = 1
+    # fills and empties every relay of both subcarriers each pair of frames
+    for beta, seed in ((6.0, 29), (1.0, 31)):
+        proto = make_fixed(OdwfFixed, 40, 2, 1.0, beta, seed)
+        for t in range(300):
+            proto.step(t)
+            frac = proto.occupied_fraction()
+            assert frac.shape == (2,)
+            recount = [len({k for ids in bank.holders.values() for k in ids.tolist()})
+                       for bank in proto.banks]
+            assert np.array_equal(frac, np.array(recount) / proto.K)
+            for bank in proto.banks:
+                odwf_pool_is_consistent(bank, proto.K)
 
 
 def test_fixed_odwf_buffer_guard_trips():
@@ -154,49 +174,16 @@ def test_fixed_odwf_buffer_guard_trips():
     assert proto.next_seq == 5
 
 
-# ---------------------------------------- dense oracle for the fixed samplers
+# ----------------------------------------------- dense oracle for fixed ODWF
 
 
-class DenseLinks(FixedLinkSampler):
-    """The sampler as it was before the sparse draws: one indicator per link."""
-
-    def connected_subsets(self, count, n_subcarriers):
-        masks = []
-        for _ in range(n_subcarriers):
-            mask = self.connected(count)
-            if not mask.any():
-                return None
-            masks.append(mask)
-        return [np.flatnonzero(m).astype(np.int32) for m in masks]
-
-
-class DenseOdwfFixed(OdwfFixed):
-    """OdwfFixed drawing every source-relay and relay-destination link."""
-
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        self.links = DenseLinks(self.links.threshold, self.rng)
-
-    def _relay_eligibility(self):
-        eligible = []
-        for n in range(self.N):
-            if self.occupied[n] == 0:
-                return None
-            occupied_ids = np.flatnonzero(self.bank_count[n] > 0)
-            elig = occupied_ids[self.links.connected(occupied_ids.size)]
-            if elig.size == 0:
-                return None
-            eligible.append(elig)
-        return [int(elig[self.rng.integers(elig.size)]) for elig in eligible]
-
-
-def snapshot(scheme, seed, frames, K=500, N=2, beta=50.0):
+def snapshot(scheme, seed, frames, K, N, beta):
     """Phase of the last frame, then occupancy of subcarrier 0 and packets
     in flight after it."""
     proto = make_fixed(scheme, K, N, 1.0, beta, seed)
     for t in range(frames):
         out = proto.step(t)
-    return out.kind, int(proto.occupied[0]), proto.in_network()
+    return out.kind, round(proto.occupied_fraction()[0] * K), proto.in_network()
 
 
 def assert_same_law(samples_a, samples_b):
@@ -219,12 +206,25 @@ def assert_same_law(samples_a, samples_b):
         assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
-def test_sparse_and_dense_fixed_odwf_agree_in_distribution():
+# (frames, (K, N, beta)) per law: the buffering regime of criterion 02, in
+# miniature; low occupancy, where dozens of idle relays connect per source
+# frame and most of them empty again on the next delivery; and three
+# subcarriers. The mean delays are 15, 1 and 5 frames, so each snapshot
+# comes after about ten delays, and at least 40 frames.
+FIXED_ODWF_LAWS = {
+    "buffering": (150, (500, 2, 50.0)),
+    "low_occupancy": (40, (400, 2, 8.0)),
+    "three_subcarriers": (60, (300, 3, 20.0)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(FIXED_ODWF_LAWS))
+def test_sparse_and_dense_fixed_odwf_agree_in_distribution(law):
     # one snapshot per independent run, so the contingency tests' cells are
-    # i.i.d.; 150 frames is about ten buffering delays at this configuration
-    runs, frames = 400, 150
-    sparse = [snapshot(OdwfFixed, 1000 + r, frames) for r in range(runs)]
-    dense = [snapshot(DenseOdwfFixed, 5000 + r, frames) for r in range(runs)]
+    # i.i.d.
+    runs, (frames, cfg) = 400, FIXED_ODWF_LAWS[law]
+    sparse = [snapshot(OdwfFixed, 1000 + r, frames, *cfg) for r in range(runs)]
+    dense = [snapshot(DenseOdwfFixed, 5000 + r, frames, *cfg) for r in range(runs)]
     kinds = (SOURCE_TX, RELAY_TX, IDLE)
     assert_same_law([kinds.index(s[0]) for s in sparse], [kinds.index(s[0]) for s in dense])
     for i in (1, 2):    # occupancy, then packets in flight
@@ -235,14 +235,18 @@ def test_fixed_odwf_transmitter_uniform_over_occupied_relays():
     # six relays hold packets, one of them three deep; each frame some of
     # their links connect, and the transmitter must be uniform over all six
     K, beta, draws = 40, 4.0, 20000
-    holders = [2, 5, 11, 17, 23, 31]
     for scheme in (OdwfFixed, DenseOdwfFixed):
         proto = make_fixed(scheme, K, 1, 1.0, beta, 60)
-        subsets = [[np.array(holders, dtype=np.int32)],
-                   [np.array([5], dtype=np.int32)],
-                   [np.array([5], dtype=np.int32)]]
-        for t, subset in enumerate(subsets):
-            proto._source_tx(t, subset)
+        bank = proto.banks[0]
+        if scheme is OdwfFixed:    # six idle relays take ids from the pool
+            bank.add(0, np.empty(0, dtype=np.intp), 6)
+            holders = bank.held[:6].tolist()
+            for seq in (1, 2):
+                bank.add(seq, np.array(holders[1:2]), 0)
+        else:
+            holders = [2, 5, 11, 17, 23, 31]
+            for seq, ids in enumerate((holders, [5], [5])):
+                bank.add(seq, np.array(ids))
         picks = [proto._relay_eligibility() for _ in range(draws)]
         hits = [p[0] for p in picks if p is not None]
         want = 1.0 - (1.0 - 1.0 / beta) ** len(holders)
@@ -251,6 +255,36 @@ def test_fixed_odwf_transmitter_uniform_over_occupied_relays():
         counts = [hits.count(k) for k in holders]
         assert sum(counts) == len(hits)
         assert stats.chisquare(counts).pvalue > 1e-3
+
+
+def test_fixed_odwf_covers_occupied_and_idle_relays_independently():
+    # twenty of forty relays hold a packet and phase II is off, so phase I
+    # covers each relay with probability 1/beta: the covered occupied relays
+    # number Binomial(20, 1/4), spread uniformly over the twenty, and the
+    # covered idle ones Binomial(20, 1/4) (none at all makes an idle frame)
+    K, beta, trials = 40, 4.0, 3000
+    hits = np.zeros(K, dtype=np.int64)
+    counts = ([], [])
+    for r in range(trials):
+        proto = make_fixed(OdwfFixed, K, 1, 1.0, beta, 7000 + r)
+        proto._relay_eligibility = lambda: None
+        bank = proto.banks[0]
+        bank.add(0, np.empty(0, dtype=np.intp), 20)
+        proto.next_seq = 1
+        occupied = bank.held[:20].copy()
+        if proto.step(1).kind == IDLE:
+            counts[0].append(0)
+            counts[1].append(0)
+            continue
+        covered = np.intersect1d(bank.holders[1], occupied)
+        hits[covered] += 1
+        counts[0].append(covered.size)
+        counts[1].append(bank.holders[1].size - covered.size)
+    want = np.random.default_rng(65).binomial(20, 1 / beta, (2, trials))
+    for got, ref in zip(counts, want):
+        assert_same_law(got, ref.tolist())
+    assert hits.sum() == sum(counts[0])
+    assert stats.chisquare(hits[occupied]).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("scheme", [OdwfFixed, BaselineFixed])
@@ -560,22 +594,17 @@ def test_mobile_baseline_single_outstanding_packet():
 
 def mobile_state_is_consistent(proto):
     """The per-strip counts add up to K and, for ODWF, match the buffered
-    relays: held lists exactly the relays with undelivered seqs, each at
-    its pos, with strips tallying to the buffered counts."""
+    relays: the bank's pool is consistent, and the strips of its occupied
+    relays tally to the buffered counts."""
     assert proto.counts.min() >= 0 and proto.counts[:, 0].tolist() == [0, 0]
     assert int(proto.counts.sum()) == proto.K
     if isinstance(proto, BaselineMobile):
         assert (proto.buffered.sum() > 0) == (proto.outstanding is not None)
         return
-    nb = proto.K - proto.n_free
-    held = proto.held[:nb]
-    assert np.array_equal(np.sort(held), np.flatnonzero(proto.bank.count > 0))
-    assert np.array_equal(proto.pos[held], np.arange(nb))
-    assert np.count_nonzero(proto.pos >= 0) == nb
-    assert np.array_equal(np.sort(proto.free[:proto.n_free]),
-                          np.flatnonzero(proto.pos < 0))
+    bank = proto.bank
+    odwf_pool_is_consistent(bank, proto.K)
     assert np.array_equal(proto.buffered,
-                          np.bincount(proto.held_strip[:nb], minlength=proto.M + 1))
+                          np.bincount(bank.tag[:bank.size], minlength=proto.M + 1))
 
 
 def test_mobile_strip_counters_match_state():
@@ -648,12 +677,12 @@ def test_mobile_walk_frozen_at_q_zero(scheme):
                         R=1.0, seed=61)
     buffer_relays(proto, [0, 3, 0, 2, 0, 0])
     counts = proto.counts.copy()
-    strips = proto.held_strip.copy() if scheme is OdwfMobile else None
+    strips = proto.bank.tag.copy() if scheme is OdwfMobile else None
     for _ in range(200):
         proto._walk()
     assert np.array_equal(proto.counts, counts)
     if scheme is OdwfMobile:
-        assert np.array_equal(proto.held_strip, strips)
+        assert np.array_equal(proto.bank.tag, strips)
 
 
 @pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])
@@ -797,13 +826,13 @@ def test_mobile_odwf_covers_buffered_relays_independently(scale):
         held = np.empty(0, dtype=np.intp) if covered is None else covered[0]
         assert np.unique(held).size == held.size
         hits[held] += 1
-        per_strip.append(np.bincount(proto.held_strip[proto.pos[held]], minlength=6))
+        per_strip.append(np.bincount(proto.bank.tag[proto.bank.pos[held]], minlength=6))
     per_strip = np.array(per_strip)
+    nb = proto.bank.size
     for strip in (1, 2, 3):
         want = rng.binomial(60, probs[strip], trials)
         assert_same_law(per_strip[:, strip].tolist(), want.tolist())
-        members = proto.held[:proto.K - proto.n_free][
-            proto.held_strip[:proto.K - proto.n_free] == strip]
+        members = proto.bank.held[:nb][proto.bank.tag[:nb] == strip]
         if probs[strip]:
             assert stats.chisquare(hits[members]).pvalue > 1e-3
 
