@@ -13,8 +13,8 @@ from .engine import (BASELINE, FIXED, MOBILE, ODWF, MetricsTrace, RunSummary,
 from .experiment import (ExperimentSpec, SpecError, emit, load_spec,
                          parse_spec, run_experiment)
 from .mobility import DiskGeometry, build_geometry
-from .protocol import (BufferOverflowError, FrameOutcome, Packet,
-                       BaselineFixed, BaselineMobile, OdwfFixed, OdwfMobile)
+from .protocol import (BufferOverflowError, FrameOutcome, BaselineFixed,
+                       BaselineMobile, OdwfFixed, OdwfMobile)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -171,8 +171,9 @@ def build_protocol(cfg: SystemConfig, rng: np.random.Generator):
 
 
 def run_once(cfg: SystemConfig, rng: np.random.Generator) -> MetricsTrace:
-    """One warm-up plus measurement pass. Packets created during warm-up but
-    delivered in the window count toward delay with their true creation frame.
+    """One warm-up plus measurement pass over step()'s (kind, delivered) per
+    frame. Packets created during warm-up but delivered in the window count
+    toward delay with the creation frame of their (seq, created_frame) pair.
     """
     proto = build_protocol(cfg, rng)
     warmup = resolve_warmup(cfg)
@@ -185,12 +186,13 @@ def run_once(cfg: SystemConfig, rng: np.random.Generator) -> MetricsTrace:
     occupancy = np.empty((frames, cfg.N if cfg.scenario == FIXED else 1))
     delays = []
     for i in range(frames):
-        out = proto.step(warmup + i)
-        if out.delivered:
-            delivered[i] = len(out.delivered)
-            for pkt in out.delivered:
-                delays.append(out.frame - pkt.created_frame)
-        phase[i] = _PHASE_CODE[out.kind]
+        frame = warmup + i
+        kind, packets = proto.step(frame)
+        if packets:
+            delivered[i] = len(packets)
+            for _, created in packets:
+                delays.append(frame - created)
+        phase[i] = _PHASE_CODE[kind]
         occupancy[i] = proto.occupied_fraction()
         in_network[i] = proto.in_network()
     return MetricsTrace(

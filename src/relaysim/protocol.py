@@ -1,9 +1,12 @@
 """The four relay scheduling schemes as frame-synchronous state machines.
 
-Each scheme exposes step(frame) -> FrameOutcome. A frame is one of three kinds:
-SOURCE_TX (phase I, source injects), RELAY_TX (phase II, relays deliver), or
-IDLE. Buffers are unbounded by design; a configurable guard cap aborts with a
-diagnostic when a configuration is divergent.
+Each scheme exposes step(frame) -> FrameOutcome(kind, delivered): kind is
+SOURCE_TX (phase I, source injects), RELAY_TX (phase II, relays deliver) or
+IDLE, and delivered holds a (seq, created_frame) pair per packet the
+destination received. Idle and source frames return IDLE_FRAME and
+SOURCE_FRAME. Both ODWF schemes run one packet flow, _Odwf, and differ only
+in their link model. Buffers are unbounded by design; a configurable guard
+cap aborts with a diagnostic when a configuration is divergent.
 
 Mobile relays carry a strip, never coordinates: positions are redrawn
 uniformly within the strip every frame, so coverage is a per-strip Bernoulli
@@ -16,8 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,20 +39,13 @@ class BufferOverflowError(RuntimeError):
     """In-flight packets exceeded the guard cap: the configuration is divergent."""
 
 
-@dataclass(frozen=True)
-class Packet:
-    seq: int
-    created_frame: int
-    size_bits: float
-    subcarrier_of_origin: int = 0  # 1..N for fixed relays, 0 for mobile
-
-
-@dataclass(frozen=True)
-class FrameOutcome:
-    frame: int
+class FrameOutcome(NamedTuple):
     kind: str
-    delivered: tuple = ()      # Packet instances handed to the destination
-    transmitters: tuple = ()   # relay ids that transmitted, if the scheme has ids
+    delivered: tuple = ()    # (seq, created_frame) per packet the destination received
+
+
+IDLE_FRAME = FrameOutcome(IDLE)
+SOURCE_FRAME = FrameOutcome(SOURCE_TX)
 
 
 class _Uniforms:
@@ -181,16 +177,64 @@ class _Fifos:
         return [s for s in self.fifo.get(k, ()) if s in self.holders]
 
 
-class OdwfFixed:
+class _Odwf:
+    """Opportunistic decode-wait-and-forward's packet flow over banks, a list
+    of _Fifos: one per subcarrier for fixed relays, one for mobile relays.
+
+    A frame first walks the relays. Phase II runs when _deliverers() gives
+    one transmitter per bank: each delivers its FIFO head, and every relay
+    purges that seq (overhearing is perfectly reliable). Phase I runs when
+    phase II fails and _covered() gives (occupied ids, fresh count) per bank:
+    the source emits one packet per bank, in bank order, which the covered
+    occupied relays and that many idle ones enqueue. Otherwise it idles.
+    """
+
+    def __init__(self, n_banks: int, n_relays: int, buffer_cap: int):
+        self.banks = [_Fifos(n_relays, buffer_cap) for _ in range(n_banks)]
+        self.created_frame = {}
+        self.next_seq = 0
+
+    def step(self, frame: int) -> FrameOutcome:
+        self._walk()
+        transmitters = self._deliverers()
+        if transmitters is not None:
+            delivered = []
+            for bank, k in zip(self.banks, transmitters):
+                seq, tags = bank.deliver(k)
+                if tags.size:
+                    self._emptied(tags)
+                delivered.append((seq, self.created_frame.pop(seq)))
+            return FrameOutcome(RELAY_TX, tuple(delivered))
+        covered = self._covered()
+        if covered is None:
+            return IDLE_FRAME
+        for bank, (ids, fresh) in zip(self.banks, covered):
+            seq = self.next_seq
+            self.next_seq += 1
+            self.created_frame[seq] = frame
+            bank.add(seq, ids, fresh)
+        return SOURCE_FRAME
+
+    def _walk(self):
+        """Fixed relays stay put."""
+
+    def _emptied(self, tags: np.ndarray):
+        """Relays with these tags turned idle; fixed relays keep no tags."""
+
+    def occupied_fraction(self) -> np.ndarray:
+        """Per bank, the fraction of relays holding an undelivered seq."""
+        return np.array([bank.size for bank in self.banks]) / self.K
+
+    def in_network(self) -> int:
+        return sum(len(bank.holders) for bank in self.banks)
+
+
+class OdwfFixed(_Odwf):
     """Scheme: opportunistic decode-wait-and-forward over fixed relays.
 
-    Phase II runs when every subcarrier has at least one relay with a nonempty
-    bank behind a connected relay-destination link; one eligible relay per
-    subcarrier is picked uniformly and transmits its bank head, and every relay
-    purges that seq (overhearing is perfectly reliable). Phase I runs when
-    phase II fails and every subcarrier has a connected source-relay link; the
-    source emits one fresh packet per subcarrier and every connected relay
-    enqueues it. Otherwise the frame idles.
+    Phase II needs, on every subcarrier, an occupied relay behind a connected
+    relay-destination link, and picks one uniformly as the transmitter.
+    Phase I needs, on every subcarrier, a connected source-relay link.
 
     Each subcarrier n keeps its own _Fifos, whose idle relays (no undelivered
     seq in bank n) are only counted, as K minus the occupied ones; relay ids
@@ -211,27 +255,15 @@ class OdwfFixed:
 
     def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
                  rng: np.random.Generator, buffer_cap: int = 100_000):
+        super().__init__(n_subcarriers, n_relays, buffer_cap)
         self.K = n_relays
         self.N = n_subcarriers
         self.rate = threshold.rate
         self.rng = rng
         self.links = FixedLinkSampler(threshold, rng)
         self.uniforms = _Uniforms(rng)
-        self.banks = [_Fifos(n_relays, buffer_cap) for _ in range(self.N)]
-        self.created_frame = {}
-        self.next_seq = 0
 
-    def step(self, frame: int) -> FrameOutcome:
-        transmitters = self._relay_eligibility()
-        if transmitters is None:
-            return self._source_tx(frame)
-        delivered = []
-        for n, (bank, k) in enumerate(zip(self.banks, transmitters)):
-            seq = bank.deliver(k)[0]
-            delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate, n + 1))
-        return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
-
-    def _relay_eligibility(self):
+    def _deliverers(self):
         """Per-subcarrier transmitter ids, or None if any subcarrier has no
         occupied relay behind a connected relay-destination link."""
         u, log_down = self.uniforms, self.links.log_down
@@ -240,11 +272,11 @@ class OdwfFixed:
                 return None
         return [int(bank.held[u.below(bank.size)]) for bank in self.banks]
 
-    def _source_tx(self, frame):
-        """Phase I: on each subcarrier, the relays with a connected
-        source-relay link, counted per class and then a uniform subset of
-        the occupied ones, enqueue a fresh packet. The frame idles as soon
-        as a subcarrier has none (later ones are then never drawn)."""
+    def _covered(self):
+        """Per subcarrier, the relays with a connected source-relay link:
+        the ids of a uniform subset of the occupied ones and the number of
+        idle ones, each count Binomial. None as soon as a subcarrier has
+        none (later ones are then never drawn)."""
         rng, p, subset = self.rng, self.links.connect_probability, self.uniforms.subset
         covered = []
         for bank in self.banks:
@@ -252,20 +284,9 @@ class OdwfFixed:
             fresh = rng.binomial(self.K - occ, p)
             hit = rng.binomial(occ, p) if occ else 0
             if not fresh + hit:
-                return FrameOutcome(frame, IDLE)
+                return None
             covered.append((bank.held[subset(occ, hit)], fresh))
-        for bank, (ids, fresh) in zip(self.banks, covered):
-            seq = self.next_seq
-            self.next_seq += 1
-            self.created_frame[seq] = frame
-            bank.add(seq, ids, fresh)
-        return FrameOutcome(frame, SOURCE_TX)
-
-    def occupied_fraction(self) -> np.ndarray:
-        return np.array([bank.size / self.K for bank in self.banks])
-
-    def in_network(self) -> int:
-        return sum(len(bank.holders) for bank in self.banks)
+        return covered
 
 
 class BaselineFixed:
@@ -277,7 +298,7 @@ class BaselineFixed:
     bipartite matching between undelivered packets and subcarriers; an edge
     exists iff some holder of the packet has a connected relay-destination link
     on that subcarrier. A relay may serve several subcarriers in one frame.
-    Which relay transmits changes no metric, so none is reported.
+    Which relay transmits changes no metric, so none is picked.
 
     Relays are kept in holder cells: cell c is sizes[c] relays that hold
     exactly the packets i of the batch with bit i set in labels[c]. Links are
@@ -307,7 +328,7 @@ class BaselineFixed:
 
     def step(self, frame: int) -> FrameOutcome:
         if self.pending:
-            return self._relay_tx(frame)
+            return self._relay_tx()
         return self._source_tx(frame)
 
     def _source_tx(self, frame):
@@ -317,7 +338,7 @@ class BaselineFixed:
             ups = (rng.binomial(sizes, p).tolist() if len(sizes) > 8
                    else [rng.binomial(s, p) for s in sizes])   # cheaper when few
             if not any(ups):
-                return FrameOutcome(frame, IDLE)
+                return IDLE_FRAME
             labels = ([label | 1 << n for label, up in zip(labels, ups) if up]
                       + [label for label, size, up in zip(labels, sizes, ups) if size > up])
             sizes = [up for up in ups if up] + [s - up for s, up in zip(sizes, ups) if s > up]
@@ -330,9 +351,9 @@ class BaselineFixed:
         self.pending = list(range(self.N))
         self.base_seq, self.created = self.next_seq, frame
         self.next_seq += self.N
-        return FrameOutcome(frame, SOURCE_TX)
+        return SOURCE_FRAME
 
-    def _relay_tx(self, frame):
+    def _relay_tx(self):
         N, pending = self.N, self.pending
         up = self.rng.random((N, self.sizes.size)) < self.up_prob   # up[n, c]
         reach = np.bitwise_or.reduce(np.where(up, self.labels, 0), axis=1).tolist()
@@ -340,7 +361,7 @@ class BaselineFixed:
         match_left, _ = max_bipartite_matching(adjacency, N)
         packets = [i for i, n in zip(pending, match_left) if n >= 0]
         if not packets:
-            return FrameOutcome(frame, RELAY_TX)
+            return FrameOutcome(RELAY_TX)
         gone = sum(1 << i for i in packets)
         self.pending = [i for i in pending if not gone >> i & 1]
         self.labels = self.labels & ~gone
@@ -349,9 +370,8 @@ class BaselineFixed:
             for name in ("labels", "sizes", "up_prob"):
                 setattr(self, name, getattr(self, name)[keep])
             self.held = int(self.sizes.sum())
-        delivered = tuple(Packet(self.base_seq + i, self.created, self.rate, i + 1)
-                          for i in packets)
-        return FrameOutcome(frame, RELAY_TX, delivered)
+        return FrameOutcome(RELAY_TX, tuple((self.base_seq + i, self.created)
+                                            for i in packets))
 
     def occupied_fraction(self) -> np.ndarray:
         return np.full(self.N, self.held / self.K)
@@ -406,9 +426,11 @@ class _MobileScheme:
         self.rng = rng
         cov = coverage_radius(p, threshold.beta, pathloss_exp)
         self.p_src, self.p_dst, p_both = coverage_probabilities(geom, cov)
-        # coverage reaches strips 1..src_max_region and dest_min_region..M
-        self.src_max_region = int(np.flatnonzero(self.p_src)[-1])
-        self.dest_min_region = int(np.flatnonzero(self.p_dst)[0])
+        # coverage reaches strips 1..src_max_region and dest_min_region..M;
+        # none (0 and M + 1) where the radius is too small to cover any area
+        src, dst = np.flatnonzero(self.p_src), np.flatnonzero(self.p_dst)
+        self.src_max_region = int(src[-1]) if src.size else 0
+        self.dest_min_region = int(dst[0]) if dst.size else M + 1
         # source coverage given no destination coverage; where p_dst = 1 no
         # buffered relay survives phase II, so any value will do
         self.p_src_given_no_dst = np.clip(np.divide(
@@ -466,12 +488,12 @@ class _MobileScheme:
                                      self.counts.size).reshape(self.counts.shape)
 
     def _in_dest_coverage(self) -> list:
-        """Running totals over strips dest_min_region..M of the buffered
-        relays inside destination coverage."""
+        """Running totals, from 0, over strips dest_min_region..M of the
+        buffered relays inside destination coverage."""
         return list(accumulate(
-            int(self.rng.binomial(b, p)) if b else 0
-            for b, p in zip(self.buffered[self.dest_min_region:].tolist(),
-                            self.p_dst[self.dest_min_region:].tolist())))
+            (int(self.rng.binomial(b, p)) if b else 0
+             for b, p in zip(self.buffered[self.dest_min_region:].tolist(),
+                             self.p_dst[self.dest_min_region:].tolist())), initial=0))
 
     def _in_source_coverage(self):
         """Per strip, the idle relays inside source coverage this frame; None
@@ -484,16 +506,14 @@ class _MobileScheme:
         return np.array(fresh + [0] * (self.M - self.src_max_region))
 
 
-class OdwfMobile(_MobileScheme):
+class OdwfMobile(_MobileScheme, _Odwf):
     """Scheme: ODWF over mobile relays with pathloss-only connectivity.
 
-    Phase II when any relay with a nonempty buffer sits inside destination
-    coverage: one such relay is picked uniformly, delivers its FIFO head, and
-    the seq is purged from every buffer. Phase I when phase II fails and some
-    relay sits inside source coverage: the source broadcasts one packet and
-    every in-coverage relay enqueues it. Otherwise Idle.
+    Phase II needs a relay with a nonempty buffer inside destination
+    coverage, and picks one such relay uniformly as the transmitter. Phase I
+    needs a relay inside source coverage.
 
-    A buffered relay has an id from the pool of bank, a _Fifos, and its
+    A buffered relay has an id from the pool of bank, the one _Fifos, and its
     strip is its tag there: the buffered relays are bank.held[:nb], their
     strips bank.tag[:nb]. A pick within a strip scans those strips in one
     numpy call. The few-movers walk picks buffered movers from the whole
@@ -506,20 +526,9 @@ class OdwfMobile(_MobileScheme):
 
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
-        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.bank = _Fifos(n_relays, buffer_cap)
-        self.created_frame = {}
-        self.next_seq = 0
-
-    def step(self, frame: int) -> FrameOutcome:
-        self._walk()
-        k = self._deliverer()
-        if k is not None:
-            return self._relay_tx(frame, k)
-        covered = self._covered()
-        if covered is not None:
-            return self._source_tx(frame, *covered)
-        return FrameOutcome(frame, IDLE)
+        _MobileScheme.__init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng)
+        _Odwf.__init__(self, 1, n_relays, buffer_cap)
+        self.bank = self.banks[0]
 
     def _groups(self) -> list:
         """The idle relays of strips 1..M, then all buffered ones, none of
@@ -554,21 +563,24 @@ class OdwfMobile(_MobileScheme):
         np.clip(strips, 1, self.M, out=strips)
         self.buffered[:] = np.bincount(strips, minlength=self.M + 1)
 
-    def _deliverer(self):
-        """A uniform pick among the buffered relays in destination coverage, or
-        None: a strip is picked in proportion to its count, then any of its
-        buffered relays."""
+    def _deliverers(self):
+        """[k] for a uniform pick k among the buffered relays in destination
+        coverage, or None: a strip is picked in proportion to its count,
+        then any of its buffered relays."""
         counts = self._in_dest_coverage()
         if counts[-1] == 0:
             return None
-        strip = self.dest_min_region + bisect_right(counts, self.uniforms.below(counts[-1]))
+        strip = self.dest_min_region - 1 + bisect_right(
+            counts, self.uniforms.below(counts[-1]))
         members = np.flatnonzero(self.bank.tag[:self.bank.size] == strip)
-        return int(self.bank.held[members[self.uniforms.below(members.size)]])
+        return [int(self.bank.held[members[self.uniforms.below(members.size)]])]
 
     def _covered(self):
-        """(held, fresh), or None if no relay is inside source coverage: held
-        are the ids of the buffered relays inside it, and fresh[r] counts the
-        idle ones of strip r.
+        """[(held, n)], or None if no relay is inside source coverage: held
+        are the ids of the buffered relays inside it, and n counts the idle
+        ones, fresh[r] of strip r. These turn buffered at once, since phase I
+        follows: their strips go to the tags at the pool's next n positions,
+        whose ids bank.add hands them.
 
         ODWF's phase I runs only when no buffered relay is in destination
         coverage, so those are covered with p_src_given_no_dst, unlike p_src
@@ -595,38 +607,18 @@ class OdwfMobile(_MobileScheme):
             held = ids[pos[keep]]
         else:
             held = np.empty(0, dtype=np.intp)
-        if fresh is None and held.size == 0:
-            return None
-        return held, fresh
+        if fresh is None:
+            return [(held, 0)] if held.size else None
+        n = int(fresh.sum())
+        self.idle -= fresh
+        self.buffered += fresh
+        strips[nb:nb + n] = np.repeat(np.arange(self.M + 1), fresh)
+        return [(held, n)]
 
-    def _relay_tx(self, frame, k):
-        seq, strips = self.bank.deliver(k)
-        if strips.size:
-            gone = np.bincount(strips, minlength=self.M + 1)
-            self.idle += gone
-            self.buffered -= gone
-        pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
-        return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
-
-    def _source_tx(self, frame, held, fresh):
-        seq = self.next_seq
-        self.next_seq += 1
-        self.created_frame[seq] = frame
-        nb, n = self.bank.size, 0
-        if fresh is not None:
-            n = int(fresh.sum())
-            self.idle -= fresh
-            self.buffered += fresh
-        self.bank.add(seq, held, n)
-        if n:
-            self.bank.tag[nb:nb + n] = np.repeat(np.arange(self.M + 1), fresh)
-        return FrameOutcome(frame, SOURCE_TX)
-
-    def occupied_fraction(self) -> float:
-        return self.bank.size / self.K
-
-    def in_network(self) -> int:
-        return len(self.bank.holders)
+    def _emptied(self, strips):
+        gone = np.bincount(strips, minlength=self.M + 1)
+        self.idle += gone
+        self.buffered -= gone
 
 
 class BaselineMobile(_MobileScheme):
@@ -636,8 +628,7 @@ class BaselineMobile(_MobileScheme):
     coverage. The packet then waits while its holders walk; as soon as any
     holder enters destination coverage the genie delivers through it and the
     network empties again. The holders, the buffered relays, are
-    exchangeable as well, so they are only counted, and no transmitter id is
-    reported.
+    exchangeable as well, so they are only counted.
     """
 
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
@@ -650,21 +641,20 @@ class BaselineMobile(_MobileScheme):
         self._walk()
         if self.outstanding is not None:
             if self._in_dest_coverage()[-1] == 0:
-                return FrameOutcome(frame, IDLE)
+                return IDLE_FRAME
             seq, self.outstanding = self.outstanding, None
             self.idle += self.buffered
             self.buffered[:] = 0
-            pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
-            return FrameOutcome(frame, RELAY_TX, (pkt,))
+            return FrameOutcome(RELAY_TX, ((seq, self.created_frame.pop(seq)),))
         covered = self._in_source_coverage()    # the network is empty
-        if covered is not None:
-            self.idle -= covered
-            self.buffered += covered
-            self.outstanding = seq = self.next_seq
-            self.next_seq += 1
-            self.created_frame[seq] = frame
-            return FrameOutcome(frame, SOURCE_TX)
-        return FrameOutcome(frame, IDLE)
+        if covered is None:
+            return IDLE_FRAME
+        self.idle -= covered
+        self.buffered += covered
+        self.outstanding = seq = self.next_seq
+        self.next_seq += 1
+        self.created_frame[seq] = frame
+        return SOURCE_FRAME
 
     def occupied_fraction(self) -> float:
         return 0.0 if self.outstanding is None else int(self.buffered.sum()) / self.K

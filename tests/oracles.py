@@ -35,8 +35,8 @@ from relaysim.channel import FixedLinkSampler, RateThreshold, coverage_radius
 from relaysim.matching import max_bipartite_matching
 from relaysim.mobility import (DiskGeometry, coverage_probabilities,
                                sample_positions_in_region, step_regions)
-from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BufferOverflowError,
-                               FrameOutcome, Packet)
+from relaysim.protocol import (IDLE_FRAME, RELAY_TX, SOURCE_FRAME,
+                               BufferOverflowError, FrameOutcome, OdwfMobile)
 
 # ---------------------------------------------------------------- analytics
 
@@ -70,12 +70,12 @@ def relay_state(proto, relay_id: int) -> RelayState:
     """The FIFOs of one relay of an OdwfFixed (one bank per subcarrier) or
     an OdwfMobile (one bank, plus the relay's strip; None while the id is
     free, its relay idle and anonymous)."""
-    if hasattr(proto, "banks"):
-        return RelayState(relay_id, [bank.live(relay_id) for bank in proto.banks])
-    bank = proto.bank
-    i = int(bank.pos[relay_id])
-    return RelayState(relay_id, [bank.live(relay_id)],
-                      int(bank.tag[i]) if i < bank.size else None)
+    state = RelayState(relay_id, [bank.live(relay_id) for bank in proto.banks])
+    if isinstance(proto, OdwfMobile):
+        bank = proto.bank
+        i = int(bank.pos[relay_id])
+        state.region = int(bank.tag[i]) if i < bank.size else None
+    return state
 
 
 def place(proto, regions):
@@ -91,7 +91,7 @@ def place(proto, regions):
         return
     assert regions.size == proto.K
     buffered = np.zeros(regions.size, dtype=bool)
-    if hasattr(proto, "bank"):
+    if isinstance(proto, OdwfMobile):
         bank = proto.bank
         buffered = bank.pos < bank.size
         bank.tag[bank.pos[buffered]] = regions[buffered]
@@ -99,10 +99,6 @@ def place(proto, regions):
         assert proto.outstanding is None
     proto.idle[:] = np.bincount(regions[~buffered], minlength=proto.M + 1)
     proto.buffered[:] = np.bincount(regions[buffered], minlength=proto.M + 1)
-
-
-def delivered_bits(out: FrameOutcome) -> float:
-    return sum(p.size_bits for p in out.delivered)
 
 
 class DenseBaselineFixed:
@@ -113,7 +109,7 @@ class DenseBaselineFixed:
     While packets remain, every frame is a RelayTx that delivers a maximum
     bipartite matching between undelivered packets and subcarriers; an edge
     exists iff some holder of the packet has a connected relay-destination link
-    on that subcarrier, and the lowest-id such holder transmits.
+    on that subcarrier.
     """
 
     def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
@@ -124,26 +120,24 @@ class DenseBaselineFixed:
         self.rng = rng
         self.links = FixedLinkSampler(threshold, rng)
         self.batch = {}   # seq -> sorted holder id array
-        self.origin = {}
         self.created_frame = {}
         self.next_seq = 0
 
     def step(self, frame: int) -> FrameOutcome:
         if self.batch:
-            return self._relay_tx(frame)
+            return self._relay_tx()
         subsets = []
         for _ in range(self.N):
             ids = np.flatnonzero(self.links.connected(self.K))
             if ids.size == 0:
-                return FrameOutcome(frame, IDLE)
+                return IDLE_FRAME
             subsets.append(ids)
-        for n, ids in enumerate(subsets):
+        for ids in subsets:
             seq = self.next_seq
             self.next_seq += 1
             self.batch[seq] = ids
-            self.origin[seq] = n + 1
             self.created_frame[seq] = frame
-        return FrameOutcome(frame, SOURCE_TX)
+        return SOURCE_FRAME
 
     def holder_union(self) -> np.ndarray:
         """Sorted ids of the relays holding any undelivered packet."""
@@ -151,7 +145,7 @@ class DenseBaselineFixed:
             return np.empty(0, dtype=np.int32)
         return np.unique(np.concatenate(list(self.batch.values())))
 
-    def _relay_tx(self, frame):
+    def _relay_tx(self):
         seqs = list(self.batch)
         union = self.holder_union()
         conn = np.empty((self.N, union.size), dtype=bool)
@@ -162,18 +156,12 @@ class DenseBaselineFixed:
                      for pos in holder_pos]
         match_left, _ = max_bipartite_matching(adjacency, self.N)
         delivered = []
-        transmitters = []
         for i, seq in enumerate(seqs):
-            n = match_left[i]
-            if n < 0:
+            if match_left[i] < 0:
                 continue  # unmatched packets survive to the next RelayTx frame
-            pos = holder_pos[i]
-            k = int(union[pos[int(np.argmax(conn[n, pos]))]])
-            delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate,
-                                    self.origin.pop(seq)))
-            transmitters.append(k)
+            delivered.append((seq, self.created_frame.pop(seq)))
             del self.batch[seq]
-        return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
+        return FrameOutcome(RELAY_TX, tuple(delivered))
 
     def occupied_fraction(self) -> np.ndarray:
         return np.full(self.N, self.holder_union().size / self.K)
@@ -243,27 +231,27 @@ class DenseOdwfFixed:
         self.next_seq = 0
 
     def step(self, frame: int) -> FrameOutcome:
-        transmitters = self._relay_eligibility()
+        transmitters = self._deliverers()
         if transmitters is not None:
             delivered = []
-            for n, (bank, k) in enumerate(zip(self.banks, transmitters)):
+            for bank, k in zip(self.banks, transmitters):
                 seq, _ = bank.deliver(k)
-                delivered.append(Packet(seq, self.created_frame.pop(seq), self.rate, n + 1))
-            return FrameOutcome(frame, RELAY_TX, tuple(delivered), tuple(transmitters))
+                delivered.append((seq, self.created_frame.pop(seq)))
+            return FrameOutcome(RELAY_TX, tuple(delivered))
         covered = []
         for _ in range(self.N):
             ids = np.flatnonzero(self.links.connected(self.K))
             if ids.size == 0:
-                return FrameOutcome(frame, IDLE)
+                return IDLE_FRAME
             covered.append(ids)
         for bank, ids in zip(self.banks, covered):
             seq = self.next_seq
             self.next_seq += 1
             self.created_frame[seq] = frame
             bank.add(seq, ids)
-        return FrameOutcome(frame, SOURCE_TX)
+        return SOURCE_FRAME
 
-    def _relay_eligibility(self):
+    def _deliverers(self):
         transmitters = []
         for bank in self.banks:
             occupied = np.flatnonzero(bank.count)
@@ -568,27 +556,27 @@ class DenseOdwfMobile(_DenseMobileScheme):
             xs, ys = self._positions_for(cand)
             elig = cand[self._in_dest_coverage(xs, ys) & (self.buffer_count[cand] > 0)]
             if elig.size:
-                return self._relay_tx(frame, elig)
+                return self._relay_tx(elig)
             covered = cand[self._in_source_coverage(xs, ys)]
             if covered.size:
                 return self._source_tx(frame, covered)
-            return FrameOutcome(frame, IDLE)
+            return IDLE_FRAME
         dest_cand = np.flatnonzero((self.regions >= self.dest_min_region)
                                    & (self.buffer_count > 0))
         if dest_cand.size:
             xs, ys = self._positions_for(dest_cand)
             elig = dest_cand[self._in_dest_coverage(xs, ys)]
             if elig.size:
-                return self._relay_tx(frame, elig)
+                return self._relay_tx(elig)
         src_cand = np.flatnonzero(self.regions <= self.src_max_region)
         if src_cand.size:
             xs, ys = self._positions_for(src_cand)
             covered = src_cand[self._in_source_coverage(xs, ys)]
             if covered.size:
                 return self._source_tx(frame, covered)
-        return FrameOutcome(frame, IDLE)
+        return IDLE_FRAME
 
-    def _relay_tx(self, frame, elig):
+    def _relay_tx(self, elig):
         k = int(elig[self.rng.integers(elig.size)])
         buf = self.buffers[k]
         while True:
@@ -598,8 +586,7 @@ class DenseOdwfMobile(_DenseMobileScheme):
         hold = self.holders.pop(seq)
         self.buffer_count[hold] -= 1
         self.buffered_relays -= int(np.count_nonzero(self.buffer_count[hold] == 0))
-        pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
-        return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
+        return FrameOutcome(RELAY_TX, ((seq, self.created_frame.pop(seq)),))
 
     def _source_tx(self, frame, covered):
         seq = self.next_seq
@@ -615,7 +602,7 @@ class DenseOdwfMobile(_DenseMobileScheme):
             raise BufferOverflowError(
                 f"{len(self.holders)} undelivered packets exceed the guard cap "
                 f"{self.buffer_cap}")
-        return FrameOutcome(frame, SOURCE_TX)
+        return SOURCE_FRAME
 
     def occupied_fraction(self) -> float:
         return self.buffered_relays / self.K
@@ -640,13 +627,10 @@ class DenseBaselineMobile(_DenseMobileScheme):
             cand = hold[self.regions[hold] >= self.dest_min_region]
             if cand.size:
                 xs, ys = self._positions_for(cand)
-                elig = cand[self._in_dest_coverage(xs, ys)]
-                if elig.size:
-                    k = int(elig[self.rng.integers(elig.size)])
-                    pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
+                if self._in_dest_coverage(xs, ys).any():
                     self.outstanding = None
-                    return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
-            return FrameOutcome(frame, IDLE)
+                    return FrameOutcome(RELAY_TX, ((seq, self.created_frame.pop(seq)),))
+            return IDLE_FRAME
         src_cand = np.flatnonzero(self.regions <= self.src_max_region)
         if src_cand.size:
             xs, ys = self._positions_for(src_cand)
@@ -656,8 +640,8 @@ class DenseBaselineMobile(_DenseMobileScheme):
                 self.next_seq += 1
                 self.outstanding = (seq, covered.astype(np.int32))
                 self.created_frame[seq] = frame
-                return FrameOutcome(frame, SOURCE_TX)
-        return FrameOutcome(frame, IDLE)
+                return SOURCE_FRAME
+        return IDLE_FRAME
 
     def occupied_fraction(self) -> float:
         if self.outstanding is None:
@@ -783,11 +767,11 @@ class StripOdwfMobile(_StripMobileScheme):
         self._walk()
         k = self._deliverer()
         if k is not None:
-            return self._relay_tx(frame, k)
+            return self._relay_tx(k)
         covered = self._source_covered()
         if covered is not None:
             return self._source_tx(frame, covered)
-        return FrameOutcome(frame, IDLE)
+        return IDLE_FRAME
 
     def _deliverer(self):
         """A uniform pick among the buffered relays in destination coverage, or
@@ -803,11 +787,10 @@ class StripOdwfMobile(_StripMobileScheme):
         strip = lo + bisect_right(counts, int(self.rng.integers(counts[-1])))
         return int(self._members(strip, True, 1, int(self.strip_buffered[strip]))[0])
 
-    def _relay_tx(self, frame, k):
+    def _relay_tx(self, k):
         seq, emptied = self.bank.deliver(k)
         self.strip_buffered -= self._tally(self.regions[emptied])
-        pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
-        return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
+        return FrameOutcome(RELAY_TX, ((seq, self.created_frame.pop(seq)),))
 
     def _source_tx(self, frame, covered):
         seq = self.next_seq
@@ -815,7 +798,7 @@ class StripOdwfMobile(_StripMobileScheme):
         self.created_frame[seq] = frame
         fresh = self.bank.add(seq, covered)
         self.strip_buffered += self._tally(self.regions[fresh])
-        return FrameOutcome(frame, SOURCE_TX)
+        return SOURCE_FRAME
 
     def occupied_fraction(self) -> float:
         return int(self.strip_buffered.sum()) / self.K
@@ -837,21 +820,18 @@ class StripBaselineMobile(_StripMobileScheme):
         self._walk()
         if self.outstanding is not None:
             seq, hold = self.outstanding
-            elig = hold[self.rng.random(hold.size) < self.p_dst[self.regions[hold]]]
-            if elig.size:
-                k = int(elig[self.rng.integers(elig.size)])
-                pkt = Packet(seq, self.created_frame.pop(seq), self.rate)
+            if (self.rng.random(hold.size) < self.p_dst[self.regions[hold]]).any():
                 self.outstanding = None
-                return FrameOutcome(frame, RELAY_TX, (pkt,), (k,))
-            return FrameOutcome(frame, IDLE)
+                return FrameOutcome(RELAY_TX, ((seq, self.created_frame.pop(seq)),))
+            return IDLE_FRAME
         covered = self._source_covered()
         if covered is not None:
             seq = self.next_seq
             self.next_seq += 1
             self.outstanding = (seq, covered)
             self.created_frame[seq] = frame
-            return FrameOutcome(frame, SOURCE_TX)
-        return FrameOutcome(frame, IDLE)
+            return SOURCE_FRAME
+        return IDLE_FRAME
 
     def occupied_fraction(self) -> float:
         if self.outstanding is None:

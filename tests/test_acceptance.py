@@ -201,3 +201,23 @@ def test_criterion_11_odwf_with_k_relays_matches_baseline_with_k_squared():
     assert all(abs(gap) <= 0.02 for gap in gaps)
     assert abs(gaps[-1]) <= abs(gaps[0])
     assert all(ratio <= 0.25 for ratio in delay_over_k)
+
+
+def test_criterion_12_mobile_odwf_throughput_law_as_k_grows():
+    # the mobile headline, simulated: at q = 1/2 and beta = (K/ln^2 K)^2
+    # ODWF's throughput is (N/2) log2 beta = Theta(log K), with delay of
+    # order K/(q ln^4 K). Over seeds 0-8 the relative gap was within 0.04,
+    # 0.16, 0.12 and 0.28 % at K = 10^3 to 10^6 (seed 0: +0.04, +0.04, 0.00,
+    # -0.20 %), and D over K/(q ln^4 K) 10.0-10.4, 5.3-5.5, 3.5-3.6, 2.9-3.0
+    N, q = 1, 0.5
+    throughputs = []
+    for K in (10**3, 10**4, 10**5, 10**6):
+        beta = (K / math.log(K) ** 2) ** 2
+        s = run_replicated(SystemConfig("mobile", "odwf", K=K, N=N, p=1.0, beta=beta,
+                                        alpha=4.0, M=5, q=q, measure_frames=5000,
+                                        seed=0))
+        want = (N / 2.0) * math.log2(beta)
+        assert abs(s.mean_throughput - want) / want <= 0.01
+        assert 2.0 <= s.mean_delay / (K / (q * math.log(K) ** 4)) <= 12.0
+        throughputs.append(s.mean_throughput)
+    assert all(a < b for a, b in zip(throughputs, throughputs[1:]))

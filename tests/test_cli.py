@@ -87,6 +87,21 @@ def test_sweep_runs_spec_mode_both(spec_file, tmp_path):
     assert record["T"] != "" and record["pred_T"] != ""
 
 
+def test_sweep_runs_a_mobile_row_whose_coverage_vanishes(tmp_path):
+    # at beta = 1e80 no strip has a coverage probability above 0: the row
+    # idles and reports no delay instead of aborting the sweep
+    spec = tmp_path / "mobile.ini"
+    spec.write_text(SPEC.replace("scenario = fixed", "scenario = mobile")
+                    + "alpha = 4\n[sweep]\nbeta = 16, 1e80\n", encoding="utf-8")
+    out = tmp_path / "res.csv"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    header, first, second = read_csv(out)
+    first, second = dict(zip(header, first)), dict(zip(header, second))
+    assert first["status"] == second["status"] == "ok"
+    assert float(first["T"]) > 0 and first["D"] != ""
+    assert float(second["T"]) == 0.0 and second["D"] == ""
+
+
 def test_seed_and_format_overrides(spec_file, tmp_path):
     out = tmp_path / "res.jsonl"
     code = main(["predict", "--spec", str(spec_file), "--seed", "99",

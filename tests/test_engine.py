@@ -151,6 +151,18 @@ def test_mobile_unreachable_network_reports_absent_delay():
     assert s.undelivered_at_end == 0.0
 
 
+@pytest.mark.parametrize("scheme", [ODWF, BASELINE])
+@pytest.mark.parametrize("alpha,beta", [(0.5, 1e200), (4.0, 1e300)])
+def test_mobile_vanishing_coverage_idles(scheme, alpha, beta):
+    # the coverage radius (p/beta)^(1/alpha) is too small for any strip to
+    # show a coverage probability above 0, so no relay is ever covered
+    cfg = mobile_cfg(scheme=scheme, alpha=alpha, beta=beta, warmup_frames=20,
+                     measure_frames=200)
+    s = run_replicated(cfg)
+    assert s.mean_throughput == 0.0 and s.mean_delay is None
+    assert s.p_rd_hat == 0.0 and s.p_sr_hat == 0.0 and s.occupancy == 0.0
+
+
 def test_baseline_fixed_delay_is_one_with_many_relays():
     cfg = fixed_cfg(scheme=BASELINE, K=500, beta=4.0, warmup_frames=100,
                     measure_frames=3000)

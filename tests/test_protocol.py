@@ -1,6 +1,5 @@
 """Frame-level protocol dynamics: scheduling, conservation, FIFO, purging."""
 
-import dataclasses
 import math
 import warnings
 
@@ -10,13 +9,15 @@ from scipy import stats
 
 from oracles import (DenseBaselineFixed, DenseBaselineMobile, DenseOdwfFixed,
                      DenseOdwfMobile, StripBaselineMobile, StripOdwfMobile,
-                     delivered_bits, place, relay_state, transition_matrix)
+                     place, relay_state, transition_matrix)
+import relaysim.protocol
 from relaysim.analytics import p_rd
 from relaysim.channel import RateThreshold
 from relaysim.mobility import build_geometry
-from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BaselineFixed,
-                               BaselineMobile, BufferOverflowError, OdwfFixed,
-                               OdwfMobile, Packet)
+from relaysim.protocol import (IDLE, IDLE_FRAME, RELAY_TX, SOURCE_FRAME,
+                               SOURCE_TX, BaselineFixed, BaselineMobile,
+                               BufferOverflowError, FrameOutcome, OdwfFixed,
+                               OdwfMobile)
 
 
 def make_fixed(scheme, K, N, p, beta, seed, **kw):
@@ -35,16 +36,47 @@ def drive(proto, frames):
 
 
 def delivered_seqs(outcomes):
-    return [p.seq for out in outcomes for p in out.delivered]
+    return [seq for out in outcomes for seq, _ in out.delivered]
 
 
-def test_packet_and_outcome_are_frozen():
-    pkt = Packet(0, 3, 1.5, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        pkt.seq = 1
-    from relaysim.protocol import FrameOutcome
-    out = FrameOutcome(7, RELAY_TX, (pkt, pkt), (4, 4))
-    assert delivered_bits(out) == 3.0
+def delays_of(outcomes):
+    """Delivery frame minus creation frame of every packet, for outcomes
+    of frames 0, 1, 2, ... in order."""
+    return [t - created for t, out in enumerate(outcomes) for _, created in out.delivered]
+
+
+def record_transmitters(proto):
+    """Wrap the deliver of each bank of an ODWF scheme so that it appends
+    the relay id it is given to the list returned here."""
+    sent = []
+    for bank in proto.banks:
+        def deliver(k, deliver=bank.deliver):
+            sent.append(k)
+            return deliver(k)
+        bank.deliver = deliver
+    return sent
+
+
+def test_frame_outcome_is_kind_and_delivered_pairs():
+    assert not hasattr(relaysim.protocol, "Packet")
+    assert FrameOutcome._fields == ("kind", "delivered")
+    out = FrameOutcome(RELAY_TX, ((0, 3), (1, 3)))
+    with pytest.raises(AttributeError):
+        out.kind = IDLE
+    kind, delivered = out
+    assert kind == RELAY_TX and len(delivered) * 1.5 == 3.0
+    assert IDLE_FRAME == (IDLE, ()) and SOURCE_FRAME == (SOURCE_TX, ())
+    # every scheme returns the shared source frame
+    for proto in (make_fixed(OdwfFixed, 10, 2, 1.0, 1.0, 25),
+                  make_fixed(BaselineFixed, 10, 2, 1.0, 1.0, 25),
+                  make_mobile(OdwfMobile, 8, 1, seed=36, **FULL_COVER),
+                  make_mobile(BaselineMobile, 6, 1, seed=42, **FULL_COVER)):
+        outs = drive(proto, 4)
+        assert outs[0] is SOURCE_FRAME and outs[2] is SOURCE_FRAME
+        assert outs[3].delivered == tuple((seq, 2) for seq in range(proto.next_seq)
+                                          if seq >= proto.next_seq // 2)
+    never = make_fixed(OdwfFixed, 2, 1, 1.0, 1e9, 26)
+    assert all(out is IDLE_FRAME for out in drive(never, 10))
 
 
 # ---------------------------------------------------------------- fixed ODWF
@@ -61,13 +93,17 @@ def test_fixed_odwf_conservation():
 
 def test_fixed_odwf_relay_frames_deliver_one_per_subcarrier():
     proto = make_fixed(OdwfFixed, 30, 3, 1.0, 4.0, 22)
-    for out in drive(proto, 500):
+    sent = record_transmitters(proto)
+    for t in range(500):
+        before = len(sent)
+        out = proto.step(t)
         if out.kind == RELAY_TX:
-            assert len(out.delivered) == 3 and len(out.transmitters) == 3
-            assert sorted(p.subcarrier_of_origin for p in out.delivered) == [1, 2, 3]
-            assert delivered_bits(out) == 3 * proto.rate
+            assert len(out.delivered) == 3 and len(sent) - before == 3
+            # a source frame gives bank n the seqs n mod 3
+            assert sorted(seq % 3 for seq, _ in out.delivered) == [0, 1, 2]
+            assert len(out.delivered) * proto.rate == 3 * proto.rate
         elif out.kind == SOURCE_TX:
-            assert out.delivered == () and out.transmitters == ()
+            assert out.delivered == () and len(sent) == before
 
 
 def test_fixed_odwf_purges_delivered_everywhere():
@@ -75,7 +111,7 @@ def test_fixed_odwf_purges_delivered_everywhere():
     gone = set()
     for t in range(400):
         out = proto.step(t)
-        gone.update(p.seq for p in out.delivered)
+        gone.update(seq for seq, _ in out.delivered)
         if out.kind == RELAY_TX:
             for k in range(proto.K):
                 state = relay_state(proto, k)
@@ -96,9 +132,7 @@ def test_fixed_odwf_always_connected_alternates():
     proto = make_fixed(OdwfFixed, 10, 2, 1.0, 1.0, 25)
     outs = drive(proto, 40)
     assert [o.kind for o in outs] == [SOURCE_TX, RELAY_TX] * 20
-    for out in outs:
-        for pkt in out.delivered:
-            assert out.frame - pkt.created_frame == 1
+    assert set(delays_of(outs)) == {1}
 
 
 def test_fixed_odwf_idle_when_nothing_connects():
@@ -113,9 +147,10 @@ def test_fixed_odwf_uniform_pick_among_eligible():
     # transmitter must be uniform over the three
     proto = make_fixed(OdwfFixed, 3, 1, 1.0, 1.0, 27)
     counts = np.zeros(3)
-    for out in drive(proto, 6000):
-        for k in out.transmitters:
-            counts[k] += 1
+    sent = record_transmitters(proto)
+    drive(proto, 6000)
+    for k in sent:
+        counts[k] += 1
     total = counts.sum()
     assert total == 3000
     chi2 = ((counts - total / 3) ** 2 / (total / 3)).sum()
@@ -168,7 +203,7 @@ def test_fixed_odwf_buffer_guard_trips():
     # relay phase forced into permanent outage: the source pumps one packet
     # per subcarrier per frame until the guard cap trips
     proto = make_fixed(OdwfFixed, 10, 1, 1.0, 1.0, 30, buffer_cap=4)
-    proto._relay_eligibility = lambda: None
+    proto._deliverers = lambda: None
     with pytest.raises(BufferOverflowError):
         drive(proto, 10)
     assert proto.next_seq == 5
@@ -247,7 +282,7 @@ def test_fixed_odwf_transmitter_uniform_over_occupied_relays():
             holders = [2, 5, 11, 17, 23, 31]
             for seq, ids in enumerate((holders, [5], [5])):
                 bank.add(seq, np.array(ids))
-        picks = [proto._relay_eligibility() for _ in range(draws)]
+        picks = [proto._deliverers() for _ in range(draws)]
         hits = [p[0] for p in picks if p is not None]
         want = 1.0 - (1.0 - 1.0 / beta) ** len(holders)
         sigma = math.sqrt(want * (1 - want) / draws)
@@ -267,7 +302,7 @@ def test_fixed_odwf_covers_occupied_and_idle_relays_independently():
     counts = ([], [])
     for r in range(trials):
         proto = make_fixed(OdwfFixed, K, 1, 1.0, beta, 7000 + r)
-        proto._relay_eligibility = lambda: None
+        proto._deliverers = lambda: None
         bank = proto.banks[0]
         bank.add(0, np.empty(0, dtype=np.intp), 20)
         proto.next_seq = 1
@@ -307,7 +342,7 @@ def test_baseline_fixed_alternates_when_links_are_good():
     outs = drive(proto, 2000)
     flips = sum(a.kind != b.kind for a, b in zip(outs, outs[1:]))
     assert flips / (len(outs) - 1) >= 0.99
-    delays = [o.frame - p.created_frame for o in outs for p in o.delivered]
+    delays = delays_of(outs)
     assert delays and sum(d == 1 for d in delays) / len(delays) >= 0.99
 
 
@@ -330,11 +365,14 @@ def test_baseline_fixed_conservation_and_origins():
     seqs = delivered_seqs(outs)
     assert len(seqs) == len(set(seqs))
     assert len(seqs) + proto.in_network() == proto.next_seq
+    assert not hasattr(proto, "banks")    # the baseline keeps no relay ids
+    assert min(delays_of(outs)) >= 1
+    # packet i of a batch, seq base_seq + i, came in on subcarrier i; all
+    # packets of a batch share its creation frame
+    created = {}
     for out in outs:
-        assert out.transmitters == ()    # the baseline keeps no relay ids
-        for pkt in out.delivered:
-            assert 1 <= pkt.subcarrier_of_origin <= 3
-            assert out.frame - pkt.created_frame >= 1
+        for seq, frame in out.delivered:
+            assert created.setdefault(seq // 3, frame) == frame
     # each full batch carries one packet per subcarrier
     by_batch = {}
     for s in seqs:
@@ -350,7 +388,7 @@ def test_baseline_fixed_partial_delivery_survives():
     outs = drive(proto, 4000)
     partial = [o for o in outs if o.kind == RELAY_TX and 0 < len(o.delivered) < 2]
     assert partial   # matching can deliver one of two when only one link is up
-    delays = [o.frame - p.created_frame for o in outs for p in o.delivered]
+    delays = delays_of(outs)
     assert max(delays) > 1
     seqs = delivered_seqs(outs)
     assert len(seqs) + proto.in_network() == proto.next_seq
@@ -492,16 +530,19 @@ def test_mobile_odwf_frozen_walk_out_of_reach_idles():
 def test_mobile_odwf_conservation_and_fifo():
     proto = make_mobile(OdwfMobile, 200, 1, p=1.0, beta=4.0, alpha=4.0,
                         M=5, q=0.1, R=1.0, seed=38)
+    assert len(proto.banks) == 1    # mobile relays have no subcarriers
+    sent = record_transmitters(proto)
     outs = []
     for t in range(3000):
         out = proto.step(t)
         outs.append(out)
         if out.kind == RELAY_TX:
-            (pkt,), (k,) = out.delivered, out.transmitters
-            assert out.frame - pkt.created_frame >= 1
-            assert pkt.subcarrier_of_origin == 0
+            ((seq, created),), (k,) = out.delivered, sent
+            sent.clear()
+            assert t - created >= 1
             # FIFO: the head was the oldest seq this relay still held
-            assert all(s > pkt.seq for s in relay_state(proto, k).banks[0])
+            assert all(s > seq for s in relay_state(proto, k).banks[0])
+        assert not sent
     seqs = delivered_seqs(outs)
     assert len(seqs) == len(set(seqs))
     assert len(seqs) + proto.in_network() == proto.next_seq
@@ -535,10 +576,10 @@ def test_mobile_odwf_deterministic_under_seed():
     kw = dict(p=1.0, beta=4.0, alpha=4.0, M=5, q=0.1, R=1.0)
     a = make_mobile(OdwfMobile, 60, 1, seed=41, **kw)
     b = make_mobile(OdwfMobile, 60, 1, seed=41, **kw)
+    sent_a, sent_b = record_transmitters(a), record_transmitters(b)
     for t in range(400):
-        oa, ob = a.step(t), b.step(t)
-        assert (oa.kind, oa.delivered, oa.transmitters) == (
-            ob.kind, ob.delivered, ob.transmitters)
+        assert a.step(t) == b.step(t)
+        assert sent_a == sent_b
 
 
 # ----------------------------------------------------------- mobile baseline
@@ -548,9 +589,7 @@ def test_mobile_baseline_full_coverage_alternates():
     proto = make_mobile(BaselineMobile, 6, 1, seed=42, **FULL_COVER)
     outs = drive(proto, 40)
     assert [o.kind for o in outs] == [SOURCE_TX, RELAY_TX] * 20
-    for out in outs:
-        for pkt in out.delivered:
-            assert out.frame - pkt.created_frame == 1
+    assert set(delays_of(outs)) == {1}
     proto2 = make_mobile(BaselineMobile, 6, 1, seed=42, **FULL_COVER)
     proto2.step(0)
     assert proto2.occupied_fraction() == 1.0 and proto2.in_network() == 1
@@ -588,7 +627,7 @@ def test_mobile_baseline_single_outstanding_packet():
     assert len(seqs) == len(set(seqs))
     assert len(seqs) + proto.in_network() == proto.next_seq
     assert len(seqs) > 50
-    delays = [o.frame - p.created_frame for o in outs for p in o.delivered]
+    delays = delays_of(outs)
     assert min(delays) >= 1 and max(delays) > 1
 
 
@@ -639,8 +678,12 @@ def buffer_relays(proto, fresh):
     """Make fresh[r] idle relays of strip r buffered: ODWF gives them a
     packet, the baseline holds one."""
     fresh = np.asarray(fresh, dtype=np.int64)
-    if isinstance(proto, OdwfMobile):
-        proto._source_tx(0, np.empty(0, dtype=np.intp), fresh)
+    if isinstance(proto, OdwfMobile):    # a source frame that covers just those
+        assert proto.bank.size == 0
+        proto._walk = proto._deliverers = lambda: None
+        proto._in_source_coverage = lambda: fresh
+        assert proto.step(0) is SOURCE_FRAME
+        del proto._walk, proto._deliverers, proto._in_source_coverage
     else:
         proto.outstanding, proto.created_frame[0] = 0, 0
         proto.idle -= fresh
@@ -747,7 +790,8 @@ def mobile_snapshot(scheme, seed, frames, K, cfg):
         proto.THIN_FROM = 0    # so that "narrow" thins at K = 300
     for t in range(frames):
         out = proto.step(t)
-    return out.kind, round(proto.occupied_fraction() * K), proto.in_network()
+    occupied = np.mean(proto.occupied_fraction())    # one bank or one number
+    return out.kind, round(occupied * K), proto.in_network()
 
 
 @pytest.mark.parametrize("law", sorted(MOBILE_LAWS))
@@ -773,7 +817,8 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
     # without changing the state. The coordinate sampler decides both phases
     # from one position per relay, so in phase I a buffered relay is in
     # source coverage with probability 0.35, not 0.64 as an unbuffered one
-    # (the new scheme counts the four idle ones)
+    # (the new scheme counts the four idle ones, and _covered makes those
+    # covered buffered, so the strip counts are put back after each trial)
     K, trials = 6, 8000
     cfg = dict(MOBILE_LAWS["overlapping"][1], q=0.0)
     new = make_mobile(OdwfMobile, K, 1, seed=50, **cfg)
@@ -783,13 +828,14 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
     assert new.idle[3] == 4 and new.buffered[3] == 2
     dense.regions = np.full(K, 3, dtype=np.int64)
     dense._source_tx(0, np.array([0, 1]))
+    counts = new.counts.copy()
     outcomes = {"new": ([], []), "dense": ([], [])}
     for _ in range(trials):
-        if new._deliverer() is None:
-            covered = new._covered()
-            held, fresh = (np.empty(0), None) if covered is None else covered
+        if new._deliverers() is None:
+            ((held, fresh),) = new._covered() or [(np.empty(0), 0)]
+            new.counts[:] = counts
             outcomes["new"][0].append(held.size)
-            outcomes["new"][1].append(0 if fresh is None else int(fresh.sum()))
+            outcomes["new"][1].append(fresh)
         else:
             outcomes["new"][0].append(-1)
         xs, ys = dense._positions_for(np.arange(K))
@@ -821,9 +867,11 @@ def test_mobile_odwf_covers_buffered_relays_independently(scale):
     proto.p_src_given_no_dst[:] = probs
     hits = np.zeros(proto.K, dtype=np.int64)
     per_strip = []
+    counts = proto.counts.copy()
     for _ in range(trials):
         covered = proto._covered()
-        held = np.empty(0, dtype=np.intp) if covered is None else covered[0]
+        proto.counts[:] = counts    # the covered idle relays stay idle
+        held = np.empty(0, dtype=np.intp) if covered is None else covered[0][0]
         assert np.unique(held).size == held.size
         hits[held] += 1
         per_strip.append(np.bincount(proto.bank.tag[proto.bank.pos[held]], minlength=6))
@@ -851,12 +899,11 @@ def test_odwf_fifos_hold_at_most_twice_their_live_seqs(make):
     # slack, so the total stays within 2 x live entries + SLACK x K however
     # long the run
     proto = make()
-    banks = proto.banks if isinstance(proto, OdwfFixed) else [proto.bank]
     dead_seen = 0
     for t in range(6000):
         proto.step(t)
         if t % 50 == 49:
-            for bank in banks:
+            for bank in proto.banks:
                 lengths = np.zeros(bank.count.size, dtype=np.int64)
                 for k, fifo in bank.fifo.items():
                     lengths[k] = len(fifo)
@@ -869,4 +916,4 @@ def test_odwf_fifos_hold_at_most_twice_their_live_seqs(make):
     assert dead_seen > 0    # dead seqs do occur and are tolerated up to the bound
     held = [s for k in range(proto.K) for bank in relay_state(proto, k).banks
             for s in bank]
-    assert len(held) == sum(int(b.count.sum()) for b in banks)
+    assert len(held) == sum(int(b.count.sum()) for b in proto.banks)
