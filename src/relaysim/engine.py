@@ -140,16 +140,21 @@ def default_warmup(cfg: SystemConfig) -> int:
     """Warm-up long enough to reach stationarity: 10x the predicted delay
     scale of the scenario (buffering delay 2*c*beta^2/K for fixed relays,
     max(beta^(4/alpha)/(K*q), 1/q) for mobile), floored at 10^3 frames.
+    A scale past the float range raises ValueError: pin warmup_frames there.
     """
-    if cfg.scenario == FIXED:
-        delay_scale = 2.0 * c_of(cfg.N) * cfg.beta ** 2 / cfg.K
-        return max(10 * math.ceil(delay_scale), 1000)
-    terms = [1000]
-    if cfg.q > 0.0:
-        delay_scale = cfg.beta ** (4.0 / cfg.alpha) / (cfg.K * cfg.q)
-        terms.append(10 * math.ceil(delay_scale))
-        terms.append(math.ceil(10.0 / cfg.q))
-    return max(terms)
+    try:
+        if cfg.scenario == FIXED:
+            delay_scale = 2.0 * c_of(cfg.N) * cfg.beta ** 2 / cfg.K
+            return max(10 * math.ceil(delay_scale), 1000)
+        terms = [1000]
+        if cfg.q > 0.0:
+            delay_scale = cfg.beta ** (4.0 / cfg.alpha) / (cfg.K * cfg.q)
+            terms.append(10 * math.ceil(delay_scale))
+            terms.append(math.ceil(10.0 / cfg.q))
+        return max(terms)
+    except OverflowError:
+        raise ValueError(f"the default warm-up overflows at beta = {cfg.beta!r}; "
+                         "set warmup_frames") from None
 
 
 def resolve_warmup(cfg: SystemConfig) -> int:

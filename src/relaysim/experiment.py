@@ -278,7 +278,7 @@ def _simulate_cells(cfg: SystemConfig) -> dict:
 def _prediction_cells(cfg: SystemConfig) -> dict:
     try:
         pred = _predict(cfg)
-    except ValueError:  # outside the closed forms' domain, e.g. alpha < 2, q = 0
+    except (ValueError, OverflowError):  # outside their domain, e.g. alpha < 2, q = 0
         return {"status": STATUS_NO_PREDICTION}
     cells = {
         "pred_T": pred.T, "pred_T_max": pred.T_max,
@@ -300,24 +300,23 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list:
     "buffer_overflow" and absent simulation columns, and a configuration the
     closed forms do not cover yields status "no_prediction" and absent
     prediction columns, instead of aborting the sweep; a row with both reads
-    "buffer_overflow". progress, if given, is called as
-    progress(row_index, n_points) after each row.
+    "buffer_overflow". Every row's configuration and warm-up are resolved
+    before the first row runs, so a bad row fails the sweep at once.
+    progress, if given, is called as progress(row_index, n_points) after
+    each row.
     """
     master_seed = spec.template.seed
     axes = [[(name, value) for value in values] for name, values in spec.sweep]
-    table = []
-    n_points = spec.n_points
-    for row, combo in enumerate(itertools.product(*axes)):
-        overrides = dict(combo)
-        cfg = replace(spec.template, seed=_row_seed(master_seed, row), **overrides)
-        cells = _config_cells(row, cfg, master_seed)
+    cfgs = [replace(spec.template, seed=_row_seed(master_seed, row), **dict(combo))
+            for row, combo in enumerate(itertools.product(*axes))]
+    table = [_config_cells(row, cfg, master_seed) for row, cfg in enumerate(cfgs)]
+    for row, (cfg, cells) in enumerate(zip(cfgs, table)):
         if spec.mode in ("predict", "both"):
             cells.update(_prediction_cells(cfg))
         if spec.mode in ("simulate", "both"):
             cells.update(_simulate_cells(cfg))
-        table.append(cells)
         if progress is not None:
-            progress(row, n_points)
+            progress(row, spec.n_points)
     return table
 
 

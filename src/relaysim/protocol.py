@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import defaultdict, deque
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -46,6 +45,7 @@ class FrameOutcome(NamedTuple):
 
 IDLE_FRAME = FrameOutcome(IDLE)
 SOURCE_FRAME = FrameOutcome(SOURCE_TX)
+_NO_TAGS = np.empty(0, dtype=np.int64)
 
 
 class _Uniforms:
@@ -88,23 +88,22 @@ class _Fifos:
     the occupied ids and whose rest is the pool, with relay k at pos[k].
     tag[i] is a label the scheme keeps with held[i] (a mobile relay's strip).
 
-    holders maps each undelivered seq to its relay ids; count[k] is the number
-    of undelivered seqs relay k holds, length[k] the length of its FIFO. Dead
-    (delivered) seqs leave FIFOs lazily: heads skip them, and a FIFO is rebuilt
-    from its live seqs (dropped if none) once longer than twice those plus
-    SLACK, which spares FIFOs with few live seqs. Each entry is dropped once,
-    by a pop or by a rebuild that drops more than it keeps: O(1) amortized.
-    A relay that turns idle keeps at most SLACK dead seqs, which a reuse of
-    its id skips. More than cap undelivered seqs abort the run.
+    holders maps each undelivered seq to its relay ids, and fifo[k] holds
+    exactly relay k's undelivered seqs, oldest first, as the keys of an
+    insertion-ordered dict. A delivery deletes its seq from every holder's
+    dict at once: a list or deque would scan from the front for it, and at
+    low mobility it sits tens of entries deep in FIFOs hundreds long. fifo
+    is a list indexed by relay id, which cost less per holder than a dict of
+    dicts, and it grows to the peak occupancy only: the pool hands out the
+    ids it took back last, so held[:peak] is a permutation of range(peak)
+    and no id at or above the peak is ever taken. A relay that turns idle
+    keeps its empty dict for the next relay that takes its id. More than cap
+    undelivered seqs abort the run.
     """
-
-    SLACK = 8
 
     def __init__(self, n_relays: int, cap: int):
         self.cap = cap
-        self.count = np.zeros(n_relays, dtype=np.int32)
-        self.length = np.zeros(n_relays, dtype=np.int32)
-        self.fifo = defaultdict(deque)
+        self.fifo = []
         self.holders = {}
         self.held = np.arange(n_relays)
         self.pos = np.arange(n_relays)
@@ -123,35 +122,25 @@ class _Fifos:
         if len(self.holders) > self.cap:
             raise BufferOverflowError(f"{len(self.holders)} undelivered packets "
                                       f"exceed the guard cap {self.cap}")
-        self.count[ids] += 1
-        self.length[ids] += 1
         fifo = self.fifo
+        if self.size > len(fifo):    # a new peak: held[:size] is range(size)
+            fifo.extend({} for _ in range(self.size - len(fifo)))
         for k in ids.tolist():
-            fifo[k].append(seq)
+            fifo[k][seq] = None
 
     def deliver(self, k: int):
-        """Pop relay k's oldest undelivered seq and purge it everywhere; the
-        relays it leaves holding nothing turn idle. Return the seq and the
-        tags of those relays."""
-        fifo, holders = self.fifo, self.holders
-        head = fifo[k]
-        seq = head.popleft()
-        while seq not in holders:
-            seq = head.popleft()
-        self.length[k] = len(head)
-        hold = holders.pop(seq)
-        count, length = self.count, self.length
-        left = count[hold] - 1
-        count[hold] = left
-        for j in hold[length[hold] > 2 * left + self.SLACK].tolist():
-            live = self.live(j)
-            length[j] = len(live)
-            if live:
-                fifo[j] = deque(live)
-            else:
-                del fifo[j]
-        emptied = hold[left == 0]
-        return seq, self._release(emptied) if emptied.size else emptied
+        """Pop relay k's oldest seq and purge it everywhere; the relays it
+        leaves holding nothing turn idle. Return the seq and the tags of
+        those relays, in holder order."""
+        fifo = self.fifo
+        seq = next(iter(fifo[k]))
+        emptied = []
+        for j in self.holders.pop(seq).tolist():
+            queue = fifo[j]
+            del queue[seq]
+            if not queue:
+                emptied.append(j)
+        return seq, self._release(np.array(emptied)) if emptied else _NO_TAGS
 
     def _release(self, ids: np.ndarray) -> np.ndarray:
         """Move the occupied relays ids to the pool by swap-remove: the
@@ -172,9 +161,6 @@ class _Fifos:
         held[keep:size] = ids
         pos[ids] = to
         return tags
-
-    def live(self, k: int) -> list:
-        return [s for s in self.fifo.get(k, ()) if s in self.holders]
 
 
 class _Odwf:
@@ -634,8 +620,7 @@ class BaselineMobile(_MobileScheme):
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
         self.outstanding = None  # seq of the packet in the network
-        self.created_frame = {}
-        self.next_seq = 0
+        self.created = self.next_seq = 0    # created: its creation frame
 
     def step(self, frame: int) -> FrameOutcome:
         self._walk()
@@ -645,15 +630,14 @@ class BaselineMobile(_MobileScheme):
             seq, self.outstanding = self.outstanding, None
             self.idle += self.buffered
             self.buffered[:] = 0
-            return FrameOutcome(RELAY_TX, ((seq, self.created_frame.pop(seq)),))
+            return FrameOutcome(RELAY_TX, ((seq, self.created),))
         covered = self._in_source_coverage()    # the network is empty
         if covered is None:
             return IDLE_FRAME
         self.idle -= covered
         self.buffered += covered
-        self.outstanding = seq = self.next_seq
+        self.outstanding, self.created = self.next_seq, frame
         self.next_seq += 1
-        self.created_frame[seq] = frame
         return SOURCE_FRAME
 
     def occupied_fraction(self) -> float:

@@ -70,7 +70,8 @@ def relay_state(proto, relay_id: int) -> RelayState:
     """The FIFOs of one relay of an OdwfFixed (one bank per subcarrier) or
     an OdwfMobile (one bank, plus the relay's strip; None while the id is
     free, its relay idle and anonymous)."""
-    state = RelayState(relay_id, [bank.live(relay_id) for bank in proto.banks])
+    fifos = [bank.fifo[relay_id] if relay_id < len(bank.fifo) else {} for bank in proto.banks]
+    state = RelayState(relay_id, [list(fifo) for fifo in fifos])
     if isinstance(proto, OdwfMobile):
         bank = proto.bank
         i = int(bank.pos[relay_id])
@@ -203,9 +204,6 @@ class IdFifos:
         hold = self.holders.pop(seq)
         self.count[hold] -= 1
         return seq, hold[self.count[hold] == 0]
-
-    def live(self, k: int) -> list:
-        return [s for s in self.fifo.get(k, ()) if s in self.holders]
 
 
 class DenseOdwfFixed:

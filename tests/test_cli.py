@@ -102,6 +102,35 @@ def test_sweep_runs_a_mobile_row_whose_coverage_vanishes(tmp_path):
     assert float(second["T"]) == 0.0 and second["D"] == ""
 
 
+def test_sweep_past_the_float_range_fails_before_any_row(tmp_path, capsys):
+    # beta^2 of the default warm-up overflows at beta = 1e200: the sweep
+    # stops at once with a spec error naming warmup_frames and writes nothing
+    spec = tmp_path / "exp.ini"
+    spec.write_text(SPEC.replace("warmup_frames = 50\n", "")
+                    + "[sweep]\nbeta = 10, 1e200\n", encoding="utf-8")
+    out = tmp_path / "res.csv"
+    assert main(["predict", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: spec: ")
+    assert "warmup_frames" in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("scenario", ["fixed", "mobile"])
+def test_prediction_past_the_float_range_reads_no_prediction(tmp_path, scenario):
+    # with the warm-up pinned, the closed forms overflow at beta = 1e200
+    # (beta^2, and beta^(4/alpha) at alpha = 2): that row has no prediction
+    spec = tmp_path / "exp.ini"
+    spec.write_text(SPEC.replace("scenario = fixed", f"scenario = {scenario}")
+                    + "alpha = 2\n[sweep]\nbeta = 10, 1e200\n", encoding="utf-8")
+    out = tmp_path / "res.csv"
+    assert main(["predict", "--spec", str(spec), "--out", str(out)]) == 0
+    header, first, second = read_csv(out)
+    first, second = dict(zip(header, first)), dict(zip(header, second))
+    assert first["status"] == "ok" and float(first["pred_T"]) > 0
+    assert second["status"] == "no_prediction" and second["pred_T"] == ""
+
+
 def test_seed_and_format_overrides(spec_file, tmp_path):
     out = tmp_path / "res.jsonl"
     code = main(["predict", "--spec", str(spec_file), "--seed", "99",

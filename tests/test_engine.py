@@ -12,6 +12,7 @@ from relaysim.engine import (_T975, BASELINE, FIXED, MOBILE, ODWF, MetricsTrace,
                              SystemConfig, _mean_ci, default_warmup, measure_delay,
                              measure_throughput, resolve_warmup, run_once,
                              run_replicated, summarize)
+from relaysim.experiment import parse_spec, run_experiment
 from relaysim.protocol import IDLE, RELAY_TX, SOURCE_TX
 
 
@@ -61,6 +62,28 @@ def test_default_warmup_rules():
     assert default_warmup(cfg) == 10_000     # 10/q dominates
     assert default_warmup(mobile_cfg(warmup_frames=None, q=0.0)) == 1000
     assert resolve_warmup(fixed_cfg(warmup_frames=77)) == 77
+
+
+@pytest.mark.parametrize("cfg", [fixed_cfg(beta=1e200),
+                                 mobile_cfg(beta=1e200, alpha=0.5),
+                                 mobile_cfg(q=5e-324)],
+                         ids=["fixed", "mobile", "tiny-q"])
+def test_default_warmup_past_the_float_range_asks_for_warmup_frames(cfg):
+    # beta^2, beta^(4/alpha) and 10/q pass the float range; a pinned warm-up
+    # still resolves
+    with pytest.raises(ValueError, match="set warmup_frames"):
+        default_warmup(cfg)
+    assert resolve_warmup(cfg) == 300
+
+
+def test_sweep_resolves_every_warmup_before_the_first_row():
+    spec = parse_spec("schema_version = 1\n[system]\nscenario = fixed\n"
+                      "scheme = odwf\nK = 100\nN = 1\np = 1.0\nbeta = 4\n"
+                      "measure_frames = 100\n[sweep]\nbeta = 10, 1e200\n")
+    rows = []
+    with pytest.raises(ValueError, match="warmup_frames"):
+        run_experiment(spec, lambda row, n: rows.append(row))
+    assert rows == []
 
 
 def run_trace(cfg):
