@@ -1,11 +1,10 @@
 """Monte Carlo simulator and closed-form analytics for opportunistic
 decode-wait-and-forward relay networks, with genie-aided baselines."""
 
-from .analytics import (CoverageModelError, Prediction,
-                        baseline_fixed_prediction, baseline_mobile_prediction,
-                        c_of, delta_of, expected_covered_relays,
-                        occupancy_alpha, occupancy_limit,
-                        odwf_fixed_prediction, odwf_mobile_prediction, p_rd)
+from .analytics import (Prediction, baseline_fixed_prediction,
+                        baseline_mobile_prediction, c_of, delta_of,
+                        occupancy_alpha, odwf_fixed_prediction,
+                        odwf_mobile_prediction, p_rd)
 from .channel import RateThreshold, coverage_radius
 from .engine import (BASELINE, FIXED, MOBILE, ODWF, MetricsTrace, RunSummary,
                      SystemConfig, measure_delay, measure_throughput,

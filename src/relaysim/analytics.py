@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import coverage_radius
-
 # a finite-size ratio below this stands in for "vanishes in the limit"
 VALIDITY_RATIO = 0.01
 
@@ -22,10 +20,6 @@ FLAG_BETA_OVER_K_VANISHES = "beta_over_K_vanishes"
 FLAG_LN_BETA_LN_K = "ln_beta_over_ln_K_is_1"
 FLAG_ORDERWISE = "orderwise_only"
 FLAG_INDETERMINATE = "indeterminate_regime"
-
-
-class CoverageModelError(ValueError):
-    """Coverage disk reaches beyond the deployment region: out of model."""
 
 
 @dataclass(frozen=True)
@@ -85,11 +79,6 @@ def occupancy_alpha(beta: float, K: float, N: int) -> tuple[float, bool]:
     return num / _ln_one_minus_delta(beta, K), False
 
 
-def occupancy_limit(beta: float, K: float, N: int) -> float:
-    """Large-K companion of occupancy_alpha: (beta/K) * c_of(N)."""
-    return beta / K * c_of(N)
-
-
 def c_of(N: int) -> float:
     """ln(2^(1/N) / (2^(1/N) - 1)), the occupancy/delay constant."""
     if N < 1:
@@ -144,13 +133,8 @@ def baseline_fixed_prediction(K: float, N: int, p: float) -> Prediction:
     """
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    beta_opt = math.sqrt(K) / math.log(K)
-    return Prediction(
-        T=N / 2.0 * math.log2(1.0 + p * math.log(math.sqrt(K))),
-        T_max=N / 2.0 * math.log2(1.0 + p * math.log(math.sqrt(K))),
-        D=1.0,
-        beta_opt=beta_opt,
-    )
+    T = N / 2.0 * math.log2(1.0 + p * math.log(math.sqrt(K)))
+    return Prediction(T=T, T_max=T, D=1.0, beta_opt=math.sqrt(K) / math.log(K))
 
 
 def odwf_mobile_prediction(K: float, N: int, alpha: float, beta: float,
@@ -207,17 +191,3 @@ def baseline_mobile_prediction(K: float, N: int, alpha: float, M: int,
         beta_opt=x ** (alpha / 4.0),
         validity=frozenset(flags),
     )
-
-
-def expected_covered_relays(K: float, p: float, beta: float, alpha: float,
-                            R: float) -> float:
-    """Mean number of relays inside one endpoint's coverage: K*d^2/(2*R^2).
-
-    The factor 1/2 is the area ratio of a radius-d half-disk centered on a
-    boundary point to the radius-R deployment disk.
-    """
-    d = coverage_radius(p, beta, alpha)
-    if d > R:
-        raise CoverageModelError(
-            f"coverage radius {d} exceeds deployment radius {R}")
-    return K * d * d / (2.0 * R * R)

@@ -11,6 +11,7 @@ deterministic and independent of execution order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,7 @@ class MetricsTrace:
     occupancy_fraction: np.ndarray   # (frames, series): per subcarrier for
                                      # fixed relays, one column for mobile
     in_network_per_frame: np.ndarray
-    phase_per_frame: np.ndarray      # int8 codes, see _PHASE_CODE
+    phase_per_frame: np.ndarray      # int8: 0 source_tx, 1 relay_tx, 2 idle
     undelivered_at_end: int
 
     @property
@@ -176,38 +177,36 @@ def build_protocol(cfg: SystemConfig, rng: np.random.Generator):
 
 
 def run_once(cfg: SystemConfig, rng: np.random.Generator) -> MetricsTrace:
-    """One warm-up plus measurement pass over step()'s (kind, delivered) per
-    frame. Packets created during warm-up but delivered in the window count
-    toward delay with the creation frame of their (seq, created_frame) pair.
+    """One warm-up plus measurement pass over step() and census() per frame.
+    Packets created during warm-up but delivered in the window count toward
+    delay with the creation frame of their (seq, created_frame) pair.
     """
     proto = build_protocol(cfg, rng)
     warmup = resolve_warmup(cfg)
     for frame in range(warmup):
         proto.step(frame)
     frames = cfg.measure_frames
-    delivered = np.zeros(frames, dtype=np.int64)
-    phase = np.empty(frames, dtype=np.int8)
-    in_network = np.empty(frames, dtype=np.int64)
-    occupancy = np.empty((frames, cfg.N if cfg.scenario == FIXED else 1))
+    # compact int8 and int64 buffers, which the series view without a copy
+    phase, delivered = array("b"), array("q")
+    in_network, occupied = array("q"), array("q")
     delays = []
-    for i in range(frames):
-        frame = warmup + i
+    for frame in range(warmup, warmup + frames):
         kind, packets = proto.step(frame)
-        if packets:
-            delivered[i] = len(packets)
-            for _, created in packets:
-                delays.append(frame - created)
-        phase[i] = _PHASE_CODE[kind]
-        occupancy[i] = proto.occupied_fraction()
-        in_network[i] = proto.in_network()
+        phase.append(_PHASE_CODE[kind])
+        delivered.append(len(packets))
+        for _, created in packets:
+            delays.append(frame - created)
+        counts, in_flight = proto.census()
+        occupied.extend(counts)
+        in_network.append(in_flight)
     return MetricsTrace(
         rate=proto.rate,
-        delivered_per_frame=delivered,
+        delivered_per_frame=np.frombuffer(delivered, dtype=np.int64),
         per_packet_delay=np.asarray(delays, dtype=np.int64),
-        occupancy_fraction=occupancy,
-        in_network_per_frame=in_network,
-        phase_per_frame=phase,
-        undelivered_at_end=proto.in_network(),
+        occupancy_fraction=np.frombuffer(occupied, dtype=np.int64).reshape(frames, -1) / cfg.K,
+        in_network_per_frame=np.frombuffer(in_network, dtype=np.int64),
+        phase_per_frame=np.frombuffer(phase, dtype=np.int8),
+        undelivered_at_end=in_network[-1],
     )
 
 

@@ -215,10 +215,10 @@ def parse_spec(text: str) -> ExperimentSpec:
                 replace(template, **{key: value})
             except ValueError as exc:
                 raise SpecError(sweep_lines[key], str(exc)) from None
-    n_points = math.prod(len(values) for _, values in sweep)
-    if n_points > max_points:
-        raise SpecError(None, f"sweep has {n_points} points, cap is {max_points}")
-    return ExperimentSpec(template=template, sweep=tuple(sweep), **output)
+    spec = ExperimentSpec(template=template, sweep=tuple(sweep), **output)
+    if spec.n_points > max_points:
+        raise SpecError(None, f"sweep has {spec.n_points} points, cap is {max_points}")
+    return spec
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -24,14 +24,6 @@ class DiskGeometry:
     n_regions: int
     boundaries: tuple  # x_0 = -R < x_1 < ... < x_M = R
 
-    @property
-    def source(self):
-        return (-self.radius, 0.0)
-
-    @property
-    def destination(self):
-        return (self.radius, 0.0)
-
 
 def _area_left_of(x: float, radius: float) -> float:
     """Area of the disk slice left of the vertical line at abscissa x."""

@@ -4,9 +4,12 @@ Each scheme exposes step(frame) -> FrameOutcome(kind, delivered): kind is
 SOURCE_TX (phase I, source injects), RELAY_TX (phase II, relays deliver) or
 IDLE, and delivered holds a (seq, created_frame) pair per packet the
 destination received. Idle and source frames return IDLE_FRAME and
-SOURCE_FRAME. Both ODWF schemes run one packet flow, _Odwf, and differ only
-in their link model. Buffers are unbounded by design; a configurable guard
-cap aborts with a diagnostic when a configuration is divergent.
+SOURCE_FRAME. census() -> (occupied, in_flight) gives, as ints, the relays
+holding undelivered packets per subcarrier (one entry for mobile relays) and
+the packets in flight. Both ODWF schemes run one packet flow, _Odwf, and
+differ only in their link model. Buffers are unbounded by design; a
+configurable guard cap aborts with a diagnostic when a configuration is
+divergent.
 
 Mobile relays carry a strip, never coordinates: positions are redrawn
 uniformly within the strip every frame, so coverage is a per-strip Bernoulli
@@ -207,12 +210,10 @@ class _Odwf:
     def _emptied(self, tags: np.ndarray):
         """Relays with these tags turned idle; fixed relays keep no tags."""
 
-    def occupied_fraction(self) -> np.ndarray:
-        """Per bank, the fraction of relays holding an undelivered seq."""
-        return np.array([bank.size for bank in self.banks]) / self.K
-
-    def in_network(self) -> int:
-        return sum(len(bank.holders) for bank in self.banks)
+    def census(self) -> tuple:
+        """Per bank, the relays holding an undelivered seq; and the packets
+        in flight."""
+        return [bank.size for bank in self.banks], len(self.created_frame)
 
 
 class OdwfFixed(_Odwf):
@@ -359,11 +360,8 @@ class BaselineFixed:
         return FrameOutcome(RELAY_TX, tuple((self.base_seq + i, self.created)
                                             for i in packets))
 
-    def occupied_fraction(self) -> np.ndarray:
-        return np.full(self.N, self.held / self.K)
-
-    def in_network(self) -> int:
-        return len(self.pending)
+    def census(self) -> tuple:
+        return [self.held] * self.N, len(self.pending)
 
 
 class _MobileScheme:
@@ -621,6 +619,7 @@ class BaselineMobile(_MobileScheme):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
         self.outstanding = None  # seq of the packet in the network
         self.created = self.next_seq = 0    # created: its creation frame
+        self.held = 0            # relays holding it
 
     def step(self, frame: int) -> FrameOutcome:
         self._walk()
@@ -628,6 +627,7 @@ class BaselineMobile(_MobileScheme):
             if self._in_dest_coverage()[-1] == 0:
                 return IDLE_FRAME
             seq, self.outstanding = self.outstanding, None
+            self.held = 0
             self.idle += self.buffered
             self.buffered[:] = 0
             return FrameOutcome(RELAY_TX, ((seq, self.created),))
@@ -636,12 +636,10 @@ class BaselineMobile(_MobileScheme):
             return IDLE_FRAME
         self.idle -= covered
         self.buffered += covered
+        self.held = int(covered.sum())
         self.outstanding, self.created = self.next_seq, frame
         self.next_seq += 1
         return SOURCE_FRAME
 
-    def occupied_fraction(self) -> float:
-        return 0.0 if self.outstanding is None else int(self.buffered.sum()) / self.K
-
-    def in_network(self) -> int:
-        return 0 if self.outstanding is None else 1
+    def census(self) -> tuple:
+        return [self.held], int(self.outstanding is not None)

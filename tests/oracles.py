@@ -1,10 +1,11 @@
 """Reference code the tests compare the simulator against.
 
-flow_balance_residual checks the occupancy fixed point, and
-ergodic_capacity_exact integrates the exact ergodic capacity that the mobile
-pathloss model approximates. The scalar channel and mobility helpers spell
-out the model one link or one relay at a time; the simulator never calls
-them. DenseOdwfMobile and DenseBaselineMobile are the mobile schemes as
+flow_balance_residual checks the occupancy fixed point, occupancy_limit is
+its large-K form, expected_covered_relays is the small-disk coverage count,
+and ergodic_capacity_exact integrates the exact ergodic capacity that the
+mobile pathloss model approximates. The scalar channel and mobility helpers
+spell out the model one link or one relay at a time; the simulator never
+calls them. DenseOdwfMobile and DenseBaselineMobile are the mobile schemes as
 they were before coverage became a per-strip probability: they walk every
 relay each frame and draw coordinates for every relay a coverage disk can
 reach. StripOdwfMobile and StripBaselineMobile are the mobile schemes as
@@ -30,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from relaysim.analytics import delta_of, occupancy_alpha
+from relaysim.analytics import c_of, delta_of, occupancy_alpha
 from relaysim.channel import FixedLinkSampler, RateThreshold, coverage_radius
 from relaysim.matching import max_bipartite_matching
 from relaysim.mobility import (DiskGeometry, coverage_probabilities,
@@ -53,6 +54,29 @@ def flow_balance_residual(beta: float, K: float, N: int) -> float:
         return 0.0
     y = (-math.expm1(alpha * K * math.log1p(-1.0 / beta))) ** N
     return y - (1.0 - y) * delta_of(beta, K) ** N
+
+
+def occupancy_limit(beta: float, K: float, N: int) -> float:
+    """Large-K companion of occupancy_alpha: (beta/K) * c_of(N)."""
+    return beta / K * c_of(N)
+
+
+class CoverageModelError(ValueError):
+    """Coverage disk reaches beyond the deployment region: out of model."""
+
+
+def expected_covered_relays(K: float, p: float, beta: float, alpha: float,
+                            R: float) -> float:
+    """Mean number of relays inside one endpoint's coverage: K*d^2/(2*R^2).
+
+    The factor 1/2 is the area ratio of a radius-d half-disk centered on a
+    boundary point to the radius-R deployment disk.
+    """
+    d = coverage_radius(p, beta, alpha)
+    if d > R:
+        raise CoverageModelError(
+            f"coverage radius {d} exceeds deployment radius {R}")
+    return K * d * d / (2.0 * R * R)
 
 
 # ---------------------------------------------------------------- protocol
@@ -164,11 +188,8 @@ class DenseBaselineFixed:
             del self.batch[seq]
         return FrameOutcome(RELAY_TX, tuple(delivered))
 
-    def occupied_fraction(self) -> np.ndarray:
-        return np.full(self.N, self.holder_union().size / self.K)
-
-    def in_network(self) -> int:
-        return len(self.batch)
+    def census(self) -> tuple:
+        return [self.holder_union().size] * self.N, len(self.batch)
 
 
 class IdFifos:
@@ -259,11 +280,9 @@ class DenseOdwfFixed:
             transmitters.append(int(eligible[self.rng.integers(eligible.size)]))
         return transmitters
 
-    def occupied_fraction(self) -> np.ndarray:
-        return np.array([np.count_nonzero(bank.count) for bank in self.banks]) / self.K
-
-    def in_network(self) -> int:
-        return sum(len(bank.holders) for bank in self.banks)
+    def census(self) -> tuple:
+        return ([int(np.count_nonzero(bank.count)) for bank in self.banks],
+                sum(len(bank.holders) for bank in self.banks))
 
 # ------------------------------------------------------------------ channel
 
@@ -446,6 +465,16 @@ def init_relays(geom: DiskGeometry, n_relays: int, rng: np.random.Generator):
             for r, x, y in zip(regions, xs, ys)]
 
 
+def source_position(geom: DiskGeometry) -> tuple:
+    """The source, at the left end of the horizontal diameter."""
+    return (-geom.radius, 0.0)
+
+
+def destination_position(geom: DiskGeometry) -> tuple:
+    """The destination, at the right end of the horizontal diameter."""
+    return (geom.radius, 0.0)
+
+
 def distance_to_source(geom: DiskGeometry, pos: RelayPosition) -> float:
     x, y = pos.coords
     return math.hypot(x + geom.radius, y)
@@ -602,11 +631,8 @@ class DenseOdwfMobile(_DenseMobileScheme):
                 f"{self.buffer_cap}")
         return SOURCE_FRAME
 
-    def occupied_fraction(self) -> float:
-        return self.buffered_relays / self.K
-
-    def in_network(self) -> int:
-        return len(self.holders)
+    def census(self) -> tuple:
+        return [self.buffered_relays], len(self.holders)
 
 
 class DenseBaselineMobile(_DenseMobileScheme):
@@ -641,13 +667,10 @@ class DenseBaselineMobile(_DenseMobileScheme):
                 return SOURCE_FRAME
         return IDLE_FRAME
 
-    def occupied_fraction(self) -> float:
+    def census(self) -> tuple:
         if self.outstanding is None:
-            return 0.0
-        return self.outstanding[1].size / self.K
-
-    def in_network(self) -> int:
-        return 0 if self.outstanding is None else 1
+            return [0], 0
+        return [self.outstanding[1].size], 1
 
 
 # ------------------------------------------------ strip-walking mobile schemes
@@ -798,11 +821,8 @@ class StripOdwfMobile(_StripMobileScheme):
         self.strip_buffered += self._tally(self.regions[fresh])
         return SOURCE_FRAME
 
-    def occupied_fraction(self) -> float:
-        return int(self.strip_buffered.sum()) / self.K
-
-    def in_network(self) -> int:
-        return len(self.bank.holders)
+    def census(self) -> tuple:
+        return [int(self.strip_buffered.sum())], len(self.bank.holders)
 
 
 class StripBaselineMobile(_StripMobileScheme):
@@ -831,10 +851,7 @@ class StripBaselineMobile(_StripMobileScheme):
             return SOURCE_FRAME
         return IDLE_FRAME
 
-    def occupied_fraction(self) -> float:
+    def census(self) -> tuple:
         if self.outstanding is None:
-            return 0.0
-        return self.outstanding[1].size / self.K
-
-    def in_network(self) -> int:
-        return 0 if self.outstanding is None else 1
+            return [0], 0
+        return [self.outstanding[1].size], 1

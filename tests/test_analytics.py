@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import flow_balance_residual
-from relaysim.analytics import (CoverageModelError, baseline_fixed_prediction,
+from oracles import (CoverageModelError, expected_covered_relays,
+                     flow_balance_residual, occupancy_limit)
+from relaysim.analytics import (baseline_fixed_prediction,
                                 baseline_mobile_prediction, c_of, delta_of,
-                                expected_covered_relays, occupancy_alpha,
-                                occupancy_limit, odwf_fixed_prediction,
+                                occupancy_alpha, odwf_fixed_prediction,
                                 odwf_mobile_prediction, p_rd)
 
 # frozen from 50-digit evaluations

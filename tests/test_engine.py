@@ -9,9 +9,9 @@ from scipy import stats
 
 from relaysim.analytics import occupancy_alpha, p_rd
 from relaysim.engine import (_T975, BASELINE, FIXED, MOBILE, ODWF, MetricsTrace,
-                             SystemConfig, _mean_ci, default_warmup, measure_delay,
-                             measure_throughput, resolve_warmup, run_once,
-                             run_replicated, summarize)
+                             SystemConfig, _mean_ci, build_protocol, default_warmup,
+                             measure_delay, measure_throughput, resolve_warmup,
+                             run_once, run_replicated, summarize)
 from relaysim.experiment import parse_spec, run_experiment
 from relaysim.protocol import IDLE, RELAY_TX, SOURCE_TX
 
@@ -103,6 +103,44 @@ def test_trace_shapes_and_tallies():
     assert trace.per_packet_delay.size == trace.delivered_per_frame.sum()
     mob = run_trace(mobile_cfg())
     assert mob.occupancy_fraction.shape == (mobile_cfg().measure_frames, 1)
+
+
+@pytest.mark.parametrize("cfg", [fixed_cfg(K=60), fixed_cfg(scheme=BASELINE, K=30, N=3),
+                                 mobile_cfg(beta=256.0), mobile_cfg(scheme=BASELINE)],
+                         ids=["fixed-odwf", "fixed-baseline", "mobile-odwf",
+                              "mobile-baseline"])
+def test_trace_series_replay_step_and_census(cfg):
+    # the same seed replayed through build_protocol, step and census gives
+    # every series of run_once value for value, frame by frame
+    trace = run_trace(cfg)
+    proto = build_protocol(cfg, np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(cfg.seed))))
+    warmup = resolve_warmup(cfg)
+    for frame in range(warmup):
+        proto.step(frame)
+    code = {SOURCE_TX: 0, RELAY_TX: 1, IDLE: 2}
+    phase, delivered, in_network, occupied, delays = [], [], [], [], []
+    for frame in range(warmup, warmup + cfg.measure_frames):
+        kind, packets = proto.step(frame)
+        counts, in_flight = proto.census()
+        phase.append(code[kind])
+        delivered.append(len(packets))
+        in_network.append(in_flight)
+        occupied.append([n / cfg.K for n in counts])
+        delays += [frame - created for _, created in packets]
+    assert set(phase) == {0, 1, 2}    # every kind's code is pinned
+    F, columns = cfg.measure_frames, cfg.N if cfg.scenario == FIXED else 1
+    for name, dtype, shape, want in (
+            ("phase_per_frame", np.int8, (F,), phase),
+            ("delivered_per_frame", np.int64, (F,), delivered),
+            ("in_network_per_frame", np.int64, (F,), in_network),
+            ("occupancy_fraction", np.float64, (F, columns), occupied),
+            ("per_packet_delay", np.int64, (len(delays),), delays)):
+        series = getattr(trace, name)
+        assert series.dtype == dtype and series.shape == shape, name
+        assert series.tolist() == want, name
+    assert trace.undelivered_at_end == proto.census()[1]
+    assert type(trace.undelivered_at_end) is int
 
 
 def test_trace_bits_accounting_is_exact():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import (RelayPosition, coverage_window, distance_to_destination,
-                     distance_to_source, init_regions, init_relays, region_of,
-                     sample_position_in_region, step_region, transition_matrix)
+from oracles import (RelayPosition, coverage_window, destination_position,
+                     distance_to_destination, distance_to_source, init_regions,
+                     init_relays, region_of, sample_position_in_region,
+                     source_position, step_region, transition_matrix)
 from relaysim.channel import coverage_radius
 from relaysim.mobility import (build_geometry, coverage_probabilities,
                                sample_positions_in_region, step_regions,
@@ -70,8 +71,8 @@ def test_geometry_scales_with_radius():
 
 def test_geometry_source_destination_endpoints():
     geom = build_geometry(2.0, 3)
-    assert geom.source == (-2.0, 0.0)
-    assert geom.destination == (2.0, 0.0)
+    assert source_position(geom) == (-2.0, 0.0)
+    assert destination_position(geom) == (2.0, 0.0)
 
 
 def test_geometry_rejects_degenerate_inputs():

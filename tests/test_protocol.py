@@ -88,7 +88,7 @@ def test_fixed_odwf_conservation():
     outs = drive(proto, 2000)
     seqs = delivered_seqs(outs)
     assert len(seqs) == len(set(seqs))            # nothing delivered twice
-    assert len(seqs) + proto.in_network() == proto.next_seq
+    assert len(seqs) + proto.census()[1] == proto.next_seq
     assert set(proto.created_frame) | set(seqs) == set(range(proto.next_seq))
 
 
@@ -143,7 +143,7 @@ def test_fixed_odwf_idle_when_nothing_connects():
     proto = make_fixed(OdwfFixed, 2, 1, 1.0, 1e9, 26)
     outs = drive(proto, 100)
     assert all(o.kind == IDLE for o in outs)
-    assert proto.in_network() == 0 and proto.next_seq == 0
+    assert proto.census()[1] == 0 and proto.next_seq == 0
 
 
 def test_fixed_odwf_uniform_pick_among_eligible():
@@ -194,11 +194,12 @@ def test_fixed_odwf_occupancy_counter_matches_state():
         proto = make_fixed(OdwfFixed, 40, 2, 1.0, beta, seed)
         for t in range(300):
             proto.step(t)
-            frac = proto.occupied_fraction()
-            assert frac.shape == (2,)
+            occupied, in_flight = proto.census()
+            assert all(type(n) is int for n in occupied)
             recount = [len({k for ids in bank.holders.values() for k in ids.tolist()})
                        for bank in proto.banks]
-            assert np.array_equal(frac, np.array(recount) / proto.K)
+            assert occupied == recount
+            assert in_flight == sum(len(bank.holders) for bank in proto.banks)
             for bank in proto.banks:
                 odwf_pool_is_consistent(bank, proto.K)
 
@@ -217,12 +218,13 @@ def test_fixed_odwf_buffer_guard_trips():
 
 
 def snapshot(scheme, seed, frames, K, N, beta):
-    """Phase of the last frame, then occupancy of subcarrier 0 and packets
-    in flight after it."""
+    """Phase of the last frame, then the occupied relays of subcarrier 0 and
+    the packets in flight after it."""
     proto = make_fixed(scheme, K, N, 1.0, beta, seed)
     for t in range(frames):
         out = proto.step(t)
-    return out.kind, round(proto.occupied_fraction()[0] * K), proto.in_network()
+    occupied, in_flight = proto.census()
+    return out.kind, occupied[0], in_flight
 
 
 def assert_same_law(samples_a, samples_b):
@@ -353,7 +355,7 @@ def test_baseline_fixed_alternates_when_links_are_good():
 def test_baseline_fixed_batch_holds_channel_until_drained():
     proto = make_fixed(BaselineFixed, 4, 2, 1.0, 8.0, 32)
     for t in range(3000):
-        pending = proto.in_network() > 0
+        pending = proto.census()[1] > 0
         out = proto.step(t)
         if pending:
             assert out.kind == RELAY_TX
@@ -368,7 +370,7 @@ def test_baseline_fixed_conservation_and_origins():
     outs = drive(proto, 4000)
     seqs = delivered_seqs(outs)
     assert len(seqs) == len(set(seqs))
-    assert len(seqs) + proto.in_network() == proto.next_seq
+    assert len(seqs) + proto.census()[1] == proto.next_seq
     assert not hasattr(proto, "banks")    # the baseline keeps no relay ids
     assert min(delays_of(outs)) >= 1
     # packet i of a batch, seq base_seq + i, came in on subcarrier i; all
@@ -395,7 +397,7 @@ def test_baseline_fixed_partial_delivery_survives():
     delays = delays_of(outs)
     assert max(delays) > 1
     seqs = delivered_seqs(outs)
-    assert len(seqs) + proto.in_network() == proto.next_seq
+    assert len(seqs) + proto.census()[1] == proto.next_seq
 
 
 def holders(proto, i):
@@ -409,16 +411,16 @@ def test_baseline_fixed_occupancy_tracks_the_holder_union():
     proto = make_fixed(BaselineFixed, 30, 3, 1.0, 6.0, 36)
     changed = 0
     for t in range(1500):
-        before = proto.in_network()
+        before = proto.census()[1]
         proto.step(t)
-        changed += proto.in_network() not in (0, before)
-        frac = proto.occupied_fraction()
+        occupied, in_flight = proto.census()
+        changed += in_flight not in (0, before)
         if not proto.pending:
-            assert np.array_equal(frac, np.zeros(3))
+            assert occupied == [0, 0, 0]
             continue
         # cells of relays that hold an undelivered packet
         live = (proto.labels & sum(1 << i for i in proto.pending)) != 0
-        assert np.array_equal(frac, np.full(3, proto.sizes[live].sum() / proto.K))
+        assert occupied == [int(proto.sizes[live].sum())] * 3
         assert (proto.sizes > 0).all() and proto.sizes.sum() <= proto.K
         assert all(holders(proto, i) for i in proto.pending)   # no packet is lost
     assert changed > 50
@@ -436,7 +438,7 @@ def test_baseline_fixed_handles_more_subcarriers_than_label_bits():
     outs = drive(proto, 300)
     seqs = delivered_seqs(outs)
     assert seqs and len(seqs) == len(set(seqs))
-    assert len(seqs) + proto.in_network() == proto.next_seq
+    assert len(seqs) + proto.census()[1] == proto.next_seq
     for i in proto.pending:
         assert holders(proto, i)
 
@@ -453,10 +455,10 @@ def test_fixed_baseline_holder_counts_are_binomial_at_huge_k(K):
         proto = make_fixed(BaselineFixed, K, N, 1.0, beta, 60_000 + r)
         assert proto.step(0).kind == SOURCE_TX
         z_one.append((holders(proto, r % N) - K * p) / math.sqrt(K * p * (1 - p)))
-        z_any.append((proto.occupied_fraction()[0] * K - K * p_any)
+        z_any.append((proto.census()[0][0] - K * p_any)
                      / math.sqrt(K * p_any * (1 - p_any)))
         out = proto.step(1)
-        assert len(out.delivered) == N and proto.in_network() == 0
+        assert len(out.delivered) == N and proto.census()[1] == 0
     for z in (z_one, z_any):
         assert stats.kstest(z, "norm").pvalue > 1e-3
 
@@ -470,7 +472,8 @@ def baseline_snapshot(scheme, seed, frames, K, N, beta):
     proto = make_fixed(scheme, K, N, 1.0, beta, seed)
     for t in range(frames):
         out = proto.step(t)
-    snap = (out.kind, proto.in_network(), round(proto.occupied_fraction()[0] * K))
+    occupied, in_flight = proto.census()
+    snap = (out.kind, in_flight, occupied[0])
     for t in range(frames, frames + 10_000):
         nxt = proto.step(t)
         if nxt.kind == RELAY_TX:
@@ -511,13 +514,13 @@ def test_mobile_odwf_full_coverage_alternates():
     # broadcast reaches everyone, delivery purges everyone
     for t, out in enumerate(outs):
         if out.kind == SOURCE_TX:
-            assert proto.occupied_fraction() == 0.0 or t >= 0
+            assert proto.census()[0] == [0] or t >= 0
     proto2 = make_mobile(OdwfMobile, 8, 1, seed=36, **FULL_COVER)
     proto2.step(0)
-    assert proto2.occupied_fraction() == 1.0
+    assert proto2.census()[0] == [8]
     assert all(relay_state(proto2, k).banks == [[0]] for k in range(8))
     proto2.step(1)
-    assert proto2.occupied_fraction() == 0.0 and proto2.in_network() == 0
+    assert proto2.census() == ([0], 0)
 
 
 def test_mobile_odwf_frozen_walk_out_of_reach_idles():
@@ -549,7 +552,7 @@ def test_mobile_odwf_conservation_and_fifo():
         assert not sent
     seqs = delivered_seqs(outs)
     assert len(seqs) == len(set(seqs))
-    assert len(seqs) + proto.in_network() == proto.next_seq
+    assert len(seqs) + proto.census()[1] == proto.next_seq
     assert len(seqs) > 100
 
 
@@ -558,11 +561,10 @@ def test_mobile_odwf_occupancy_counter_matches_state():
                         M=5, q=0.2, R=1.0, seed=39)
     for t in range(500):
         proto.step(t)
-        frac = proto.occupied_fraction()
-        recount = sum(
-            1 for k in range(proto.K) if relay_state(proto, k).banks[0]
-        ) / proto.K
-        assert frac == pytest.approx(recount)
+        occupied, in_flight = proto.census()
+        recount = sum(1 for k in range(proto.K) if relay_state(proto, k).banks[0])
+        assert occupied == [recount]
+        assert in_flight == sum(len(bank.holders) for bank in proto.banks)
 
 
 def test_mobile_odwf_buffer_guard_trips():
@@ -596,7 +598,7 @@ def test_mobile_baseline_full_coverage_alternates():
     assert set(delays_of(outs)) == {1}
     proto2 = make_mobile(BaselineMobile, 6, 1, seed=42, **FULL_COVER)
     proto2.step(0)
-    assert proto2.occupied_fraction() == 1.0 and proto2.in_network() == 1
+    assert proto2.census() == ([6], 1)
 
 
 def test_mobile_baseline_stranded_holder_never_delivers():
@@ -610,7 +612,7 @@ def test_mobile_baseline_stranded_holder_never_delivers():
     assert SOURCE_TX in kinds
     first = kinds.index(SOURCE_TX)
     assert all(k == IDLE for k in kinds[first + 1:])
-    assert proto.in_network() == 1
+    assert proto.census()[1] == 1
     assert not delivered_seqs(outs)
 
 
@@ -619,7 +621,7 @@ def test_mobile_baseline_single_outstanding_packet():
                         M=5, q=0.1, R=1.0, seed=44)
     outs = []
     for t in range(3000):
-        pending = proto.in_network()
+        pending = proto.census()[1]
         assert pending in (0, 1)
         out = proto.step(t)
         outs.append(out)
@@ -629,7 +631,7 @@ def test_mobile_baseline_single_outstanding_packet():
             assert out.kind in (SOURCE_TX, IDLE)
     seqs = delivered_seqs(outs)
     assert len(seqs) == len(set(seqs))
-    assert len(seqs) + proto.in_network() == proto.next_seq
+    assert len(seqs) + proto.census()[1] == proto.next_seq
     assert len(seqs) > 50
     delays = delays_of(outs)
     assert min(delays) >= 1 and max(delays) > 1
@@ -662,7 +664,7 @@ def test_mobile_strip_counters_match_state():
             for t in range(400):
                 kinds.add(proto.step(t).kind)
                 mobile_state_is_consistent(proto)
-                assert proto.occupied_fraction() == proto.buffered.sum() / proto.K
+                assert proto.census()[0] == [int(proto.buffered.sum())]
             assert {SOURCE_TX, RELAY_TX} <= kinds
 
 
@@ -690,6 +692,7 @@ def buffer_relays(proto, fresh):
         del proto._walk, proto._deliverers, proto._in_source_coverage
     else:
         proto.outstanding = proto.created = 0
+        proto.held = int(fresh.sum())
         proto.idle -= fresh
         proto.buffered += fresh
 
@@ -794,8 +797,8 @@ def mobile_snapshot(scheme, seed, frames, K, cfg):
         proto.THIN_FROM = 0    # so that "narrow" thins at K = 300
     for t in range(frames):
         out = proto.step(t)
-    occupied = np.mean(proto.occupied_fraction())    # one bank or one number
-    return out.kind, round(occupied * K), proto.in_network()
+    occupied, in_flight = proto.census()
+    return out.kind, occupied[0], in_flight
 
 
 @pytest.mark.parametrize("law", sorted(MOBILE_LAWS))
