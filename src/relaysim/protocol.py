@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -291,15 +292,20 @@ class BaselineFixed:
     exactly the packets i of the batch with bit i set in labels[c]. Links are
     i.i.d. Bernoulli(1/beta), so relays are exchangeable, only cell sizes
     enter the laws, and a frame costs O(N * cells), whatever K is.
-    - Source phase: the members of a cell that connect on subcarrier n number
-      Binomial(size, 1/beta), independently across cells, which splits every
-      cell in two.
+    - Source phase: p = 1/beta, and over a chunk of L <= CHUNK subcarriers a
+      relay connects on exactly the subset S with probability pi_S =
+      p^|S| (1 - p)^(L - |S|), independently of other relays and chunks. So
+      one Multinomial(size, pi) per cell and chunk splits the cells exactly;
+      the batch is refused when the patterns drawn miss a subcarrier. A draw
+      costs up to 2^L Binomials per cell; CHUNK = 8 still makes every N <= 8,
+      all criteria and benchmark rows, one draw.
     - Relay phase: no member of a cell of s relays connects on a subcarrier
       with probability (1 - 1/beta)^s, independently across cells and
       subcarriers: one Bernoulli per (subcarrier, cell) decides the edges.
-      Cells with equal patterns are disjoint and need no merging, since
-      (1 - 1/beta)^(s+t) = (1 - 1/beta)^s (1 - 1/beta)^t.
+      Cells with equal labels need no merging: (1 - 1/beta)^(s+t) factors.
     """
+
+    CHUNK = 8
 
     def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
                  rng: np.random.Generator):
@@ -308,33 +314,30 @@ class BaselineFixed:
         self.rate = threshold.rate
         self.rng = rng
         self.links = FixedLinkSampler(threshold, rng)
+        p = self.links.connect_probability    # (first subcarrier, pi) per chunk
+        self.chunks = [(n, reduce(np.kron, [[1 - p, p]] * min(self.CHUNK, self.N - n), [1.0]))
+                       for n in range(0, self.N, self.CHUNK)]    # bit j of S: subcarrier n + j
         self.pending = []    # undelivered packets i of the batch: seq base_seq + i
         self.base_seq = self.created = 0    # created: the batch's creation frame
         self.held = 0        # relays in live cells
         self.next_seq = 0
 
     def step(self, frame: int) -> FrameOutcome:
-        if self.pending:
-            return self._relay_tx()
-        return self._source_tx(frame)
+        return self._relay_tx() if self.pending else self._source_tx(frame)
 
     def _source_tx(self, frame):
-        rng, p = self.rng, self.links.connect_probability
-        labels, sizes = [0], [self.K]    # cell c holds packet i iff bit i of labels[c]
-        for n in range(self.N):
-            ups = (rng.binomial(sizes, p).tolist() if len(sizes) > 8
-                   else [rng.binomial(s, p) for s in sizes])   # cheaper when few
-            if not any(ups):
+        labels, sizes = np.zeros(1, np.int64 if self.N < 63 else object), self.K
+        for first, pi in self.chunks:    # a scalar draw for the first chunk
+            counts = self.rng.multinomial(sizes, pi).reshape(-1, pi.size)    # counts[c, S]
+            cells, patterns = np.nonzero(counts)
+            if np.bitwise_or.reduce(patterns) != pi.size - 1:
                 return IDLE_FRAME
-            labels = ([label | 1 << n for label, up in zip(labels, ups) if up]
-                      + [label for label, size, up in zip(labels, sizes, ups) if size > up])
-            sizes = [up for up in ups if up] + [s - up for s, up in zip(sizes, ups) if s > up]
-        if labels[-1] == 0:    # the relays that connected nowhere, always last
-            labels, sizes = labels[:-1], sizes[:-1]
-        self.labels = np.array(labels, dtype=np.int64 if self.N < 63 else object)
-        self.sizes = np.array(sizes)
+            labels = labels[cells] | patterns.astype(labels.dtype) << first
+            sizes = counts[cells, patterns]
+        dead = int(labels[0] == 0)    # the relays that connected nowhere, always first
+        self.labels, self.sizes = labels[dead:], sizes[dead:]
         self.up_prob = -np.expm1(self.sizes * self.links.log_down)
-        self.held = int(sum(sizes))
+        self.held = int(self.sizes.sum())
         self.pending = list(range(self.N))
         self.base_seq, self.created = self.next_seq, frame
         self.next_seq += self.N
@@ -347,16 +350,13 @@ class BaselineFixed:
         adjacency = [[n for n in range(N) if reach[n] >> i & 1] for i in pending]
         match_left, _ = max_bipartite_matching(adjacency, N)
         packets = [i for i, n in zip(pending, match_left) if n >= 0]
-        if not packets:
-            return FrameOutcome(RELAY_TX)
         gone = sum(1 << i for i in packets)
         self.pending = [i for i in pending if not gone >> i & 1]
-        self.labels = self.labels & ~gone
-        keep = np.flatnonzero(self.labels)
-        if keep.size < self.sizes.size:
-            for name in ("labels", "sizes", "up_prob"):
-                setattr(self, name, getattr(self, name)[keep])
-            self.held = int(self.sizes.sum())
+        if not self.pending:    # the next source frame redraws the cells
+            self.held = 0
+        elif packets:    # a cell left holding nothing stays, with label 0
+            self.labels = self.labels & ~gone
+            self.held = int(self.sizes[self.labels != 0].sum())
         return FrameOutcome(RELAY_TX, tuple((self.base_seq + i, self.created)
                                             for i in packets))
 

@@ -13,7 +13,9 @@ they were before idle relays became per-strip counts: every relay keeps an
 id and a strip, the walk moves ids, and coverage is a per-strip
 probability. DenseBaselineFixed is the fixed baseline as it was before
 holder cells: it keeps every holder id per packet and draws one indicator
-per holder link. DenseOdwfFixed is fixed ODWF as it was before idle relays
+per holder link. binomial_cell_split is the fixed baseline's source phase
+as it was before one multinomial draw split a cell by a chunk of
+subcarriers. DenseOdwfFixed is fixed ODWF as it was before idle relays
 lost their ids: every relay keeps its id and one FIFO per subcarrier
 (IdFifos), and every link the protocol uses gets its own indicator.
 RelayState and relay_state give a per-relay view of the
@@ -124,6 +126,25 @@ def place(proto, regions):
         assert proto.outstanding is None
     proto.idle[:] = np.bincount(regions[~buffered], minlength=proto.M + 1)
     proto.buffered[:] = np.bincount(regions[buffered], minlength=proto.M + 1)
+
+
+def binomial_cell_split(rng: np.random.Generator, K: int, N: int, p: float):
+    """BaselineFixed's source phase as it was before the multinomial chunks:
+    one Binomial(size, p) per cell and subcarrier splits every cell in two,
+    starting from one cell of all K relays. Return the labels and sizes of
+    the cells that hold some packet, or None when some subcarrier has no
+    connected relay (later subcarriers are then never drawn)."""
+    labels, sizes = [0], [K]    # cell c holds packet i iff bit i of labels[c]
+    for n in range(N):
+        ups = [int(rng.binomial(s, p)) for s in sizes]
+        if not any(ups):
+            return None
+        labels = ([label | 1 << n for label, up in zip(labels, ups) if up]
+                  + [label for label, size, up in zip(labels, sizes, ups) if size > up])
+        sizes = [up for up in ups if up] + [s - up for s, up in zip(sizes, ups) if s > up]
+    if labels[-1] == 0:    # the relays that connected nowhere, always last
+        labels, sizes = labels[:-1], sizes[:-1]
+    return labels, sizes
 
 
 class DenseBaselineFixed:

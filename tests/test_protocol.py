@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from scipy import stats
 
 from oracles import (DenseBaselineFixed, DenseBaselineMobile, DenseOdwfFixed,
                      DenseOdwfMobile, StripBaselineMobile, StripOdwfMobile,
-                     place, relay_state, transition_matrix)
+                     binomial_cell_split, place, relay_state, transition_matrix)
 import relaysim.protocol
 from relaysim.analytics import p_rd
 from relaysim.channel import RateThreshold
@@ -463,6 +463,68 @@ def test_fixed_baseline_holder_counts_are_binomial_at_huge_k(K):
         assert stats.kstest(z, "norm").pvalue > 1e-3
 
 
+@pytest.mark.parametrize("K,N", [(7, 3), (7, 10), (3, 70)])
+def test_fixed_baseline_at_beta_one_makes_one_cell_of_all_relays(K, N):
+    # every link is up: one pattern per chunk has all the mass
+    proto = make_fixed(BaselineFixed, K, N, 1.0, 1.0, 63)
+    for t in range(0, 20, 2):
+        assert proto.step(t).kind == SOURCE_TX
+        assert proto.labels.tolist() == [2 ** N - 1] and proto.sizes.tolist() == [K]
+        assert len(proto.step(t + 1).delivered) == N
+
+
+@pytest.mark.parametrize("K,N", [(12, 8), (10**12, 8), (10**12, 12)])
+def test_fixed_baseline_at_huge_beta_raises_nothing(K, N):
+    # pattern probabilities down to 1e-72 must pass numpy's pvals checks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proto = make_fixed(BaselineFixed, K, N, 1.0, 1e9, 64)
+        outs = drive(proto, 50)
+    if K < 10**9:
+        assert all(o is IDLE_FRAME for o in outs)
+    else:    # about 1000 relays connect per subcarrier, a few to the destination
+        assert [o.kind for o in outs] == [SOURCE_TX] + [RELAY_TX] * 49
+        assert abs(sum(holders(proto, i) for i in range(N)) / N - 1000) < 200
+
+
+# ------------------------- binomial oracle for the fixed baseline's split
+
+
+def cell_configurations(K, N, beta, seed, draws, oracle):
+    """One source phase per draw, as its cells, {label: size} sorted by
+    label, or IDLE: from BaselineFixed or from binomial_cell_split."""
+    proto = make_fixed(BaselineFixed, K, N, 1.0, beta, seed)
+    rng, p = proto.rng, 1 / beta
+    configurations = []
+    for t in range(draws):
+        if oracle:
+            cells = binomial_cell_split(rng, K, N, p)
+        else:
+            cells = (None if proto._source_tx(t) is IDLE_FRAME
+                     else (proto.labels.tolist(), proto.sizes.tolist()))
+        configurations.append(IDLE if cells is None else tuple(sorted(zip(*cells))))
+    return configurations
+
+
+# (K, N, beta): one chunk of 4 with about 440 configurations, a full chunk of
+# 8, and two chunks, 8 + 1 and 8 + 4, whose second splits every cell with the
+# vector draw; near beta = 1 most configurations have all but a few links up
+SPLIT_LAWS = [(3, 4, 2.0), (2, 8, 1.1), (2, 9, 1.1), (2, 12, 1.05)]
+
+
+@pytest.mark.parametrize("K,N,beta", SPLIT_LAWS)
+def test_fixed_baseline_cell_split_matches_binomial_oracle(K, N, beta):
+    draws = 15_000
+    new = Counter(cell_configurations(K, N, beta, 5100 + N, draws, oracle=False))
+    old = Counter(cell_configurations(K, N, beta, 5200 + N, draws, oracle=True))
+    # configurations seen fewer than 10 times in both samples share one category
+    common = [c for c in new.keys() | old.keys() if new[c] + old[c] >= 10]
+    table = np.array([[side[c] for c in common] for side in (new, old)])
+    table = np.column_stack((table, draws - table.sum(axis=1)))
+    table = table[:, table.sum(axis=0) > 0]
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
 # ------------------------------------ dense oracle for the fixed baseline
 
 
@@ -509,18 +571,16 @@ FULL_COVER = dict(p=32.0, beta=2.0, alpha=4.0, M=5, q=0.1, R=1.0)  # cov = 2R
 
 def test_mobile_odwf_full_coverage_alternates():
     proto = make_mobile(OdwfMobile, 8, 1, seed=36, **FULL_COVER)
-    outs = drive(proto, 60)
-    assert [o.kind for o in outs] == [SOURCE_TX, RELAY_TX] * 30
+    outs = []
     # broadcast reaches everyone, delivery purges everyone
-    for t, out in enumerate(outs):
-        if out.kind == SOURCE_TX:
-            assert proto.census()[0] == [0] or t >= 0
-    proto2 = make_mobile(OdwfMobile, 8, 1, seed=36, **FULL_COVER)
-    proto2.step(0)
-    assert proto2.census()[0] == [8]
-    assert all(relay_state(proto2, k).banks == [[0]] for k in range(8))
-    proto2.step(1)
-    assert proto2.census() == ([0], 0)
+    for t in range(60):
+        outs.append(proto.step(t))
+        if outs[-1].kind == SOURCE_TX:
+            assert proto.census() == ([8], 1)
+            assert all(relay_state(proto, k).banks == [[t // 2]] for k in range(8))
+        else:
+            assert proto.census() == ([0], 0)
+    assert [o.kind for o in outs] == [SOURCE_TX, RELAY_TX] * 30
 
 
 def test_mobile_odwf_frozen_walk_out_of_reach_idles():
