@@ -49,7 +49,6 @@ class FrameOutcome(NamedTuple):
 
 IDLE_FRAME = FrameOutcome(IDLE)
 SOURCE_FRAME = FrameOutcome(SOURCE_TX)
-_NO_TAGS = np.empty(0, dtype=np.int64)
 
 
 class _Uniforms:
@@ -83,88 +82,62 @@ class _Uniforms:
 
 
 class _Fifos:
-    """Per-relay FIFOs of undelivered seqs on one subcarrier, and the ids of
-    the relays holding any.
+    """Per-relay FIFOs of undelivered seqs on one subcarrier.
 
-    A relay holding no undelivered seq is idle and has no id. The others,
-    the occupied relays, take ids from a pool and sit in one swap-remove
-    array: held is a permutation of range(K) whose first size entries are
-    the occupied ids and whose rest is the pool, with relay k at pos[k].
-    tag[i] is a label the scheme keeps with held[i] (a mobile relay's strip).
-
-    holders maps each undelivered seq to its relay ids, and fifo[k] holds
-    exactly relay k's undelivered seqs, oldest first, as the keys of an
-    insertion-ordered dict. A delivery deletes its seq from every holder's
-    dict at once: a list or deque would scan from the front for it, and at
-    low mobility it sits tens of entries deep in FIFOs hundreds long. fifo
-    is a list indexed by relay id, which cost less per holder than a dict of
-    dicts, and it grows to the peak occupancy only: the pool hands out the
-    ids it took back last, so held[:peak] is a permutation of range(peak)
-    and no id at or above the peak is ever taken. A relay that turns idle
-    keeps its empty dict for the next relay that takes its id. More than cap
-    undelivered seqs abort the run.
+    A relay's id is its index in fifo, and fifo[k] holds exactly relay k's
+    undelivered seqs, oldest first, as the keys of an insertion-ordered
+    dict; holders maps each undelivered seq to its relay ids. A relay is
+    occupied while its dict is nonempty. An idle relay has no id: its empty
+    dict waits, its id on the stack free, for the next relay take() hands
+    it to. Free ids go first, so fifo grows to the peak occupancy only, and
+    free and the size occupied ids split range(len(fifo)). A delivery
+    deletes its seq from every holder's dict at once: a list or deque would
+    scan for it, and at low mobility it sits tens of entries deep in FIFOs
+    hundreds long. More than cap undelivered seqs abort the run.
     """
 
-    def __init__(self, n_relays: int, cap: int):
+    def __init__(self, cap: int):
         self.cap = cap
         self.fifo = []
+        self.free = []
         self.holders = {}
-        self.held = np.arange(n_relays)
-        self.pos = np.arange(n_relays)
-        self.tag = np.zeros(n_relays, dtype=np.int64)
         self.size = 0
 
-    def add(self, seq: int, ids: np.ndarray, fresh: int):
-        """Enqueue seq at the occupied relays ids and at fresh idle relays,
-        which take the next ids of the pool at held[size:size + fresh]."""
-        size = self.size
-        self.size += fresh
-        if fresh:
-            taken = self.held[size:self.size]
-            ids = np.concatenate((ids, taken)) if ids.size else taken.copy()
+    def take(self, n: int) -> list:
+        """Ids for n idle relays: the last freed first, then new ones."""
+        free, fifo = self.free, self.fifo
+        ids = [free.pop() for _ in range(min(n, len(free)))]
+        new = n - len(ids)
+        ids += range(len(fifo), len(fifo) + new)
+        fifo.extend({} for _ in range(new))
+        self.size += n
+        return ids
+
+    def add(self, seq: int, ids: list):
+        """Enqueue seq at the relays ids."""
         self.holders[seq] = ids
         if len(self.holders) > self.cap:
             raise BufferOverflowError(f"{len(self.holders)} undelivered packets "
                                       f"exceed the guard cap {self.cap}")
         fifo = self.fifo
-        if self.size > len(fifo):    # a new peak: held[:size] is range(size)
-            fifo.extend({} for _ in range(self.size - len(fifo)))
-        for k in ids.tolist():
+        for k in ids:
             fifo[k][seq] = None
 
     def deliver(self, k: int):
-        """Pop relay k's oldest seq and purge it everywhere; the relays it
-        leaves holding nothing turn idle. Return the seq and the tags of
-        those relays, in holder order."""
+        """Pop relay k's oldest seq and purge it everywhere. Return the seq
+        and the ids of the relays it leaves holding nothing, in holder
+        order; they turn idle and their ids free."""
         fifo = self.fifo
         seq = next(iter(fifo[k]))
         emptied = []
-        for j in self.holders.pop(seq).tolist():
+        for j in self.holders.pop(seq):
             queue = fifo[j]
             del queue[seq]
             if not queue:
                 emptied.append(j)
-        return seq, self._release(np.array(emptied)) if emptied else _NO_TAGS
-
-    def _release(self, ids: np.ndarray) -> np.ndarray:
-        """Move the occupied relays ids to the pool by swap-remove: the
-        occupied ones among the last ids.size entries fill, in order, the
-        holes below them. Return their tags."""
-        held, pos, tag = self.held, self.pos, self.tag
-        size = self.size
-        keep = self.size = size - ids.size
-        at = pos[ids]
-        tags = tag[at]
-        pos[ids] = -1
-        to = np.arange(keep, size)
-        tail = to[pos[held[keep:size]] >= 0]
-        holes = at[at < keep]
-        held[holes] = held[tail]
-        tag[holes] = tag[tail]
-        pos[held[holes]] = holes
-        held[keep:size] = ids
-        pos[ids] = to
-        return tags
+        self.free += emptied
+        self.size -= len(emptied)
+        return seq, emptied
 
 
 class _Odwf:
@@ -174,13 +147,14 @@ class _Odwf:
     A frame first walks the relays. Phase II runs when _deliverers() gives
     one transmitter per bank: each delivers its FIFO head, and every relay
     purges that seq (overhearing is perfectly reliable). Phase I runs when
-    phase II fails and _covered() gives (occupied ids, fresh count) per bank:
-    the source emits one packet per bank, in bank order, which the covered
-    occupied relays and that many idle ones enqueue. Otherwise it idles.
+    phase II fails and _covered() gives (occupied ids, fresh) per bank: the
+    source emits one packet per bank, in bank order, which the covered
+    occupied relays and the idle ones that _take(bank, fresh) hands ids
+    enqueue. Otherwise it idles.
     """
 
-    def __init__(self, n_banks: int, n_relays: int, buffer_cap: int):
-        self.banks = [_Fifos(n_relays, buffer_cap) for _ in range(n_banks)]
+    def __init__(self, n_banks: int, buffer_cap: int):
+        self.banks = [_Fifos(buffer_cap) for _ in range(n_banks)]
         self.created_frame = {}
         self.next_seq = 0
 
@@ -190,9 +164,9 @@ class _Odwf:
         if transmitters is not None:
             delivered = []
             for bank, k in zip(self.banks, transmitters):
-                seq, tags = bank.deliver(k)
-                if tags.size:
-                    self._emptied(tags)
+                seq, emptied = bank.deliver(k)
+                if emptied:
+                    self._emptied(emptied)
                 delivered.append((seq, self.created_frame.pop(seq)))
             return FrameOutcome(RELAY_TX, tuple(delivered))
         covered = self._covered()
@@ -202,14 +176,18 @@ class _Odwf:
             seq = self.next_seq
             self.next_seq += 1
             self.created_frame[seq] = frame
-            bank.add(seq, ids, fresh)
+            bank.add(seq, ids + self._take(bank, fresh))
         return SOURCE_FRAME
 
     def _walk(self):
         """Fixed relays stay put."""
 
-    def _emptied(self, tags: np.ndarray):
-        """Relays with these tags turned idle; fixed relays keep no tags."""
+    def _take(self, bank: _Fifos, fresh: int) -> list:
+        """Ids for the fresh covered idle relays of bank."""
+        return bank.take(fresh)
+
+    def _emptied(self, ids: list):
+        """The relays ids turned idle; fixed relays keep nothing else."""
 
     def census(self) -> tuple:
         """Per bank, the relays holding an undelivered seq; and the packets
@@ -231,19 +209,24 @@ class OdwfFixed(_Odwf):
     - Idle relays of a subcarrier are exchangeable: they hold nothing in its
       bank, and no draw involves a relay's state on another subcarrier. So
       only their number enters, and phase I's newly covered ones number
-      Binomial(K - occ_n, 1/beta) and take pool ids.
-    - The covered occupied relays number Binomial(occ_n, 1/beta), and given
-      that number every subset of that size is equally likely.
+      Binomial(K - occ_n, 1/beta). They take ids once every subcarrier has
+      passed, since a later one may still idle the frame.
+    - A Binomial(len(fifo), 1/beta) count, then a uniform subset of that
+      size, covers every id independently with probability 1/beta; the
+      occupied ones among them are the covered occupied relays.
     - Some occupied relay connects to the destination with probability
       1 - (1 - 1/beta)^occ_n: one Bernoulli draw. Given that some do, the
       uniform pick among them is, by symmetry, uniform over all occ_n
-      occupied relays, and no other link of the frame is used.
+      occupied relays, and no other link of the frame is used: a uniform id
+      redrawn until it is occupied. That takes len(fifo)/occ_n tries on
+      average, with probability at most 1 - (1 - 1/beta)^occ_n <= occ_n/beta,
+      so at most len(fifo)/beta tries per frame, as many as phase I draws.
     So a frame costs O(N + connected relays), whatever K is.
     """
 
     def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
                  rng: np.random.Generator, buffer_cap: int = 100_000):
-        super().__init__(n_subcarriers, n_relays, buffer_cap)
+        super().__init__(n_subcarriers, buffer_cap)
         self.K = n_relays
         self.N = n_subcarriers
         self.rate = threshold.rate
@@ -258,22 +241,28 @@ class OdwfFixed(_Odwf):
         for bank in self.banks:
             if not bank.size or u() >= -math.expm1(bank.size * log_down):
                 return None
-        return [int(bank.held[u.below(bank.size)]) for bank in self.banks]
+        transmitters = []
+        for bank in self.banks:
+            fifo, n = bank.fifo, len(bank.fifo)
+            k = u.below(n)
+            while not fifo[k]:
+                k = u.below(n)
+            transmitters.append(k)
+        return transmitters
 
     def _covered(self):
         """Per subcarrier, the relays with a connected source-relay link:
-        the ids of a uniform subset of the occupied ones and the number of
-        idle ones, each count Binomial. None as soon as a subcarrier has
-        none (later ones are then never drawn)."""
+        the ids of the occupied ones and the number of idle ones. None as
+        soon as a subcarrier has none (later ones are then never drawn)."""
         rng, p, subset = self.rng, self.links.connect_probability, self.uniforms.subset
         covered = []
         for bank in self.banks:
-            occ = bank.size
-            fresh = rng.binomial(self.K - occ, p)
-            hit = rng.binomial(occ, p) if occ else 0
-            if not fresh + hit:
+            fifo, n = bank.fifo, len(bank.fifo)
+            fresh = rng.binomial(self.K - bank.size, p)
+            ids = [k for k in subset(n, rng.binomial(n, p)) if fifo[k]] if n else []
+            if not fresh and not ids:
                 return None
-            covered.append((bank.held[subset(occ, hit)], fresh))
+            covered.append((ids, fresh))
         return covered
 
 
@@ -372,7 +361,7 @@ class _MobileScheme:
     idle[r] and counts[1, r] = buffered[r] count the idle and buffered relays
     of strip r; p_src[r] and p_dst[r] are the probabilities that a relay of
     strip r is inside source and destination coverage in a frame. Per-strip
-    arrays leave entry 0 unused.
+    arrays are 0 at entry 0, a strip no relay is in.
 
     Every draw concerns relays independently, and an idle relay enters every
     law only through its strip, so the idle relays of a strip are
@@ -424,11 +413,15 @@ class _MobileScheme:
         self.idle, self.buffered = self.counts    # views, updated in place
         self.idle[1:] = rng.multinomial(n_relays, np.full(M, 1.0 / M))
         self.split = [q, q, 1.0 - 2.0 * q]
+        # land[r]: the strips a relay of strip r moves to up, down or staying;
+        # row 0, no strip, stays 0
+        strips = np.arange(M + 1)
+        self.land = np.stack((np.minimum(strips + 1, M), np.maximum(strips - 1, 1),
+                              strips), axis=1)
+        self.land[0] = 0
         # where the up, down and staying movers of strip r, class c land in
         # counts.ravel(), for strips 1..M of the idle, then the buffered class
-        strips = np.arange(1, M + 1)
-        self.dest = (np.stack((np.minimum(strips + 1, M), np.maximum(strips - 1, 1),
-                               strips), axis=1).ravel() + [[0], [M + 1]]).ravel()
+        self.dest = (self.land[1:].ravel() + [[0], [M + 1]]).ravel()
         self.few = 2.0 * q * n_relays <= self.FEW
         self.n_movers = iter(())
         self.uniforms = _Uniforms(rng)
@@ -497,13 +490,14 @@ class OdwfMobile(_MobileScheme, _Odwf):
     coverage, and picks one such relay uniformly as the transmitter. Phase I
     needs a relay inside source coverage.
 
-    A buffered relay has an id from the pool of bank, the one _Fifos, and its
-    strip is its tag there: the buffered relays are bank.held[:nb], their
-    strips bank.tag[:nb]. A pick within a strip scans those strips in one
-    numpy call. The few-movers walk picks buffered movers from the whole
-    array, moving each picked one behind those not picked yet; when many
-    move, one uniform per buffered relay decides its move (up below q, down
-    in [q, 2q)).
+    A buffered relay has an id in bank, the one _Fifos, and strip[k] is its
+    strip, 0 while id k is free. Every per-strip array is 0 at entry 0, so
+    draws over strip[:len(fifo)] leave free ids alone: the many-movers walk
+    (one uniform u per id: up below q, down in [q, 2q), through land), the
+    covering of phase I and the scan for a pick within a strip. The
+    few-movers walk picks a buffered mover uniformly among those not picked
+    yet: a uniform id redrawn until it is buffered and unpicked, which takes
+    len(fifo)/unpicked tries on average.
     """
 
     THIN_FROM = 2048
@@ -511,41 +505,39 @@ class OdwfMobile(_MobileScheme, _Odwf):
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
                  buffer_cap: int = 100_000):
         _MobileScheme.__init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        _Odwf.__init__(self, 1, n_relays, buffer_cap)
+        _Odwf.__init__(self, 1, buffer_cap)
         self.bank = self.banks[0]
+        self.strip = np.zeros(n_relays, dtype=np.intp)
+        self.thin_rate = max(self.p_src_given_no_dst.tolist())
+        self.cuts = np.array([q, 2.0 * q])
 
     def _groups(self) -> list:
         """The idle relays of strips 1..M, then all buffered ones, none of
         them picked yet."""
-        self.unpicked = self.bank.size
-        return self.idle[1:].tolist() + [self.unpicked]
+        self.picked = set()
+        return self.idle[1:].tolist() + [self.bank.size]
 
     def _move(self, group, index, up):
         if group < self.M:
             super()._move(group, index, up)
             return
-        # swap the pick behind the buffered relays not picked yet
-        self.unpicked -= 1
-        i, j = index, self.unpicked
-        held, strips, pos = self.bank.held, self.bank.tag, self.bank.pos
-        held[i], held[j] = held[j], held[i]
-        strips[i], strips[j] = strips[j], strips[i]
-        pos[held[i]], pos[held[j]] = i, j
-        strip = int(strips[j])
-        to = min(max(strip + 2 * up - 1, 1), self.M)
-        strips[j] = to
-        self.buffered[strip] -= 1
+        strip, n, below = self.strip, len(self.bank.fifo), self.uniforms.below
+        k = below(n)
+        while not strip[k] or k in self.picked:
+            k = below(n)
+        self.picked.add(k)
+        old = int(strip[k])
+        to = strip[k] = min(max(old + 2 * up - 1, 1), self.M)
+        self.buffered[old] -= 1
         self.buffered[to] += 1
 
     def _walk_many(self):
         moves = self.rng.multinomial(self.idle[1:], self.split)
         self.idle[:] = np.bincount(self.dest[:3 * self.M], moves.ravel(), self.M + 1)
-        nb = self.bank.size
-        u, strips = self.rng.random(nb), self.bank.tag[:nb]
-        strips += u < self.q
-        strips -= (u >= self.q) & (u < 2.0 * self.q)
-        np.clip(strips, 1, self.M, out=strips)
-        self.buffered[:] = np.bincount(strips, minlength=self.M + 1)
+        n = len(self.bank.fifo)
+        strips = self.strip[:n]
+        strips[:] = self.land[strips, np.searchsorted(self.cuts, self.rng.random(n), "right")]
+        self.buffered[1:] = np.bincount(strips, minlength=self.M + 1)[1:]
 
     def _deliverers(self):
         """[k] for a uniform pick k among the buffered relays in destination
@@ -556,50 +548,55 @@ class OdwfMobile(_MobileScheme, _Odwf):
             return None
         strip = self.dest_min_region - 1 + bisect_right(
             counts, self.uniforms.below(counts[-1]))
-        members = np.flatnonzero(self.bank.tag[:self.bank.size] == strip)
-        return [int(self.bank.held[members[self.uniforms.below(members.size)]])]
+        members = np.flatnonzero(self.strip[:len(self.bank.fifo)] == strip)
+        return [int(members[self.uniforms.below(members.size)])]
 
     def _covered(self):
-        """[(held, n)], or None if no relay is inside source coverage: held
-        are the ids of the buffered relays inside it, and n counts the idle
-        ones, fresh[r] of strip r. These turn buffered at once, since phase I
-        follows: their strips go to the tags at the pool's next n positions,
-        whose ids bank.add hands them.
+        """[(held, fresh)], or None if no relay is inside source coverage:
+        held are the ids of the buffered relays inside it, and fresh[r]
+        counts the idle ones of strip r (None if there are none).
 
         ODWF's phase I runs only when no buffered relay is in destination
         coverage, so those are covered with p_src_given_no_dst, unlike p_src
         only where p_dst > 0, each independently. When the largest of these,
-        p, is at most 1/16 and at least THIN_FROM relays are buffered, fewer
-        draws do: candidates come at rate p as a Bernoulli process, whose
-        gaps are Geometric(p), and a candidate of strip r stays with
+        thin_rate p, is at most 1/16 and ids number at least THIN_FROM,
+        fewer draws do: candidates come at rate p as a Bernoulli process,
+        whose gaps are Geometric(p), and a candidate of strip r stays with
         probability p_src_given_no_dst[r] / p. Its dozen numpy calls cost
-        more than one uniform per relay below about 2,000 buffered relays,
-        or above p = 1/8.
+        more than one uniform per id below about 2,000 ids, or above
+        p = 1/8.
         """
         fresh = self._in_source_coverage()
-        nb, p = self.bank.size, max(self.p_src_given_no_dst.tolist())
-        ids, strips = self.bank.held, self.bank.tag
-        if nb < self.THIN_FROM or p > 0.0625:
-            held = ids[:nb][self.rng.random(nb) < self.p_src_given_no_dst[strips[:nb]]]
-        elif p:
-            mean = nb * p
-            pos = np.cumsum(self.rng.geometric(p, int(mean + 4 * math.sqrt(mean) + 8))) - 1
-            while pos[-1] < nb:    # too few gaps drawn to pass nb: rare
-                pos = np.concatenate((pos, pos[-1] + np.cumsum(self.rng.geometric(p, 64))))
-            pos = pos[:np.searchsorted(pos, nb)]
-            keep = self.rng.random(pos.size) * p < self.p_src_given_no_dst[strips[pos]]
-            held = ids[pos[keep]]
+        n, p = len(self.bank.fifo), self.thin_rate
+        strips = self.strip[:n]
+        if n < self.THIN_FROM or not 0.0 < p <= 0.0625:
+            held = np.flatnonzero(self.rng.random(n) < self.p_src_given_no_dst[strips]).tolist()
         else:
-            held = np.empty(0, dtype=np.intp)
+            mean = n * p
+            pos = np.cumsum(self.rng.geometric(p, int(mean + 4 * math.sqrt(mean) + 8))) - 1
+            while pos[-1] < n:    # too few gaps drawn to pass n: rare
+                pos = np.concatenate((pos, pos[-1] + np.cumsum(self.rng.geometric(p, 64))))
+            pos = pos[:np.searchsorted(pos, n)]
+            keep = self.rng.random(pos.size) * p < self.p_src_given_no_dst[strips[pos]]
+            held = pos[keep].tolist()
+        if fresh is None and not held:
+            return None
+        return [(held, fresh)]
+
+    def _take(self, bank, fresh):
+        """Ids for the fresh[r] covered idle relays of each strip r, which
+        turn buffered there."""
         if fresh is None:
-            return [(held, 0)] if held.size else None
-        n = int(fresh.sum())
+            return []
+        ids = bank.take(int(fresh.sum()))
+        self.strip[ids] = np.repeat(np.arange(self.M + 1), fresh)
         self.idle -= fresh
         self.buffered += fresh
-        strips[nb:nb + n] = np.repeat(np.arange(self.M + 1), fresh)
-        return [(held, n)]
+        return ids
 
-    def _emptied(self, strips):
+    def _emptied(self, ids):
+        strips = self.strip[ids]
+        self.strip[ids] = 0
         gone = np.bincount(strips, minlength=self.M + 1)
         self.idle += gone
         self.buffered -= gone

@@ -99,9 +99,7 @@ def relay_state(proto, relay_id: int) -> RelayState:
     fifos = [bank.fifo[relay_id] if relay_id < len(bank.fifo) else {} for bank in proto.banks]
     state = RelayState(relay_id, [list(fifo) for fifo in fifos])
     if isinstance(proto, OdwfMobile):
-        bank = proto.bank
-        i = int(bank.pos[relay_id])
-        state.region = int(bank.tag[i]) if i < bank.size else None
+        state.region = int(proto.strip[relay_id]) or None
     return state
 
 
@@ -119,9 +117,8 @@ def place(proto, regions):
     assert regions.size == proto.K
     buffered = np.zeros(regions.size, dtype=bool)
     if isinstance(proto, OdwfMobile):
-        bank = proto.bank
-        buffered = bank.pos < bank.size
-        bank.tag[bank.pos[buffered]] = regions[buffered]
+        buffered = proto.strip != 0
+        proto.strip[buffered] = regions[buffered]
     else:
         assert proto.outstanding is None
     proto.idle[:] = np.bincount(regions[~buffered], minlength=proto.M + 1)

@@ -185,11 +185,16 @@ def test_littles_law_holds_in_steady_state():
 
 
 def test_occupancy_is_stationary_after_warmup():
-    cfg = fixed_cfg(K=400, beta=20.0, warmup_frames=1000, measure_frames=6000)
-    trace = run_trace(cfg)
-    series = trace.occupancy_fraction.mean(axis=1)
-    half = series.size // 2
-    a, b = series[:half].mean(), series[half:].mean()
+    # from empty buffers the occupancy takes about 200 frames to climb to
+    # its stationary 0.30 here, so without the warm-up the first half of
+    # each measurement reads about 20 % low; pooling 48 independent runs
+    # holds the halves' chance difference to about 1.2 %
+    cfg = fixed_cfg(K=400, beta=100.0, warmup_frames=1000, measure_frames=400)
+    halves = []
+    for stream in np.random.SeedSequence(cfg.seed).spawn(48):
+        series = run_once(cfg, np.random.default_rng(stream)).occupancy_fraction.mean(axis=1)
+        halves.append((series[:200].mean(), series[200:].mean()))
+    a, b = np.mean(halves, axis=0)
     assert abs(a - b) / a < 0.05
 
 

@@ -6,6 +6,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (DenseBaselineFixed, DenseBaselineMobile, DenseOdwfFixed,
@@ -173,18 +175,24 @@ def test_fixed_odwf_relay_frame_frequency_matches_prediction():
     assert abs(relay_frac - source_frac) < 0.05 * want
 
 
-def odwf_pool_is_consistent(bank, K):
-    """The occupied list, positions and free pool of an ODWF bank agree:
-    held is a permutation of range(K) with pos its inverse, its first size
-    ids (the occupied list) are exactly the relays holding an undelivered
-    seq, and the rest (the pool) are idle."""
-    held, occupied = bank.held, bank.held[:bank.size]
-    assert np.array_equal(np.sort(held), np.arange(K))
-    assert np.array_equal(bank.pos[held], np.arange(K))
-    live = {k for ids in bank.holders.values() for k in ids.tolist()}
-    assert set(occupied.tolist()) == live
-    assert not live.intersection(held[bank.size:].tolist())
-    assert sorted(occupied.tolist()) == [k for k, fifo in enumerate(bank.fifo) if fifo]
+def odwf_bank_is_consistent(proto, bank):
+    """The ids of an ODWF bank agree with its FIFOs: the free ids and the
+    occupied ones (a nonempty FIFO) split range(len(fifo)), no id twice;
+    size counts the occupied ids, which are exactly the relays holding an
+    undelivered seq, each holder listed once per seq. For mobile relays
+    strip[k] is 0 exactly when fifo[k] is empty, and the strips of the
+    occupied ids tally to the buffered counts."""
+    n = len(bank.fifo)
+    occupied = [k for k, fifo in enumerate(bank.fifo) if fifo]
+    assert sorted(bank.free + occupied) == list(range(n))
+    assert bank.size == len(occupied) <= proto.K
+    assert all(len(set(ids)) == len(ids) for ids in bank.holders.values())
+    assert {k for ids in bank.holders.values() for k in ids} == set(occupied)
+    if isinstance(proto, OdwfMobile):
+        assert ((proto.strip[:n] != 0) == [bool(fifo) for fifo in bank.fifo]).all()
+        assert not proto.strip[n:].any()
+        assert np.array_equal(np.bincount(proto.strip[occupied], minlength=proto.M + 1)[1:],
+                              proto.buffered[1:])
 
 
 def test_fixed_odwf_occupancy_counter_matches_state():
@@ -196,12 +204,12 @@ def test_fixed_odwf_occupancy_counter_matches_state():
             proto.step(t)
             occupied, in_flight = proto.census()
             assert all(type(n) is int for n in occupied)
-            recount = [len({k for ids in bank.holders.values() for k in ids.tolist()})
+            recount = [len({k for ids in bank.holders.values() for k in ids})
                        for bank in proto.banks]
             assert occupied == recount
             assert in_flight == sum(len(bank.holders) for bank in proto.banks)
             for bank in proto.banks:
-                odwf_pool_is_consistent(bank, proto.K)
+                odwf_bank_is_consistent(proto, bank)
 
 
 def test_fixed_odwf_buffer_guard_trips():
@@ -274,18 +282,22 @@ def test_sparse_and_dense_fixed_odwf_agree_in_distribution(law):
 
 def test_fixed_odwf_transmitter_uniform_over_occupied_relays():
     # six relays hold packets, one of them three deep; each frame some of
-    # their links connect, and the transmitter must be uniform over all six
+    # their links connect, and the transmitter must be uniform over all six.
+    # OdwfFixed hands out ids 0..31 and frees all but the six again, so its
+    # rejection pick meets free ids below and among the occupied ones
     K, beta, draws = 40, 4.0, 20000
+    holders = [2, 5, 11, 17, 23, 31]
     for scheme in (OdwfFixed, DenseOdwfFixed):
         proto = make_fixed(scheme, K, 1, 1.0, beta, 60)
         bank = proto.banks[0]
-        if scheme is OdwfFixed:    # six idle relays take ids from the pool
-            bank.add(0, np.empty(0, dtype=np.intp), 6)
-            holders = bank.held[:6].tolist()
-            for seq in (1, 2):
-                bank.add(seq, np.array(holders[1:2]), 0)
+        if scheme is OdwfFixed:
+            bank.add(0, [k for k in bank.take(32) if k not in holders])
+            bank.deliver(0)
+            for seq, ids in enumerate((holders, [5], [5]), start=1):
+                bank.add(seq, ids)
+            odwf_bank_is_consistent(proto, bank)
+            assert len(bank.fifo) == 32 and bank.size == 6
         else:
-            holders = [2, 5, 11, 17, 23, 31]
             for seq, ids in enumerate((holders, [5], [5])):
                 bank.add(seq, np.array(ids))
         picks = [proto._deliverers() for _ in range(draws)]
@@ -302,7 +314,9 @@ def test_fixed_odwf_covers_occupied_and_idle_relays_independently():
     # twenty of forty relays hold a packet and phase II is off, so phase I
     # covers each relay with probability 1/beta: the covered occupied relays
     # number Binomial(20, 1/4), spread uniformly over the twenty, and the
-    # covered idle ones Binomial(20, 1/4) (none at all makes an idle frame)
+    # covered idle ones Binomial(20, 1/4) (none at all makes an idle frame).
+    # Ids 0..29 were handed out and every third freed again, so free ids
+    # sit below and among the occupied ones
     K, beta, trials = 40, 4.0, 3000
     hits = np.zeros(K, dtype=np.int64)
     counts = ([], [])
@@ -310,22 +324,40 @@ def test_fixed_odwf_covers_occupied_and_idle_relays_independently():
         proto = make_fixed(OdwfFixed, K, 1, 1.0, beta, 7000 + r)
         proto._deliverers = lambda: None
         bank = proto.banks[0]
-        bank.add(0, np.empty(0, dtype=np.intp), 20)
-        proto.next_seq = 1
-        occupied = bank.held[:20].copy()
-        if proto.step(1).kind == IDLE:
+        ids = bank.take(30)
+        bank.add(0, ids[::3])
+        bank.deliver(0)
+        occupied = [k for k in ids if k % 3]
+        bank.add(1, occupied)
+        proto.next_seq = 2
+        if proto.step(2).kind == IDLE:
             counts[0].append(0)
             counts[1].append(0)
             continue
-        covered = np.intersect1d(bank.holders[1], occupied)
+        odwf_bank_is_consistent(proto, bank)
+        covered = np.intersect1d(bank.holders[2], occupied)
         hits[covered] += 1
         counts[0].append(covered.size)
-        counts[1].append(bank.holders[1].size - covered.size)
+        counts[1].append(len(bank.holders[2]) - covered.size)
     want = np.random.default_rng(65).binomial(20, 1 / beta, (2, trials))
     for got, ref in zip(counts, want):
         assert_same_law(got, ref.tolist())
     assert hits.sum() == sum(counts[0])
     assert stats.chisquare(hits[occupied]).pvalue > 1e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([1.0, 1.01, 1.3, 2.0, 6.0]),
+       st.integers(0, 2**32 - 1))
+def test_fixed_odwf_bank_invariants_hold_every_frame(K, N, beta, seed):
+    # near beta = 1 a relay frame drains every bank, and the next source
+    # frame takes every id back from the free stack
+    proto = make_fixed(OdwfFixed, K, N, 1.0, beta, seed)
+    for t in range(80):
+        proto.step(t)
+        for bank in proto.banks:
+            odwf_bank_is_consistent(proto, bank)
+        assert proto.census()[1] == len(proto.created_frame)
 
 
 @pytest.mark.parametrize("scheme", [OdwfFixed, BaselineFixed])
@@ -633,6 +665,7 @@ def test_mobile_odwf_buffer_guard_trips():
     # longer conditioned on missing it
     proto.p_dst[:] = 0.0
     proto.p_src_given_no_dst[:] = proto.p_src
+    proto.thin_rate = proto.p_src.max()
     with pytest.raises(BufferOverflowError):
         drive(proto, 10)
     assert proto.next_seq == 5
@@ -699,17 +732,14 @@ def test_mobile_baseline_single_outstanding_packet():
 
 def mobile_state_is_consistent(proto):
     """The per-strip counts add up to K and, for ODWF, match the buffered
-    relays: the bank's pool is consistent, and the strips of its occupied
+    relays: the bank's ids are consistent, and the strips of its occupied
     relays tally to the buffered counts."""
     assert proto.counts.min() >= 0 and proto.counts[:, 0].tolist() == [0, 0]
     assert int(proto.counts.sum()) == proto.K
     if isinstance(proto, BaselineMobile):
         assert (proto.buffered.sum() > 0) == (proto.outstanding is not None)
         return
-    bank = proto.bank
-    odwf_pool_is_consistent(bank, proto.K)
-    assert np.array_equal(proto.buffered,
-                          np.bincount(bank.tag[:bank.size], minlength=proto.M + 1))
+    odwf_bank_is_consistent(proto, proto.bank)
 
 
 def test_mobile_strip_counters_match_state():
@@ -726,6 +756,61 @@ def test_mobile_strip_counters_match_state():
                 mobile_state_is_consistent(proto)
                 assert proto.census()[0] == [int(proto.buffered.sum())]
             assert {SOURCE_TX, RELAY_TX} <= kinds
+
+
+@pytest.mark.parametrize("few", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mobile_odwf_bank_invariants_hold_every_frame(few, data):
+    # few: at most 3 movers per frame, walked one by one; otherwise at least
+    # 10, walked by the multinomial draw. (p, beta) runs from full coverage,
+    # which drains the bank on every relay frame, to narrow disks, where
+    # thin lets phase I thin from any number of ids
+    K = data.draw(st.integers(1, 30) if few else st.integers(25, 40))
+    q = data.draw(st.sampled_from([0.0, 0.01, 0.05] if few else [0.2, 0.35, 0.5]))
+    p, beta = data.draw(st.sampled_from([(32.0, 1.0), (32.0, 2.0), (4.0, 2.0),
+                                         (1.0, 4.0), (1.0, 1024.0)]))
+    proto = make_mobile(OdwfMobile, K, 1, p=p, beta=beta, alpha=4.0,
+                        M=data.draw(st.integers(2, 5)), q=q, R=1.0,
+                        seed=data.draw(st.integers(0, 2**32 - 1)))
+    assert proto.few == few
+    if data.draw(st.booleans(), label="thin"):
+        proto.THIN_FROM = 0
+    for t in range(80):
+        proto.step(t)
+        mobile_state_is_consistent(proto)
+        assert proto.census()[0] == [int(proto.buffered.sum())]
+
+
+def test_mobile_odwf_few_movers_pick_is_uniform_over_unpicked_buffered_relays():
+    # ids 0..9 in strip 3, five of them freed again below and among the five
+    # buffered relays; each trial moves two buffered movers, the first down,
+    # the second up and uniform over the four not picked, so every ordered
+    # pair is as likely and no free id ever moves
+    proto = make_mobile(OdwfMobile, 12, 1, p=1.0, beta=4.0, alpha=4.0, M=5,
+                        q=0.0, R=1.0, seed=66)
+    bank, buffered, trials = proto.bank, [1, 4, 5, 8, 9], 6000
+    assert proto.few
+    place(proto, [3] * 12)
+    ids = proto._take(bank, np.array([0, 0, 0, 10, 0, 0]))
+    bank.add(0, [k for k in ids if k not in buffered])
+    bank.add(1, buffered)
+    proto._emptied(bank.deliver(0)[1])
+    odwf_bank_is_consistent(proto, bank)
+    strips, counts = proto.strip.copy(), proto.counts.copy()
+    pairs = Counter()
+    for _ in range(trials):
+        assert proto._groups()[-1] == 5
+        proto._move(proto.M, 0, 0)
+        proto._move(proto.M, 0, 1)
+        (down,), (up,) = np.flatnonzero(proto.strip == 2), np.flatnonzero(proto.strip == 4)
+        assert np.flatnonzero(proto.strip != strips).tolist() == sorted((down, up))
+        pairs[down, up] += 1
+        mobile_state_is_consistent(proto)
+        proto.strip[:], proto.counts[:] = strips, counts
+    cells = [pairs[a, b] for a in buffered for b in buffered if a != b]
+    assert sum(cells) == trials
+    assert stats.chisquare(cells).pvalue > 1e-3
 
 
 def test_mobile_place_rebuilds_counters():
@@ -787,12 +872,12 @@ def test_mobile_walk_frozen_at_q_zero(scheme):
                         R=1.0, seed=61)
     buffer_relays(proto, [0, 3, 0, 2, 0, 0])
     counts = proto.counts.copy()
-    strips = proto.bank.tag.copy() if scheme is OdwfMobile else None
+    strips = proto.strip.copy() if scheme is OdwfMobile else None
     for _ in range(200):
         proto._walk()
     assert np.array_equal(proto.counts, counts)
     if scheme is OdwfMobile:
-        assert np.array_equal(proto.bank.tag, strips)
+        assert np.array_equal(proto.strip, strips)
 
 
 @pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])
@@ -884,8 +969,7 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
     # without changing the state. The coordinate sampler decides both phases
     # from one position per relay, so in phase I a buffered relay is in
     # source coverage with probability 0.35, not 0.64 as an unbuffered one
-    # (the new scheme counts the four idle ones, and _covered makes those
-    # covered buffered, so the strip counts are put back after each trial)
+    # (the new scheme counts the four idle ones)
     K, trials = 6, 8000
     cfg = dict(MOBILE_LAWS["overlapping"][1], q=0.0)
     new = make_mobile(OdwfMobile, K, 1, seed=50, **cfg)
@@ -895,14 +979,12 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
     assert new.idle[3] == 4 and new.buffered[3] == 2
     dense.regions = np.full(K, 3, dtype=np.int64)
     dense._source_tx(0, np.array([0, 1]))
-    counts = new.counts.copy()
     outcomes = {"new": ([], []), "dense": ([], [])}
     for _ in range(trials):
         if new._deliverers() is None:
-            ((held, fresh),) = new._covered() or [(np.empty(0), 0)]
-            new.counts[:] = counts
-            outcomes["new"][0].append(held.size)
-            outcomes["new"][1].append(fresh)
+            ((held, fresh),) = new._covered() or [([], None)]
+            outcomes["new"][0].append(len(held))
+            outcomes["new"][1].append(0 if fresh is None else int(fresh.sum()))
         else:
             outcomes["new"][0].append(-1)
         xs, ys = dense._positions_for(np.arange(K))
@@ -932,22 +1014,20 @@ def test_mobile_odwf_covers_buffered_relays_independently(scale):
     proto.THIN_FROM = 0    # thinning at 180 buffered relays, where p allows
     probs = np.array([0.0, 0.5, 0.2, 0.0, 0.0, 0.0]) * scale
     proto.p_src_given_no_dst[:] = probs
+    proto.thin_rate = probs.max()
     hits = np.zeros(proto.K, dtype=np.int64)
     per_strip = []
-    counts = proto.counts.copy()
     for _ in range(trials):
         covered = proto._covered()
-        proto.counts[:] = counts    # the covered idle relays stay idle
-        held = np.empty(0, dtype=np.intp) if covered is None else covered[0][0]
+        held = np.array(covered[0][0] if covered else [], dtype=np.intp)
         assert np.unique(held).size == held.size
         hits[held] += 1
-        per_strip.append(np.bincount(proto.bank.tag[proto.bank.pos[held]], minlength=6))
+        per_strip.append(np.bincount(proto.strip[held], minlength=6))
     per_strip = np.array(per_strip)
-    nb = proto.bank.size
     for strip in (1, 2, 3):
         want = rng.binomial(60, probs[strip], trials)
         assert_same_law(per_strip[:, strip].tolist(), want.tolist())
-        members = proto.bank.held[:nb][proto.bank.tag[:nb] == strip]
+        members = np.flatnonzero(proto.strip == strip)
         if probs[strip]:
             assert stats.chisquare(hits[members]).pvalue > 1e-3
 
@@ -973,13 +1053,12 @@ def test_odwf_fifos_hold_exactly_their_undelivered_seqs(make):
             for bank in proto.banks:
                 want = defaultdict(list)
                 for seq in sorted(bank.holders):
-                    for k in bank.holders[seq].tolist():
+                    for k in bank.holders[seq]:
                         want[k].append(seq)
                 assert max(want, default=-1) < len(bank.fifo) <= proto.K
                 for k, fifo in enumerate(bank.fifo):
                     assert list(fifo) == want.get(k, [])
-                occupied = bank.held[:bank.size].tolist()
-                assert sorted(occupied) == [k for k, fifo in enumerate(bank.fifo) if fifo]
+                odwf_bank_is_consistent(proto, bank)
     held = [s for k in range(proto.K) for bank in relay_state(proto, k).banks
             for s in bank]
-    assert len(held) == sum(ids.size for b in proto.banks for ids in b.holders.values())
+    assert len(held) == sum(len(ids) for b in proto.banks for ids in b.holders.values())
