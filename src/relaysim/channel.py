@@ -1,8 +1,10 @@
 """Link models for both relay scenarios.
 
-Fixed relays see per-subcarrier Rayleigh block fading: every inspected link gets
-a fresh Exp(1) power gain each frame, and a link is connected iff the gain clears
-the rate threshold. Mobile relays see pure pathloss: a link is connected iff the
+Fixed relays see per-subcarrier Rayleigh block fading: every link gets a fresh
+Exp(1) power gain each frame, and a link is connected iff the gain clears the
+rate threshold, so it is up with probability exactly 1/beta, independently
+across links and frames. The fixed schemes draw counts of connected links from
+that number. Mobile relays see pure pathloss: a link is connected iff the
 distance is within the coverage radius.
 """
 
@@ -10,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,16 @@ class RateThreshold:
         if self.rate < 0.0:
             raise ValueError(f"rate must be nonnegative, got {self.rate}")
 
+    @property
+    def connect_probability(self) -> float:
+        """P(a fixed link is up): exactly 1/beta."""
+        return 1.0 / self.beta
+
+    @property
+    def log_down(self) -> float:
+        """log P(a fixed link is down); -inf at beta = 1, where none is."""
+        return math.log1p(-1.0 / self.beta) if self.beta > 1.0 else -math.inf
+
     @classmethod
     def for_fixed(cls, p: float, beta: float) -> "RateThreshold":
         if p <= 0.0:
@@ -46,30 +56,16 @@ class RateThreshold:
 
 
 def coverage_radius(p: float, beta: float, alpha: float) -> float:
-    """Distance (p/beta)^(1/alpha) within which a pathloss-only link is connected."""
+    """Distance (p/beta)^(1/alpha) within which a pathloss-only link is
+    connected; inf past the float range."""
     if p <= 0.0 or beta < 1.0 or alpha <= 0.0:
         raise ValueError(f"need p > 0, beta >= 1, alpha > 0; got {(p, beta, alpha)}")
-    return (p / beta) ** (1.0 / alpha)
+    try:
+        return (p / beta) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
 
 
+# inert: perfbench/tracing.py patches FixedLinkSampler.connected by name
 class FixedLinkSampler:
-    """Lazy per-frame connectivity draws for fixed-relay links.
-
-    Uses the inverse-transform coupling U = exp(-gain): the event
-    {Exp(1) gain >= ln beta} is exactly {U <= 1/beta}, so connectivity can be
-    drawn as Bernoulli(1/beta) without materializing gains. Links are i.i.d.
-    across relays, so the fixed schemes draw counts of connected links from
-    connect_probability and log_down rather than one indicator per link.
-    """
-
-    def __init__(self, threshold: RateThreshold, rng: np.random.Generator):
-        self.threshold = threshold
-        self.rng = rng
-        self.connect_probability = 1.0 / threshold.beta
-        # log P(a link is down); beta = 1 means no link is ever down
-        self.log_down = (math.log1p(-self.connect_probability)
-                          if threshold.beta > 1.0 else -math.inf)
-
-    def connected(self, count: int) -> np.ndarray:
-        """Connectivity indicators for `count` distinct links in this frame."""
-        return self.rng.random(count) < self.connect_probability
+    connected = None

@@ -11,6 +11,7 @@ deterministic and independent of execution order.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -66,6 +67,10 @@ class SystemConfig:
             raise ValueError(f"p must be > 0, got {self.p}")
         if self.beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
+        if self.scenario == FIXED and math.isinf(
+                RateThreshold.for_fixed(self.p, self.beta).rate):
+            raise ValueError(f"p = {self.p} overflows the rate log2(1 + p ln beta) "
+                             f"at beta = {self.beta}")
         if self.M < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
         if not 0.0 <= self.q <= 0.5:
@@ -73,8 +78,8 @@ class SystemConfig:
         if self.scenario == MOBILE:
             if self.alpha <= 0.0:
                 raise ValueError(f"alpha must be > 0, got {self.alpha}")
-            if self.R <= 0.0:
-                raise ValueError(f"R must be > 0, got {self.R}")
+            if self.R < sys.float_info.min:    # subnormal: R * x loses the strips
+                raise ValueError(f"R must be >= {sys.float_info.min}, got {self.R}")
         if self.warmup_frames is not None and self.warmup_frames < 0:
             raise ValueError(f"warmup_frames must be >= 0, got {self.warmup_frames}")
         if self.measure_frames < 1:
@@ -103,10 +108,6 @@ class MetricsTrace:
     @property
     def measure_frames(self) -> int:
         return self.delivered_per_frame.size
-
-    @property
-    def bits_delivered_per_frame(self) -> np.ndarray:
-        return self.delivered_per_frame * self.rate
 
     @property
     def phase_counts(self) -> dict:

@@ -1,12 +1,12 @@
-"""Disk geometry with M equal-area vertical strips and the reflecting random walk.
+"""Disk geometry with M equal-area vertical strips, and per-strip coverage.
 
 The source sits at (-R, 0) and the destination at (R, 0), the two ends of the
-horizontal diameter. Relays hop between adjacent strips with probability q per
-frame (reflecting at the ends) and their exact coordinates are redrawn uniformly
-within the current strip on every transition, self-transitions included, so
-position is memoryless given the region index. Whether a relay sits inside a
-coverage disk is therefore, in each frame, a Bernoulli draw whose probability
-depends on its strip alone (coverage_probabilities).
+horizontal diameter. A relay's position is uniform within its strip in every
+frame, so whether it sits inside a coverage disk is a Bernoulli draw whose
+probability depends on its strip alone (coverage_probabilities). Every law
+depends on R only through (coverage radius)/R: the strips are solved on the
+unit disk and scaled, and coverage is computed back on the unit disk. The
+walk between strips lives in protocol.py, as counts of relays per strip.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ def build_geometry(radius: float, n_regions: int, tol: float = 1e-12) -> DiskGeo
     """
     if radius <= 0.0 or n_regions < 2:
         raise ValueError(f"need radius > 0 and n_regions >= 2, got {(radius, n_regions)}")
-    total = math.pi * radius * radius
-    abs_tol = tol * total
+    abs_tol = tol * math.pi
     bounds = [-radius]
-    for i in range(1, n_regions):
-        target = total * i / n_regions
-        lo, hi = -radius, radius
+    for i in range(1, n_regions):    # on the unit disk, then scaled
+        target = math.pi * i / n_regions
+        lo, hi = -1.0, 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            err = _area_left_of(mid, radius) - target
+            err = _area_left_of(mid, 1.0) - target
             if abs(err) <= abs_tol:
                 break
             if err < 0.0:
@@ -57,7 +56,7 @@ def build_geometry(radius: float, n_regions: int, tol: float = 1e-12) -> DiskGeo
         else:
             raise RuntimeError(
                 f"equal-area bisection did not reach tol {tol} in 200 iterations")
-        bounds.append(mid)
+        bounds.append(radius * mid)
     bounds.append(radius)
     return DiskGeometry(radius=float(radius), n_regions=n_regions,
                         boundaries=tuple(bounds))
@@ -66,55 +65,6 @@ def build_geometry(radius: float, n_regions: int, tol: float = 1e-12) -> DiskGeo
 def strip_area(geom: DiskGeometry, region: int) -> float:
     x0, x1 = geom.boundaries[region - 1], geom.boundaries[region]
     return _area_left_of(x1, geom.radius) - _area_left_of(x0, geom.radius)
-
-
-def step_regions(regions: np.ndarray, n_regions: int, q: float,
-                 rng: np.random.Generator):
-    """One frame of the reflecting walk for all relays, in place; returns
-    the mover ids and their strips before the move.
-
-    Each relay moves with probability 2q, independently, up or down with
-    probability 1/2 each, and a move past strip 1 or M reflects into a stay.
-    For 2q <= 1/8 the movers are a Binomial(K, 2q) count of distinct uniform
-    ids with a fair bit each, at O(K q) cost; above, one uniform per relay is
-    cheaper and gives both (up below q, down in [q, 2q)).
-    """
-    K = regions.size
-    if 2.0 * q > 0.125:
-        u = rng.random(K)
-        movers = np.flatnonzero(u < 2.0 * q)
-        up = u[movers] < q
-    else:
-        m = int(rng.binomial(K, 2.0 * q))
-        movers = rng.choice(K, m, replace=False, shuffle=False)
-        up = rng.random(m) < 0.5
-    old = regions[movers]
-    regions[movers] = np.minimum(np.maximum(old + 2 * up - 1, 1), n_regions)
-    return movers, old
-
-
-def sample_positions_in_region(geom: DiskGeometry, region: int, count: int,
-                               rng: np.random.Generator):
-    """`count` uniform points over strip-and-disk, by bounding-box rejection."""
-    x0, x1 = geom.boundaries[region - 1], geom.boundaries[region]
-    R = geom.radius
-    if x0 < 0.0 < x1:
-        ymax = R
-    else:
-        ymax = math.sqrt(R * R - min(x0 * x0, x1 * x1))
-    xs = np.empty(count)
-    ys = np.empty(count)
-    filled = 0
-    while filled < count:
-        m = count - filled
-        batch = m + (m >> 1) + 8
-        cx = rng.uniform(x0, x1, batch)
-        cy = rng.uniform(-ymax, ymax, batch)
-        ok = np.flatnonzero(cx * cx + cy * cy <= R * R)[:m]
-        xs[filled:filled + ok.size] = cx[ok]
-        ys[filled:filled + ok.size] = cy[ok]
-        filled += ok.size
-    return xs, ys
 
 
 def _lens_area(x0: float, x1: float, disks) -> float:
@@ -150,13 +100,17 @@ def coverage_probabilities(geom: DiskGeometry, radius_cov: float):
     """(p_src, p_dst, p_both), each indexed by strip 1..M (entry 0 unused):
     the probabilities that a uniform point of strip r lies within radius_cov
     of the source, of the destination, and of both, as exact area ratios.
+    They are computed on the unit disk for the radius radius_cov / R, capped
+    at 2, where a coverage disk already holds the whole unit disk.
     """
     R = geom.radius
-    disk, src, dst = (0.0, R), (-R, radius_cov), (R, radius_cov)
+    unit = DiskGeometry(1.0, geom.n_regions, tuple(x / R for x in geom.boundaries))
+    ratio = min(radius_cov / R, 2.0)
+    disk, src, dst = (0.0, 1.0), (-1.0, ratio), (1.0, ratio)
     probs = [[0.0], [0.0], [0.0]]
     for r in range(1, geom.n_regions + 1):
-        x0, x1 = geom.boundaries[r - 1], geom.boundaries[r]
-        area = strip_area(geom, r)
+        x0, x1 = unit.boundaries[r - 1], unit.boundaries[r]
+        area = strip_area(unit, r)
         ps, pd = (min(_lens_area(x0, x1, (disk, end)) / area, 1.0) for end in (src, dst))
         pb = min(_lens_area(x0, x1, (disk, src, dst)) / area, 1.0) if ps and pd else 0.0
         for vec, value in zip(probs, (ps, pd, pb)):

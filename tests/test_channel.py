@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (QuadratureError, ergodic_capacity_exact, is_connected_fixed,
-                     is_connected_mobile, mutual_information, sample_power_gain,
-                     sample_power_gains)
-from relaysim.channel import FixedLinkSampler, RateThreshold, coverage_radius
+from oracles import (DenseLinkSampler, QuadratureError, ergodic_capacity_exact,
+                     is_connected_fixed, is_connected_mobile, mutual_information,
+                     sample_power_gain, sample_power_gains)
+from relaysim.channel import RateThreshold, coverage_radius
 
 # E[log2(1 + c*g)], g ~ Exp(1), frozen from a 50-digit evaluation of
 # exp(1/c)*E1(1/c)/ln2
@@ -120,10 +120,21 @@ def test_connect_probability_is_exactly_one_over_beta():
         assert abs(phat - 1 / beta) <= 4 * sigma
 
 
+def test_fixed_link_numbers_are_exact():
+    # the two numbers every fixed scheme draws its links from
+    for beta in (1.5, 2.0, 8.0, 40.0, 1e6):
+        r = RateThreshold.for_fixed(1.0, beta)
+        assert r.connect_probability == 1.0 / beta
+        assert r.log_down == math.log1p(-1.0 / beta)
+    r = RateThreshold.for_fixed(1.0, 1.0)
+    assert r.connect_probability == 1.0 and r.log_down == -math.inf
+
+
 def test_coverage_radius_known_points():
     assert coverage_radius(1.0, 1.0, 2.0) == 1.0
     assert coverage_radius(16.0, 1.0, 4.0) == 2.0
     assert coverage_radius(1.0, 256.0, 4.0) == 0.25
+    assert coverage_radius(1e300, 1.0, 0.5) == math.inf    # past the float range
 
 
 def test_coverage_radius_rejects_bad_inputs():
@@ -203,7 +214,7 @@ def test_ergodic_capacity_stable_at_16_nodes():
 
 def test_link_sampler_matches_bernoulli_rate():
     rng = np.random.default_rng(13)
-    sampler = FixedLinkSampler(RateThreshold.for_fixed(1.0, 8.0), rng)
+    sampler = DenseLinkSampler(RateThreshold.for_fixed(1.0, 8.0), rng)
     draws = np.concatenate([sampler.connected(1000) for _ in range(1000)])
     phat = draws.mean()
     sigma = math.sqrt((1 / 8.0) * (1 - 1 / 8.0) / draws.size)
@@ -211,6 +222,6 @@ def test_link_sampler_matches_bernoulli_rate():
 
 
 def test_link_sampler_is_deterministic_under_seed():
-    a = FixedLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
-    b = FixedLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
+    a = DenseLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
+    b = DenseLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
     assert np.array_equal(a.connected(257), b.connected(257))

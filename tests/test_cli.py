@@ -102,6 +102,29 @@ def test_sweep_runs_a_mobile_row_whose_coverage_vanishes(tmp_path):
     assert float(second["T"]) == 0.0 and second["D"] == ""
 
 
+@pytest.mark.parametrize("scheme", ["odwf", "baseline"])
+@pytest.mark.parametrize("axes", ["R = 1e200, 1e-200", "p = 1e300\nalpha = 0.5"],
+                         ids=["R", "radius"])
+def test_sweep_runs_mobile_rows_outside_the_float_range(tmp_path, scheme, axes):
+    # the coverage laws see R only through (coverage radius)/R: at R = 1e200
+    # no relay is ever covered, and at R = 1e-200, or where the radius
+    # (p/beta)^(1/alpha) overflows, every relay is in both disks, so source
+    # and relay frames alternate: T = rate/2 = 1 and D = 1 exactly
+    spec = tmp_path / "mobile.ini"
+    spec.write_text(SPEC.replace("scenario = fixed", "scenario = mobile")
+                    .replace("scheme = odwf", f"scheme = {scheme}")
+                    + f"replications = 2\n[sweep]\n{axes}\n", encoding="utf-8")
+    out = tmp_path / "res.csv"
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+    header, *rows = read_csv(out)
+    rows = [dict(zip(header, row)) for row in rows]
+    assert all(row["status"] == "ok" and "nan" not in row.values()
+               and "inf" not in row.values() for row in rows)
+    *vanishing, full = rows
+    assert [(float(row["T"]), row["D"]) for row in vanishing] == [(0.0, "")] * len(vanishing)
+    assert (float(full["T"]), float(full["D"]), float(full["T_ci95"])) == (1.0, 1.0, 0.0)
+
+
 def test_sweep_past_the_float_range_fails_before_any_row(tmp_path, capsys):
     # beta^2 of the default warm-up overflows at beta = 1e200: the sweep
     # stops at once with a spec error naming warmup_frames and writes nothing

@@ -46,8 +46,13 @@ def test_config_validation_messages_name_the_field():
     SystemConfig(**good, alpha=-1.0, R=-1.0)
     with pytest.raises(ValueError, match=r"^alpha "):
         SystemConfig(**{**good, "scenario": MOBILE, "alpha": -1.0})
-    with pytest.raises(ValueError, match=r"^R "):
-        SystemConfig(**{**good, "scenario": MOBILE, "R": 0.0})
+    for R in (0.0, 1e-320):    # a subnormal radius blurs the strips
+        with pytest.raises(ValueError, match=r"^R "):
+            SystemConfig(**{**good, "scenario": MOBILE, "R": R})
+    # log2(1 + p ln beta) overflows: the rate of a fixed row is inf
+    with pytest.raises(ValueError, match=r"^p "):
+        SystemConfig(**{**good, "p": 1e308, "beta": 10.0})
+    SystemConfig(**{**good, "scenario": MOBILE, "p": 1e308, "beta": 10.0})
 
 
 def test_default_warmup_rules():
@@ -147,7 +152,7 @@ def test_trace_bits_accounting_is_exact():
     # N = 2, so each frame's bits, 0 or 2 x rate, are exact products and
     # their exact sum is rate x packets; a rounded float sum need not be
     trace = run_trace(fixed_cfg())
-    total_bits = math.fsum(trace.bits_delivered_per_frame)
+    total_bits = math.fsum(trace.delivered_per_frame * trace.rate)
     assert total_bits == trace.rate * int(trace.delivered_per_frame.sum())
     assert measure_throughput(trace) == trace.rate * int(
         trace.delivered_per_frame.sum()) / trace.measure_frames

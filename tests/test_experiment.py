@@ -138,6 +138,19 @@ def test_parse_anchors_bad_sweep_values_to_the_axis_line():
         parse_spec(MINIMAL + "[sweep]\nN = 2, 0\n")
 
 
+def test_parse_anchors_an_overflowing_fixed_rate_to_p_or_the_axis_line():
+    # log2(1 + p ln beta) is inf, so the row would read T = inf, T_ci95 = nan
+    bad = MINIMAL.replace("p = 1.0", "p = 1e308").replace("beta = 8", "beta = 10")
+    lineno = bad.splitlines().index("p = 1e308") + 1
+    with pytest.raises(SpecError, match=r"^line \d+: p = 1e\+308 overflows the rate") as err:
+        parse_spec(bad)
+    assert err.value.line == lineno
+    swept = MINIMAL.replace("p = 1.0", "p = 1e306") + "[sweep]\nbeta = 8, 1e300\n"
+    with pytest.raises(SpecError, match=r"^line \d+: p = ") as err:
+        parse_spec(swept)
+    assert err.value.line == swept.splitlines().index("beta = 8, 1e300") + 1
+
+
 def test_parse_strips_inline_comments_after_whitespace():
     spec = parse_spec(MINIMAL.replace("K = 50", "K = 50    # relays")
                       .replace("[system]", "[system]  ; section")

@@ -10,11 +10,10 @@ from scipy import stats
 from oracles import (RelayPosition, coverage_window, destination_position,
                      distance_to_destination, distance_to_source, init_regions,
                      init_relays, region_of, sample_position_in_region,
-                     source_position, step_region, transition_matrix)
+                     sample_positions_in_region, source_position, step_region,
+                     step_regions, transition_matrix)
 from relaysim.channel import coverage_radius
-from relaysim.mobility import (build_geometry, coverage_probabilities,
-                               sample_positions_in_region, step_regions,
-                               strip_area)
+from relaysim.mobility import build_geometry, coverage_probabilities, strip_area
 
 # interior boundaries for R=1 frozen from 50-digit root-finding on the
 # circular-segment area equation
@@ -290,3 +289,18 @@ def test_coverage_probabilities_match_sampled_positions(M):
                 assert 0.0 <= want <= 1.0
                 sigma = math.sqrt(want * (1.0 - want) / n)
                 assert abs(hits.mean() - want) <= 4.5 * sigma + 1e-12, (beta, r)
+
+
+def test_coverage_probabilities_see_R_only_through_the_ratio():
+    # the same laws at any R for the radius cov * R, down to no coverage at
+    # all, and every relay in both disks from a radius of 2R up
+    unit = coverage_probabilities(build_geometry(1.0, 5), 0.7)
+    for R in (3.5, 1e-200, 1e200):
+        scaled = coverage_probabilities(build_geometry(R, 5), 0.7 * R)
+        for want, got in zip(unit, scaled):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    for probs in coverage_probabilities(build_geometry(1e200, 5), 0.7):
+        assert not probs.any()
+    for cov in (2.0, 5.0, math.inf):
+        for probs in coverage_probabilities(build_geometry(1.0, 5), cov):
+            assert probs[1:].tolist() == [1.0] * 5

@@ -1,0 +1,47 @@
+"""The runtime package keeps only what a run uses: every function, class,
+method and property defined in src/relaysim is referenced somewhere in
+src/relaysim or exported by relaysim/__init__.py. Helpers only the tests
+call belong in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+import relaysim
+
+SRC = Path(relaysim.__file__).resolve().parent
+
+# name -> why it stays although no runtime code refers to it
+ALLOWED = {
+    "FixedLinkSampler": "an inert placeholder: perfbench/tracing.py patches "
+                        "FixedLinkSampler.connected by name",
+}
+
+
+def parse_sources() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def unused_definitions(trees: dict) -> set:
+    defined, used = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dunders = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    return defined - used - exported - dunders
+
+
+def test_every_runtime_definition_is_used_or_exported():
+    unused = unused_definitions(parse_sources())
+    assert unused - ALLOWED.keys() == set(), "move these to tests/oracles.py"
+
+
+def test_every_allowed_exception_is_still_needed():
+    assert ALLOWED.keys() <= unused_definitions(parse_sources())
