@@ -99,6 +99,12 @@ class ExperimentSpec:
     def n_points(self) -> int:
         return math.prod(len(values) for _, values in self.sweep)
 
+    def configs(self) -> list:
+        """The configuration of every sweep point, in sweep order."""
+        axes = [[(name, value) for value in values] for name, values in self.sweep]
+        return [replace(self.template, **dict(combo))
+                for combo in itertools.product(*axes)]
+
 
 def _convert(key: str, raw: str, line: int):
     if key in _INT_KEYS:
@@ -218,6 +224,10 @@ def parse_spec(text: str) -> ExperimentSpec:
     spec = ExperimentSpec(template=template, sweep=tuple(sweep), **output)
     if spec.n_points > max_points:
         raise SpecError(None, f"sweep has {spec.n_points} points, cap is {max_points}")
+    try:
+        spec.configs()
+    except ValueError as exc:    # values valid alone, not together: the last axis
+        raise SpecError(sweep_lines[sweep[-1][0]], str(exc)) from None
     return spec
 
 
@@ -288,6 +298,8 @@ def _prediction_cells(cfg: SystemConfig) -> dict:
         "pred_beta_opt": pred.beta_opt,
     }
     cells = {k: v for k, v in cells.items() if v is not None}
+    if not all(map(math.isfinite, cells.values())):    # past the float range
+        return {"status": STATUS_NO_PREDICTION}
     if pred.validity:
         cells["pred_validity"] = "|".join(sorted(pred.validity))
     return cells
@@ -306,9 +318,8 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list:
     each row.
     """
     master_seed = spec.template.seed
-    axes = [[(name, value) for value in values] for name, values in spec.sweep]
-    cfgs = [replace(spec.template, seed=_row_seed(master_seed, row), **dict(combo))
-            for row, combo in enumerate(itertools.product(*axes))]
+    cfgs = [replace(cfg, seed=_row_seed(master_seed, row))
+            for row, cfg in enumerate(spec.configs())]
     table = [_config_cells(row, cfg, master_seed) for row, cfg in enumerate(cfgs)]
     for row, (cfg, cells) in enumerate(zip(cfgs, table)):
         if spec.mode in ("predict", "both"):

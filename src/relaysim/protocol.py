@@ -262,7 +262,7 @@ class OdwfFixed(_Odwf):
         for bank in self.banks:
             fifo, n = bank.fifo, len(bank.fifo)
             fresh = rng.binomial(self.K - bank.size, p)
-            ids = [k for k in subset(n, rng.binomial(n, p)) if fifo[k]] if n else []
+            ids = [k for k in subset(n, rng.binomial(n, p)) if fifo[k]]
             if not fresh and not ids:
                 return None
             covered.append((ids, fresh))
@@ -402,11 +402,6 @@ class _MobileScheme:
         self.rng = rng
         cov = coverage_radius(p, threshold.beta, pathloss_exp)
         self.p_src, self.p_dst, p_both = coverage_probabilities(geom, cov)
-        # coverage reaches strips 1..src_max_region and dest_min_region..M;
-        # none (0 and M + 1) where the radius is too small to cover any area
-        src, dst = np.flatnonzero(self.p_src), np.flatnonzero(self.p_dst)
-        self.src_max_region = int(src[-1]) if src.size else 0
-        self.dest_min_region = int(dst[0]) if dst.size else M + 1
         # source coverage given no destination coverage; where p_dst = 1 no
         # buffered relay survives phase II, so any value will do
         self.p_src_given_no_dst = np.clip(np.divide(
@@ -416,12 +411,10 @@ class _MobileScheme:
         self.idle, self.buffered = self.counts    # views, updated in place
         self.idle[1:] = rng.multinomial(n_relays, np.full(M, 1.0 / M))
         self.split = [q, q, 1.0 - 2.0 * q]
-        # land[r]: the strips a relay of strip r moves to up, down or staying;
-        # row 0, no strip, stays 0
-        strips = np.arange(M + 1)
-        self.land = np.stack((np.minimum(strips + 1, M), np.maximum(strips - 1, 1),
-                              strips), axis=1)
-        self.land[0] = 0
+        # landing[r]: the strips a relay of strip r moves to up, down or
+        # staying, reflected at strips 1 and M; row 0, no strip, stays 0
+        self.landing = [[0] * 3] + [[min(r + 1, M), max(r - 1, 1), r] for r in range(1, M + 1)]
+        self.land = np.array(self.landing)
         # where the up, down and staying movers of strip r, class c land in
         # counts.ravel(), for strips 1..M of the idle, then the buffered class
         self.dest = (self.land[1:].ravel() + [[0], [M + 1]]).ravel()
@@ -431,8 +424,6 @@ class _MobileScheme:
 
     def _walk(self):
         """One frame of the walk for every relay."""
-        if not self.q:
-            return
         if not self.few:
             self._walk_many()
             return
@@ -440,7 +431,7 @@ class _MobileScheme:
         if n is None:
             self.n_movers = iter(self.rng.binomial(self.K, 2.0 * self.q, 1024).tolist())
             n = next(self.n_movers)
-        left = self._groups()    # relays not picked yet, per group
+        left = self._groups() if n else None    # relays not picked yet, per group
         for i in range(n):
             pick = self.uniforms.below(2 * (self.K - i))
             index, group = pick >> 1, 0
@@ -448,42 +439,31 @@ class _MobileScheme:
                 index -= left[group]
                 group += 1
             left[group] -= 1
-            self._move(group, index, pick & 1)
+            self._move(group, pick & 1)
 
     def _groups(self) -> list:
         """Sizes of the groups the few-movers walk picks from: here the idle,
         then the buffered relays of strips 1..M."""
         return self.counts[:, 1:].ravel().tolist()
 
-    def _move(self, group: int, index: int, up: int):
-        """Move up (up = 1) or down the index-th relay of group not picked
-        yet; a counted relay needs no index."""
+    def _move(self, group: int, up: int):
+        """Move a relay of group, not picked yet, up (up = 1) or down."""
         row, strip = divmod(group, self.M)
         self.counts[row, strip + 1] -= 1
-        self.counts[row, min(max(strip + 2 * up, 1), self.M)] += 1
+        self.counts[row, self.landing[strip + 1][1 - up]] += 1
 
     def _walk_many(self):
         moves = self.rng.multinomial(self.counts[:, 1:], self.split)
         self.counts[:] = np.bincount(self.dest, moves.ravel(),
                                      self.counts.size).reshape(self.counts.shape)
 
-    def _in_dest_coverage(self) -> list:
-        """Running totals, from 0, over strips dest_min_region..M of the
-        buffered relays inside destination coverage."""
-        return list(accumulate(
-            (int(self.rng.binomial(b, p)) if b else 0
-             for b, p in zip(self.buffered[self.dest_min_region:].tolist(),
-                             self.p_dst[self.dest_min_region:].tolist())), initial=0))
-
-    def _in_source_coverage(self):
-        """Per strip, the idle relays inside source coverage this frame; None
-        if there are none."""
-        fresh = [0] + [int(self.rng.binomial(n, p)) if n else 0 for n, p in zip(
-            self.idle[1:self.src_max_region + 1].tolist(),
-            self.p_src[1:self.src_max_region + 1].tolist())]
-        if not any(fresh):
-            return None
-        return np.array(fresh + [0] * (self.M - self.src_max_region))
+    def _in_coverage(self, counts: np.ndarray, probs: np.ndarray) -> list:
+        """Per strip r, how many of its counts[r] relays are inside a coverage
+        disk, each with probability probs[r]: Binomial where both are nonzero,
+        else 0, as numpy too draws nothing for n = 0 or p = 0."""
+        binomial = self.rng.binomial
+        return [binomial(n, p) if n and p else 0
+                for n, p in zip(counts.tolist(), probs.tolist())]
 
 
 class OdwfMobile(_MobileScheme, _Odwf):
@@ -520,9 +500,9 @@ class OdwfMobile(_MobileScheme, _Odwf):
         self.picked = set()
         return self.idle[1:].tolist() + [self.bank.size]
 
-    def _move(self, group, index, up):
+    def _move(self, group, up):
         if group < self.M:
-            super()._move(group, index, up)
+            super()._move(group, up)
             return
         strip, n, below = self.strip, len(self.bank.fifo), self.uniforms.below
         k = below(n)
@@ -530,7 +510,7 @@ class OdwfMobile(_MobileScheme, _Odwf):
             k = below(n)
         self.picked.add(k)
         old = int(strip[k])
-        to = strip[k] = min(max(old + 2 * up - 1, 1), self.M)
+        to = strip[k] = self.landing[old][1 - up]
         self.buffered[old] -= 1
         self.buffered[to] += 1
 
@@ -546,18 +526,17 @@ class OdwfMobile(_MobileScheme, _Odwf):
         """[k] for a uniform pick k among the buffered relays in destination
         coverage, or None: a strip is picked in proportion to its count,
         then any of its buffered relays."""
-        counts = self._in_dest_coverage()
-        if counts[-1] == 0:
+        totals = list(accumulate(self._in_coverage(self.buffered, self.p_dst)))
+        if not totals[-1]:
             return None
-        strip = self.dest_min_region - 1 + bisect_right(
-            counts, self.uniforms.below(counts[-1]))
+        strip = bisect_right(totals, self.uniforms.below(totals[-1]))
         members = np.flatnonzero(self.strip[:len(self.bank.fifo)] == strip)
         return [int(members[self.uniforms.below(members.size)])]
 
     def _covered(self):
         """[(held, fresh)], or None if no relay is inside source coverage:
         held are the ids of the buffered relays inside it, and fresh[r]
-        counts the idle ones of strip r (None if there are none).
+        counts the idle ones of strip r.
 
         ODWF's phase I runs only when no buffered relay is in destination
         coverage, so those are covered with p_src_given_no_dst, unlike p_src
@@ -569,7 +548,7 @@ class OdwfMobile(_MobileScheme, _Odwf):
         more than one uniform per id below about 2,000 ids, or above
         p = 1/8.
         """
-        fresh = self._in_source_coverage()
+        fresh = self._in_coverage(self.idle, self.p_src)
         n, p = len(self.bank.fifo), self.thin_rate
         strips = self.strip[:n]
         if n < self.THIN_FROM or not 0.0 < p <= 0.0625:
@@ -582,19 +561,18 @@ class OdwfMobile(_MobileScheme, _Odwf):
             pos = pos[:np.searchsorted(pos, n)]
             keep = self.rng.random(pos.size) * p < self.p_src_given_no_dst[strips[pos]]
             held = pos[keep].tolist()
-        if fresh is None and not held:
+        if not held and not any(fresh):
             return None
         return [(held, fresh)]
 
     def _take(self, bank, fresh):
         """Ids for the fresh[r] covered idle relays of each strip r, which
         turn buffered there."""
-        if fresh is None:
-            return []
-        ids = bank.take(int(fresh.sum()))
-        self.strip[ids] = np.repeat(np.arange(self.M + 1), fresh)
-        self.idle -= fresh
-        self.buffered += fresh
+        ids = bank.take(sum(fresh))
+        if ids:    # most phase-I frames of a slow walk cover no idle relay
+            self.strip[ids] = np.repeat(np.arange(self.M + 1), fresh)
+            self.idle -= fresh
+            self.buffered += fresh
         return ids
 
     def _emptied(self, ids):
@@ -624,19 +602,19 @@ class BaselineMobile(_MobileScheme):
     def step(self, frame: int) -> FrameOutcome:
         self._walk()
         if self.outstanding is not None:
-            if self._in_dest_coverage()[-1] == 0:
+            if not any(self._in_coverage(self.buffered, self.p_dst)):
                 return IDLE_FRAME
             seq, self.outstanding = self.outstanding, None
             self.held = 0
             self.idle += self.buffered
             self.buffered[:] = 0
             return FrameOutcome(RELAY_TX, ((seq, self.created),))
-        covered = self._in_source_coverage()    # the network is empty
-        if covered is None:
+        covered = self._in_coverage(self.idle, self.p_src)    # the network is empty
+        if not any(covered):
             return IDLE_FRAME
         self.idle -= covered
         self.buffered += covered
-        self.held = int(covered.sum())
+        self.held = sum(covered)
         self.outstanding, self.created = self.next_seq, frame
         self.next_seq += 1
         return SOURCE_FRAME

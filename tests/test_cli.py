@@ -154,6 +154,22 @@ def test_prediction_past_the_float_range_reads_no_prediction(tmp_path, scenario)
     assert second["status"] == "no_prediction" and second["pred_T"] == ""
 
 
+@pytest.mark.parametrize("scheme", ["odwf", "baseline"])
+def test_prediction_that_comes_out_infinite_reads_no_prediction(tmp_path, scheme):
+    # at p = 1e308 the rate at beta = 4 is finite, but p ln K at the best
+    # threshold (beta = K for ODWF, sqrt(K) for the baseline) is not:
+    # pred_T_max, and the baseline's pred_T, come out inf
+    spec = tmp_path / "exp.ini"
+    spec.write_text(SPEC.replace("scheme = odwf", f"scheme = {scheme}")
+                    .replace("p = 1.0", "p = 1e308"), encoding="utf-8")
+    out = tmp_path / "res.csv"
+    assert main(["predict", "--spec", str(spec), "--out", str(out)]) == 0
+    header, row = read_csv(out)
+    record = dict(zip(header, row))
+    assert record["status"] == "no_prediction"
+    assert all(record[col] == "" for col in header if col.startswith("pred_"))
+
+
 def test_seed_and_format_overrides(spec_file, tmp_path):
     out = tmp_path / "res.jsonl"
     code = main(["predict", "--spec", str(spec_file), "--seed", "99",

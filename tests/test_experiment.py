@@ -151,6 +151,17 @@ def test_parse_anchors_an_overflowing_fixed_rate_to_p_or_the_axis_line():
     assert err.value.line == swept.splitlines().index("beta = 8, 1e300") + 1
 
 
+def test_parse_anchors_a_bad_combination_of_sweep_values_to_an_axis_line():
+    # p = 1e307 and beta = 1e300 each pass alone, but their rate overflows:
+    # the point fails on the line of the last axis, before any row runs
+    bad = MINIMAL + "[sweep]\np = 1, 1e307\nbeta = 4, 1e300\n"
+    lineno = bad.splitlines().index("beta = 4, 1e300") + 1
+    with pytest.raises(SpecError, match=r"^line \d+: p = 1e\+307 overflows the rate") as err:
+        parse_spec(bad)
+    assert err.value.line == lineno
+    parse_spec(bad.replace("1e307", "1e305"))
+
+
 def test_parse_strips_inline_comments_after_whitespace():
     spec = parse_spec(MINIMAL.replace("K = 50", "K = 50    # relays")
                       .replace("[system]", "[system]  ; section")
@@ -199,9 +210,11 @@ _SPEC_LINES = st.one_of(
 
 def _parses_or_says_why(text):
     try:
-        parse_spec(text)
-    except ValueError as exc:   # SpecError and its config-field causes
+        spec = parse_spec(text)
+    except SpecError as exc:
         assert str(exc)
+        return
+    spec.configs()    # every point run_experiment builds
 
 
 @settings(max_examples=200, deadline=None)

@@ -618,7 +618,9 @@ def test_mobile_odwf_full_coverage_alternates():
 def test_mobile_odwf_frozen_walk_out_of_reach_idles():
     proto = make_mobile(OdwfMobile, 2, 1, p=1.0, beta=1e6, alpha=2.0,
                         M=5, q=0.0, R=1.0, seed=37)
-    assert proto.src_max_region == 1 and proto.dest_min_region == 5
+    # only strip 1 meets the source disk, only strip 5 the destination's
+    assert np.flatnonzero(proto.p_src).tolist() == [1]
+    assert np.flatnonzero(proto.p_dst).tolist() == [5]
     place(proto, [2, 3])
     outs = drive(proto, 200)
     assert all(o.kind == IDLE for o in outs)
@@ -792,7 +794,7 @@ def test_mobile_odwf_few_movers_pick_is_uniform_over_unpicked_buffered_relays():
     bank, buffered, trials = proto.bank, [1, 4, 5, 8, 9], 6000
     assert proto.few
     place(proto, [3] * 12)
-    ids = proto._take(bank, np.array([0, 0, 0, 10, 0, 0]))
+    ids = proto._take(bank, [0, 0, 0, 10, 0, 0])
     bank.add(0, [k for k in ids if k not in buffered])
     bank.add(1, buffered)
     proto._emptied(bank.deliver(0)[1])
@@ -801,8 +803,8 @@ def test_mobile_odwf_few_movers_pick_is_uniform_over_unpicked_buffered_relays():
     pairs = Counter()
     for _ in range(trials):
         assert proto._groups()[-1] == 5
-        proto._move(proto.M, 0, 0)
-        proto._move(proto.M, 0, 1)
+        proto._move(proto.M, 0)
+        proto._move(proto.M, 1)
         (down,), (up,) = np.flatnonzero(proto.strip == 2), np.flatnonzero(proto.strip == 4)
         assert np.flatnonzero(proto.strip != strips).tolist() == sorted((down, up))
         pairs[down, up] += 1
@@ -832,9 +834,9 @@ def buffer_relays(proto, fresh):
     if isinstance(proto, OdwfMobile):    # a source frame that covers just those
         assert proto.bank.size == 0
         proto._walk = proto._deliverers = lambda: None
-        proto._in_source_coverage = lambda: fresh
+        proto._in_coverage = lambda counts, probs: fresh.tolist()
         assert proto.step(0) is SOURCE_FRAME
-        del proto._walk, proto._deliverers, proto._in_source_coverage
+        del proto._walk, proto._deliverers, proto._in_coverage
     else:
         proto.outstanding = proto.created = 0
         proto.held = int(fresh.sum())
@@ -982,9 +984,9 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
     outcomes = {"new": ([], []), "dense": ([], [])}
     for _ in range(trials):
         if new._deliverers() is None:
-            ((held, fresh),) = new._covered() or [([], None)]
+            ((held, fresh),) = new._covered() or [([], [])]
             outcomes["new"][0].append(len(held))
-            outcomes["new"][1].append(0 if fresh is None else int(fresh.sum()))
+            outcomes["new"][1].append(sum(fresh))
         else:
             outcomes["new"][0].append(-1)
         xs, ys = dense._positions_for(np.arange(K))
@@ -1030,6 +1032,38 @@ def test_mobile_odwf_covers_buffered_relays_independently(scale):
         members = np.flatnonzero(proto.strip == strip)
         if probs[strip]:
             assert stats.chisquare(hits[members]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])
+@pytest.mark.parametrize("p,beta,reach", [(4.0, 2.0, ([1, 2, 3, 4], [2, 3, 4, 5])),
+                                          (32.0, 2.0, ([1, 2, 3, 4, 5],) * 2),
+                                          (4.0, 1e80, ([], []))])
+def test_mobile_coverage_takes_scalar_binomials_over_nonzero_strips(scheme, p, beta, reach):
+    # the walk is frozen and no relay is buffered, so the first frame draws
+    # only coverage: Binomial(n, p) for each strip with n > 0 and p > 0 in
+    # strip order, as scalar draws, and nothing where every strip has n = 0
+    # or p = 0 (beta = 1e80). Strip 2 is empty, and reach lists the strips
+    # that meet the source and the destination disk. The baseline's second
+    # frame draws destination coverage likewise
+    proto = make_mobile(scheme, 12, 1, p=p, beta=beta, alpha=4.0, M=5,
+                        q=0.0, R=1.0, seed=71)
+    place(proto, [1, 1, 3, 3, 3, 4, 4, 5, 5, 5, 5, 5])
+    assert (np.flatnonzero(proto.p_src).tolist(), np.flatnonzero(proto.p_dst).tolist()) == reach
+    twin = np.random.default_rng()
+    twin.bit_generator.state = proto.rng.bit_generator.state
+
+    def scalar(counts, probs):
+        return [int(twin.binomial(n, p)) if n and p else 0
+                for n, p in zip(counts.tolist(), probs.tolist())]
+
+    fresh = scalar(proto.idle, proto.p_src)
+    assert proto.step(0).kind == (SOURCE_TX if any(fresh) else IDLE)
+    assert proto.buffered.tolist() == fresh
+    assert proto.rng.bit_generator.state == twin.bit_generator.state
+    if scheme is BaselineMobile and any(fresh):
+        seen = scalar(proto.buffered, proto.p_dst)
+        assert proto.step(1).kind == (RELAY_TX if any(seen) else IDLE)
+        assert proto.rng.bit_generator.state == twin.bit_generator.state
 
 
 # --------------------------------------------------- exact FIFO contents
