@@ -1,9 +1,9 @@
 """Frame-loop driver: configuration, single runs, replication, and metrics.
 
-run_once executes warmup_frames (discarded) then measure_frames of the
-configured scheme and collects per-frame series; run_replicated aggregates
-independent replications into means with 95% intervals (Student-t for up to
-30 replications, normal above).
+run_once executes the configuration's warm-up (discarded) then
+measure_frames of the configured scheme and collects per-frame series;
+run_replicated aggregates independent replications into means with 95%
+intervals (Student-t for up to 30 replications, normal above).
 Per-replication RNG streams are spawned from the master seed, so results are
 deterministic and independent of execution order.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class SystemConfig:
     replications: int = 1
     seed: int = 0
     buffer_cap: int = 100_000
+    # frames run before measuring: warmup_frames, or else default_warmup
+    warmup: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in (FIXED, MOBILE):
@@ -90,6 +92,8 @@ class SystemConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.buffer_cap < 1:
             raise ValueError(f"buffer_cap must be >= 1, got {self.buffer_cap}")
+        object.__setattr__(self, "warmup", self.warmup_frames
+                           if self.warmup_frames is not None else default_warmup(self))
 
 
 @dataclass
@@ -142,7 +146,10 @@ def default_warmup(cfg: SystemConfig) -> int:
     """Warm-up long enough to reach stationarity: 10x the predicted delay
     scale of the scenario (buffering delay 2*c*beta^2/K for fixed relays,
     max(beta^(4/alpha)/(K*q), 1/q) for mobile), floored at 10^3 frames.
-    A scale past the float range raises ValueError: pin warmup_frames there.
+    A scale past the float range raises ValueError naming the field that
+    overflows it, q where 10/q does and beta otherwise. SystemConfig resolves
+    its warm-up with this at construction, so parse_spec reports the
+    overflow on that field's line or sweep axis: pin warmup_frames there.
     """
     try:
         if cfg.scenario == FIXED:
@@ -155,12 +162,9 @@ def default_warmup(cfg: SystemConfig) -> int:
             terms.append(math.ceil(10.0 / cfg.q))
         return max(terms)
     except OverflowError:
-        raise ValueError(f"the default warm-up overflows at beta = {cfg.beta!r}; "
-                         "set warmup_frames") from None
-
-
-def resolve_warmup(cfg: SystemConfig) -> int:
-    return cfg.warmup_frames if cfg.warmup_frames is not None else default_warmup(cfg)
+        key = "q" if cfg.scenario == MOBILE and math.isinf(10.0 / cfg.q) else "beta"
+        raise ValueError(f"{key} = {getattr(cfg, key)!r} overflows the default "
+                         "warm-up; set warmup_frames") from None
 
 
 def build_protocol(cfg: SystemConfig, rng: np.random.Generator):
@@ -183,7 +187,7 @@ def run_once(cfg: SystemConfig, rng: np.random.Generator) -> MetricsTrace:
     delay with the creation frame of their (seq, created_frame) pair.
     """
     proto = build_protocol(cfg, rng)
-    warmup = resolve_warmup(cfg)
+    warmup = cfg.warmup
     for frame in range(warmup):
         proto.step(frame)
     frames = cfg.measure_frames

@@ -46,8 +46,7 @@ import numpy as np
 from .analytics import (Prediction, baseline_fixed_prediction,
                         baseline_mobile_prediction, odwf_fixed_prediction,
                         odwf_mobile_prediction)
-from .engine import (BASELINE, FIXED, MOBILE, ODWF, SystemConfig,
-                     resolve_warmup, run_replicated)
+from .engine import BASELINE, FIXED, MOBILE, ODWF, SystemConfig, run_replicated
 from .protocol import BufferOverflowError
 
 SCHEMA_VERSION = 1
@@ -100,10 +99,12 @@ class ExperimentSpec:
         return math.prod(len(values) for _, values in self.sweep)
 
     def configs(self) -> list:
-        """The configuration of every sweep point, in sweep order."""
+        """The configuration of every sweep point, in sweep order, each with
+        its row seed derived from the template's master seed."""
         axes = [[(name, value) for value in values] for name, values in self.sweep]
-        return [replace(self.template, **dict(combo))
-                for combo in itertools.product(*axes)]
+        master_seed = self.template.seed
+        return [replace(self.template, **dict(combo), seed=_row_seed(master_seed, row))
+                for row, combo in enumerate(itertools.product(*axes))]
 
 
 def _convert(key: str, raw: str, line: int):
@@ -141,18 +142,16 @@ def _scan(text: str):
 def parse_spec(text: str) -> ExperimentSpec:
     schema_version = None
     system: dict = {}
-    system_lines: dict = {}
     sweep: list = []
-    sweep_lines: dict = {}
     output: dict = {}
     max_points = DEFAULT_MAX_POINTS
-    seen = set()    # (section, key) of the keys that may appear once
+    lines: dict = {}    # (section, key) -> the line that sets it, once
     for lineno, section, key, value in _scan(text):
-        if section in (None, "output") or key == "max_points":
-            if (section, key) in seen:
-                where = f"[{section}] key " if section else "key "
-                raise SpecError(lineno, f"duplicate {where}{key!r}")
-            seen.add((section, key))
+        if (section, key) in lines:
+            where = ("sweep axis" if section == "sweep" and key != "max_points"
+                     else f"[{section}] key" if section else "key")
+            raise SpecError(lineno, f"duplicate {where} {key!r}")
+        lines[section, key] = lineno
         if section is None:
             if key != "schema_version":
                 raise SpecError(lineno, f"unknown top-level key {key!r} "
@@ -164,10 +163,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         elif section == "system":
             if key not in _INT_KEYS + _FLOAT_KEYS + _STR_KEYS:
                 raise SpecError(lineno, f"unknown [system] key {key!r}")
-            if key in system:
-                raise SpecError(lineno, f"duplicate [system] key {key!r}")
             system[key] = _convert(key, value, lineno)
-            system_lines[key] = lineno
         elif section == "sweep":
             if key == "max_points":
                 try:
@@ -181,14 +177,11 @@ def parse_spec(text: str) -> ExperimentSpec:
                 continue
             if key not in _SWEEPABLE:
                 raise SpecError(lineno, f"{key!r} is not a sweepable parameter")
-            if any(name == key for name, _ in sweep):
-                raise SpecError(lineno, f"duplicate sweep axis {key!r}")
             values = tuple(_convert(key, item.strip(), lineno)
                            for item in value.split(",") if item.strip())
             if not values:
                 raise SpecError(lineno, f"sweep axis {key} has no values")
             sweep.append((key, values))
-            sweep_lines[key] = lineno
         else:
             if key == "mode":
                 if value not in MODES:
@@ -211,23 +204,21 @@ def parse_spec(text: str) -> ExperimentSpec:
             raise SpecError(None, f"[system] is missing required key {required!r}")
     try:
         template = SystemConfig(**system)
-    except (TypeError, ValueError) as exc:
-        message = str(exc)
-        key = message.split()[0] if message else ""
-        raise SpecError(system_lines.get(key), message) from None
+    except ValueError as exc:    # its message begins with the field it blames
+        raise SpecError(lines.get(("system", str(exc).split()[0])), str(exc)) from None
     for key, values in sweep:
         for value in values:
             try:
                 replace(template, **{key: value})
             except ValueError as exc:
-                raise SpecError(sweep_lines[key], str(exc)) from None
+                raise SpecError(lines["sweep", key], str(exc)) from None
     spec = ExperimentSpec(template=template, sweep=tuple(sweep), **output)
     if spec.n_points > max_points:
         raise SpecError(None, f"sweep has {spec.n_points} points, cap is {max_points}")
     try:
         spec.configs()
     except ValueError as exc:    # values valid alone, not together: the last axis
-        raise SpecError(sweep_lines[sweep[-1][0]], str(exc)) from None
+        raise SpecError(lines["sweep", sweep[-1][0]], str(exc)) from None
     return spec
 
 
@@ -255,7 +246,7 @@ def _config_cells(row: int, cfg: SystemConfig, master_seed: int) -> dict:
     cells = {
         "row": row, "scenario": cfg.scenario, "scheme": cfg.scheme,
         "K": cfg.K, "N": cfg.N, "p": cfg.p, "beta": cfg.beta,
-        "warmup_frames": resolve_warmup(cfg),
+        "warmup_frames": cfg.warmup,
         "measure_frames": cfg.measure_frames,
         "replications": cfg.replications,
         "master_seed": master_seed, "seed": cfg.seed,
@@ -312,15 +303,13 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list:
     "buffer_overflow" and absent simulation columns, and a configuration the
     closed forms do not cover yields status "no_prediction" and absent
     prediction columns, instead of aborting the sweep; a row with both reads
-    "buffer_overflow". Every row's configuration and warm-up are resolved
-    before the first row runs, so a bad row fails the sweep at once.
-    progress, if given, is called as progress(row_index, n_points) after
-    each row.
+    "buffer_overflow". Every row's configuration, warm-up included, is
+    built when parse_spec checks the spec, so a row that cannot run is a spec
+    error on its line before this is called. progress, if given, is called
+    as progress(row_index, n_points) after each row.
     """
-    master_seed = spec.template.seed
-    cfgs = [replace(cfg, seed=_row_seed(master_seed, row))
-            for row, cfg in enumerate(spec.configs())]
-    table = [_config_cells(row, cfg, master_seed) for row, cfg in enumerate(cfgs)]
+    cfgs = spec.configs()
+    table = [_config_cells(row, cfg, spec.template.seed) for row, cfg in enumerate(cfgs)]
     for row, (cfg, cells) in enumerate(zip(cfgs, table)):
         if spec.mode in ("predict", "both"):
             cells.update(_prediction_cells(cfg))

@@ -595,29 +595,27 @@ class BaselineMobile(_MobileScheme):
 
     def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
         super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.outstanding = None  # seq of the packet in the network
+        self.held = 0    # relays holding packet next_seq - 1; 0: none is out
         self.created = self.next_seq = 0    # created: its creation frame
-        self.held = 0            # relays holding it
 
     def step(self, frame: int) -> FrameOutcome:
         self._walk()
-        if self.outstanding is not None:
+        if self.held:
             if not any(self._in_coverage(self.buffered, self.p_dst)):
                 return IDLE_FRAME
-            seq, self.outstanding = self.outstanding, None
             self.held = 0
             self.idle += self.buffered
             self.buffered[:] = 0
-            return FrameOutcome(RELAY_TX, ((seq, self.created),))
+            return FrameOutcome(RELAY_TX, ((self.next_seq - 1, self.created),))
         covered = self._in_coverage(self.idle, self.p_src)    # the network is empty
         if not any(covered):
             return IDLE_FRAME
         self.idle -= covered
         self.buffered += covered
         self.held = sum(covered)
-        self.outstanding, self.created = self.next_seq, frame
+        self.created = frame
         self.next_seq += 1
         return SOURCE_FRAME
 
     def census(self) -> tuple:
-        return [self.held], int(self.outstanding is not None)
+        return [self.held], int(self.held > 0)

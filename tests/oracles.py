@@ -121,7 +121,7 @@ def place(proto, regions):
         buffered = proto.strip != 0
         proto.strip[buffered] = regions[buffered]
     else:
-        assert proto.outstanding is None
+        assert proto.held == 0
     proto.idle[:] = np.bincount(regions[~buffered], minlength=proto.M + 1)
     proto.buffered[:] = np.bincount(regions[buffered], minlength=proto.M + 1)
 

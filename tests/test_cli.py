@@ -126,16 +126,17 @@ def test_sweep_runs_mobile_rows_outside_the_float_range(tmp_path, scheme, axes):
 
 
 def test_sweep_past_the_float_range_fails_before_any_row(tmp_path, capsys):
-    # beta^2 of the default warm-up overflows at beta = 1e200: the sweep
-    # stops at once with a spec error naming warmup_frames and writes nothing
+    # beta^2 of the default warm-up overflows at beta = 1e200: parsing the
+    # spec fails on the beta axis line, naming warmup_frames, and writes nothing
     spec = tmp_path / "exp.ini"
-    spec.write_text(SPEC.replace("warmup_frames = 50\n", "")
-                    + "[sweep]\nbeta = 10, 1e200\n", encoding="utf-8")
+    text = SPEC.replace("warmup_frames = 50\n", "") + "[sweep]\nbeta = 10, 1e200\n"
+    spec.write_text(text, encoding="utf-8")
+    lineno = text.splitlines().index("beta = 10, 1e200") + 1
     out = tmp_path / "res.csv"
     assert main(["predict", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: spec: ")
-    assert "warmup_frames" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: spec: line {lineno}: beta ")
+    assert err[0].endswith("set warmup_frames")
     assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy import stats
 from relaysim.analytics import occupancy_alpha, p_rd
 from relaysim.engine import (_T975, BASELINE, FIXED, MOBILE, ODWF, MetricsTrace,
                              SystemConfig, _mean_ci, build_protocol, default_warmup,
-                             measure_delay, measure_throughput, resolve_warmup,
-                             run_once, run_replicated, summarize)
-from relaysim.experiment import parse_spec, run_experiment
+                             measure_delay, measure_throughput, run_once,
+                             run_replicated, summarize)
+from relaysim.experiment import SpecError, parse_spec
 from relaysim.protocol import IDLE, RELAY_TX, SOURCE_TX
 
 
@@ -66,29 +67,35 @@ def test_default_warmup_rules():
     cfg = mobile_cfg(warmup_frames=None, q=0.001, beta=1.0)
     assert default_warmup(cfg) == 10_000     # 10/q dominates
     assert default_warmup(mobile_cfg(warmup_frames=None, q=0.0)) == 1000
-    assert resolve_warmup(fixed_cfg(warmup_frames=77)) == 77
+    assert fixed_cfg(warmup_frames=77).warmup == 77
+    assert fixed_cfg(warmup_frames=None, beta=1.0).warmup == 1000
 
 
-@pytest.mark.parametrize("cfg", [fixed_cfg(beta=1e200),
-                                 mobile_cfg(beta=1e200, alpha=0.5),
-                                 mobile_cfg(q=5e-324)],
+@pytest.mark.parametrize("cfg,key", [(fixed_cfg(beta=1e200), "beta"),
+                                     (mobile_cfg(beta=1e200, alpha=0.5), "beta"),
+                                     (mobile_cfg(q=5e-324), "q")],
                          ids=["fixed", "mobile", "tiny-q"])
-def test_default_warmup_past_the_float_range_asks_for_warmup_frames(cfg):
-    # beta^2, beta^(4/alpha) and 10/q pass the float range; a pinned warm-up
-    # still resolves
-    with pytest.raises(ValueError, match="set warmup_frames"):
+def test_default_warmup_past_the_float_range_asks_for_warmup_frames(cfg, key):
+    # beta^2, beta^(4/alpha) and 10/q pass the float range: the message
+    # names the field that overflows, so a spec blames its line; a pinned
+    # warm-up still resolves
+    want = re.escape(f"{key} = {getattr(cfg, key)!r} overflows the default "
+                     "warm-up; set warmup_frames")
+    with pytest.raises(ValueError, match=f"^{want}$"):
         default_warmup(cfg)
-    assert resolve_warmup(cfg) == 300
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        dataclasses.replace(cfg, warmup_frames=None)
+    assert cfg.warmup == 300
 
 
 def test_sweep_resolves_every_warmup_before_the_first_row():
-    spec = parse_spec("schema_version = 1\n[system]\nscenario = fixed\n"
-                      "scheme = odwf\nK = 100\nN = 1\np = 1.0\nbeta = 4\n"
-                      "measure_frames = 100\n[sweep]\nbeta = 10, 1e200\n")
-    rows = []
-    with pytest.raises(ValueError, match="warmup_frames"):
-        run_experiment(spec, lambda row, n: rows.append(row))
-    assert rows == []
+    text = ("schema_version = 1\n[system]\nscenario = fixed\n"
+            "scheme = odwf\nK = 100\nN = 1\np = 1.0\nbeta = 4\n"
+            "measure_frames = 100\n[sweep]\nbeta = 10, 1e200\n")
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert str(err.value) == ("line 11: beta = 1e+200 overflows the default "
+                              "warm-up; set warmup_frames")
 
 
 def run_trace(cfg):
@@ -120,7 +127,7 @@ def test_trace_series_replay_step_and_census(cfg):
     trace = run_trace(cfg)
     proto = build_protocol(cfg, np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(cfg.seed))))
-    warmup = resolve_warmup(cfg)
+    warmup = cfg.warmup
     for frame in range(warmup):
         proto.step(frame)
     code = {SOURCE_TX: 0, RELAY_TX: 1, IDLE: 2}

@@ -154,12 +154,55 @@ def test_parse_anchors_an_overflowing_fixed_rate_to_p_or_the_axis_line():
 def test_parse_anchors_a_bad_combination_of_sweep_values_to_an_axis_line():
     # p = 1e307 and beta = 1e300 each pass alone, but their rate overflows:
     # the point fails on the line of the last axis, before any row runs
-    bad = MINIMAL + "[sweep]\np = 1, 1e307\nbeta = 4, 1e300\n"
+    # (the warm-up is pinned, or beta = 1e300 alone would overflow it)
+    bad = MINIMAL + "warmup_frames = 100\n[sweep]\np = 1, 1e307\nbeta = 4, 1e300\n"
     lineno = bad.splitlines().index("beta = 4, 1e300") + 1
     with pytest.raises(SpecError, match=r"^line \d+: p = 1e\+307 overflows the rate") as err:
         parse_spec(bad)
     assert err.value.line == lineno
     parse_spec(bad.replace("1e307", "1e305"))
+
+
+_VALID = dict(scenario="fixed", scheme="odwf", K=50, N=2, p=1.0, beta=8.0,
+              alpha=4.0, M=5, q=0.1, R=1.0, measure_frames=100,
+              replications=1, seed=0, buffer_cap=1000)
+
+
+@pytest.mark.parametrize("key,changes", [
+    ("scenario", dict(scenario="fxied")), ("scheme", dict(scheme="dwf")),
+    *[(key, {key: "nan"}) for key in ("p", "beta", "alpha", "q", "R")],
+    ("K", dict(K=0)), ("N", dict(N=0)), ("p", dict(p=0.0)), ("beta", dict(beta=0.5)),
+    ("p", dict(p=1e308, beta=10.0)), ("M", dict(M=1)), ("q", dict(q=0.7)),
+    ("alpha", dict(scenario="mobile", alpha=-1.0)),
+    ("R", dict(scenario="mobile", R=1e-320)),
+    ("warmup_frames", dict(warmup_frames=-1)), ("measure_frames", dict(measure_frames=0)),
+    ("replications", dict(replications=0)), ("seed", dict(seed=-1)),
+    ("buffer_cap", dict(buffer_cap=0)),
+    ("beta", dict(beta=1e200)),
+    ("beta", dict(scenario="mobile", beta=1e200, alpha=0.5)),
+    ("q", dict(scenario="mobile", q=5e-324)),
+], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
+def test_every_config_violation_names_the_field_parse_spec_blames(key, changes):
+    # parse_spec anchors a SystemConfig error to the line of the field its
+    # message begins with: every check in SystemConfig, the default warm-up
+    # included, must begin with the field it blames
+    lines = ["schema_version = 1", "[system]"] + [
+        f"{name} = {value}" for name, value in {**_VALID, **changes}.items()]
+    with pytest.raises(SpecError) as err:
+        parse_spec("\n".join(lines) + "\n")
+    assert str(err.value).startswith(f"line {err.value.line}: {key} ")
+    assert lines[err.value.line - 1].startswith(f"{key} = ")
+
+
+@pytest.mark.parametrize("template_beta", ["4", "400"])
+def test_swept_rows_resolve_their_own_default_warmup(template_beta):
+    # the template's warm-up is never carried into a row: each beta gets the
+    # default of its own delay scale, 10 * ceil(2 c beta^2 / K) floored at 1000
+    text = (MINIMAL.replace("K = 50", "K = 100").replace("N = 2", "N = 1")
+            .replace("beta = 8", f"beta = {template_beta}")
+            + "[sweep]\nbeta = 4, 400\n[output]\nmode = predict\n")
+    table = run_experiment(parse_spec(text))
+    assert [cells["warmup_frames"] for cells in table] == [1000, 22_190]
 
 
 def test_parse_strips_inline_comments_after_whitespace():
@@ -214,7 +257,8 @@ def _parses_or_says_why(text):
     except SpecError as exc:
         assert str(exc)
         return
-    spec.configs()    # every point run_experiment builds
+    # every point run_experiment builds, each with a resolved warm-up
+    assert all(cfg.warmup >= 0 for cfg in spec.configs())
 
 
 @settings(max_examples=200, deadline=None)

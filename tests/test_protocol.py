@@ -739,7 +739,7 @@ def mobile_state_is_consistent(proto):
     assert proto.counts.min() >= 0 and proto.counts[:, 0].tolist() == [0, 0]
     assert int(proto.counts.sum()) == proto.K
     if isinstance(proto, BaselineMobile):
-        assert (proto.buffered.sum() > 0) == (proto.outstanding is not None)
+        assert proto.buffered.sum() == proto.held
         return
     odwf_bank_is_consistent(proto, proto.bank)
 
@@ -838,7 +838,7 @@ def buffer_relays(proto, fresh):
         assert proto.step(0) is SOURCE_FRAME
         del proto._walk, proto._deliverers, proto._in_coverage
     else:
-        proto.outstanding = proto.created = 0
+        proto.created, proto.next_seq = 0, 1    # packet 0 is out
         proto.held = int(fresh.sum())
         proto.idle -= fresh
         proto.buffered += fresh
