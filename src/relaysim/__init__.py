@@ -5,7 +5,7 @@ from .analytics import (Prediction, baseline_fixed_prediction,
                         baseline_mobile_prediction, c_of, delta_of,
                         occupancy_alpha, odwf_fixed_prediction,
                         odwf_mobile_prediction, p_rd)
-from .channel import RateThreshold, coverage_radius
+from .channel import coverage_radius, fixed_link
 from .engine import (BASELINE, FIXED, MOBILE, ODWF, MetricsTrace, RunSummary,
                      SystemConfig, measure_delay, measure_throughput,
                      run_once, run_replicated)

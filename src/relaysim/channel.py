@@ -1,58 +1,24 @@
 """Link models for both relay scenarios.
 
 Fixed relays see per-subcarrier Rayleigh block fading: every link gets a fresh
-Exp(1) power gain each frame, and a link is connected iff the gain clears the
-rate threshold, so it is up with probability exactly 1/beta, independently
-across links and frames. The fixed schemes draw counts of connected links from
-that number. Mobile relays see pure pathloss: a link is connected iff the
-distance is within the coverage radius.
+Exp(1) power gain each frame, and a link is connected iff the gain clears
+ln(beta), the gain at which log2(1 + p * gain) meets the rate
+log2(1 + p ln beta). So a link is up with probability exactly 1/beta,
+independently across links and frames (fixed_link), and the fixed schemes
+draw counts of connected links from that number. Mobile relays see pure
+pathloss: a link is connected iff the distance is within the coverage radius
+(p/beta)^(1/alpha), where the rate over the whole band is N log2(beta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class RateThreshold:
-    """A transmission rate locked to its connectivity threshold beta.
-
-    Fixed scenario: rate = log2(1 + p * ln(beta)); a link is connected iff its
-    fading gain is at least ln(beta), so the connect probability is exactly
-    1/beta. Mobile scenario: rate = N * log2(beta) over the whole band; a link
-    is connected iff the distance is within (p/beta)^(1/alpha). beta = 1 is the
-    degenerate zero-rate threshold, allowed for geometry probes.
-    """
-
-    rate: float
-    beta: float
-
-    def __post_init__(self):
-        if self.beta < 1.0:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if self.rate < 0.0:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
-
-    @property
-    def connect_probability(self) -> float:
-        """P(a fixed link is up): exactly 1/beta."""
-        return 1.0 / self.beta
-
-    @property
-    def log_down(self) -> float:
-        """log P(a fixed link is down); -inf at beta = 1, where none is."""
-        return math.log1p(-1.0 / self.beta) if self.beta > 1.0 else -math.inf
-
-    @classmethod
-    def for_fixed(cls, p: float, beta: float) -> "RateThreshold":
-        if p <= 0.0:
-            raise ValueError(f"p must be positive, got {p}")
-        return cls(rate=math.log2(1.0 + p * math.log(beta)), beta=float(beta))
-
-    @classmethod
-    def for_mobile(cls, n_subcarriers: int, beta: float) -> "RateThreshold":
-        return cls(rate=n_subcarriers * math.log2(beta), beta=float(beta))
+def fixed_link(beta: float) -> tuple:
+    """(P(a fixed link is up), log P(it is down)) at threshold beta: 1/beta,
+    and log1p(-1/beta), or -inf at beta = 1, where no link is down."""
+    return 1.0 / beta, math.log1p(-1.0 / beta) if beta > 1.0 else -math.inf
 
 
 def coverage_radius(p: float, beta: float, alpha: float) -> float:

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import c_of
-from .channel import RateThreshold
-from .mobility import build_geometry
 from .protocol import (IDLE, RELAY_TX, SOURCE_TX, BaselineFixed,
                        BaselineMobile, OdwfFixed, OdwfMobile)
 
@@ -29,6 +27,8 @@ ODWF = "odwf"
 BASELINE = "baseline"
 
 _PHASE_CODE = {SOURCE_TX: 0, RELAY_TX: 1, IDLE: 2}
+_SCHEMES = {(FIXED, ODWF): OdwfFixed, (FIXED, BASELINE): BaselineFixed,
+            (MOBILE, ODWF): OdwfMobile, (MOBILE, BASELINE): BaselineMobile}
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,17 @@ class SystemConfig:
         for key in ("p", "beta", "alpha", "q", "R"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        for key in ("K", "N"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+            if value >= 2 ** 63:    # numpy draws take int64 counts
+                raise ValueError(f"{key} must be < 2**63, got {value}")
         if self.p <= 0.0:
             raise ValueError(f"p must be > 0, got {self.p}")
         if self.beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if self.scenario == FIXED and math.isinf(
-                RateThreshold.for_fixed(self.p, self.beta).rate):
+        if self.scenario == FIXED and math.isinf(self.rate):
             raise ValueError(f"p = {self.p} overflows the rate log2(1 + p ln beta) "
                              f"at beta = {self.beta}")
         if self.M < 2:
@@ -94,6 +95,15 @@ class SystemConfig:
             raise ValueError(f"buffer_cap must be >= 1, got {self.buffer_cap}")
         object.__setattr__(self, "warmup", self.warmup_frames
                            if self.warmup_frames is not None else default_warmup(self))
+
+    @property
+    def rate(self) -> float:
+        """Bits per delivered packet at threshold beta: log2(1 + p ln beta)
+        on a fixed relay's subcarrier, N log2(beta) over a mobile relay's
+        whole band."""
+        if self.scenario == FIXED:
+            return math.log2(1.0 + self.p * math.log(self.beta))
+        return self.N * math.log2(self.beta)
 
 
 @dataclass
@@ -168,17 +178,7 @@ def default_warmup(cfg: SystemConfig) -> int:
 
 
 def build_protocol(cfg: SystemConfig, rng: np.random.Generator):
-    if cfg.scenario == FIXED:
-        threshold = RateThreshold.for_fixed(cfg.p, cfg.beta)
-        if cfg.scheme == ODWF:
-            return OdwfFixed(cfg.K, cfg.N, threshold, rng, cfg.buffer_cap)
-        return BaselineFixed(cfg.K, cfg.N, threshold, rng)
-    geom = build_geometry(cfg.R, cfg.M)
-    threshold = RateThreshold.for_mobile(cfg.N, cfg.beta)
-    if cfg.scheme == ODWF:
-        return OdwfMobile(cfg.K, geom, threshold, cfg.p, cfg.alpha, cfg.q, rng,
-                          cfg.buffer_cap)
-    return BaselineMobile(cfg.K, geom, threshold, cfg.p, cfg.alpha, cfg.q, rng)
+    return _SCHEMES[cfg.scenario, cfg.scheme](cfg, rng)
 
 
 def run_once(cfg: SystemConfig, rng: np.random.Generator) -> MetricsTrace:
@@ -205,7 +205,7 @@ def run_once(cfg: SystemConfig, rng: np.random.Generator) -> MetricsTrace:
         occupied.extend(counts)
         in_network.append(in_flight)
     return MetricsTrace(
-        rate=proto.rate,
+        rate=cfg.rate,
         delivered_per_frame=np.frombuffer(delivered, dtype=np.int64),
         per_packet_delay=np.asarray(delays, dtype=np.int64),
         occupancy_fraction=np.frombuffer(occupied, dtype=np.int64).reshape(frames, -1) / cfg.K,

@@ -1,15 +1,16 @@
 """The four relay scheduling schemes as frame-synchronous state machines.
 
-Each scheme exposes step(frame) -> FrameOutcome(kind, delivered): kind is
-SOURCE_TX (phase I, source injects), RELAY_TX (phase II, relays deliver) or
-IDLE, and delivered holds a (seq, created_frame) pair per packet the
-destination received. Idle and source frames return IDLE_FRAME and
-SOURCE_FRAME. census() -> (occupied, in_flight) gives, as ints, the relays
-holding undelivered packets per subcarrier (one entry for mobile relays) and
-the packets in flight. Both ODWF schemes run one packet flow, _Odwf, and
-differ only in their link model. Buffers are unbounded by design; a
-configurable guard cap aborts with a diagnostic when a configuration is
-divergent.
+Each scheme is built as Scheme(cfg, rng) from an engine.SystemConfig and a
+numpy Generator, and reads the fields of cfg it needs. It exposes
+step(frame) -> FrameOutcome(kind, delivered): kind is SOURCE_TX (phase I,
+source injects), RELAY_TX (phase II, relays deliver) or IDLE, and delivered
+holds a (seq, created_frame) pair per packet the destination received. Idle
+and source frames return IDLE_FRAME and SOURCE_FRAME. census() ->
+(occupied, in_flight) gives, as ints, the relays holding undelivered packets
+per subcarrier (one entry for mobile relays) and the packets in flight. Both
+ODWF schemes run one packet flow, _Odwf, and differ only in their link model.
+Buffers are unbounded by design; a configurable guard cap aborts with a
+diagnostic when a configuration is divergent.
 
 Mobile relays carry a strip, never coordinates: positions are redrawn
 uniformly within the strip every frame, so coverage is a per-strip Bernoulli
@@ -27,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import RateThreshold, coverage_radius
+from .channel import coverage_radius, fixed_link
 from .matching import max_bipartite_matching
-from .mobility import DiskGeometry, coverage_probabilities
+from .mobility import build_geometry, coverage_probabilities
 
 # inert: perfbench/tracing.py patches these names here; nothing calls them,
 # and they go when the tracer drops those patch points
@@ -226,15 +227,11 @@ class OdwfFixed(_Odwf):
     So a frame costs O(N + connected relays), whatever K is.
     """
 
-    def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
-                 rng: np.random.Generator, buffer_cap: int = 100_000):
-        super().__init__(n_subcarriers, buffer_cap)
-        self.K = n_relays
-        self.N = n_subcarriers
-        self.rate = threshold.rate
+    def __init__(self, cfg, rng: np.random.Generator):
+        super().__init__(cfg.N, cfg.buffer_cap)
+        self.K = cfg.K
         self.rng = rng
-        self.connect_probability = threshold.connect_probability
-        self.log_down = threshold.log_down
+        self.connect_probability, self.log_down = fixed_link(cfg.beta)
         self.uniforms = _Uniforms(rng)
 
     def _deliverers(self):
@@ -299,14 +296,10 @@ class BaselineFixed:
 
     CHUNK = 8
 
-    def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
-                 rng: np.random.Generator):
-        self.K = n_relays
-        self.N = n_subcarriers
-        self.rate = threshold.rate
+    def __init__(self, cfg, rng: np.random.Generator):
+        self.K, self.N = cfg.K, cfg.N
         self.rng = rng
-        self.log_down = threshold.log_down
-        p = threshold.connect_probability    # (first subcarrier, pi) per chunk
+        p, self.log_down = fixed_link(cfg.beta)    # (first subcarrier, pi) per chunk
         self.chunks = [(n, reduce(np.kron, [[1 - p, p]] * min(self.CHUNK, self.N - n), [1.0]))
                        for n in range(0, self.N, self.CHUNK)]    # bit j of S: subcarrier n + j
         self.pending = []    # undelivered packets i of the batch: seq base_seq + i
@@ -393,15 +386,11 @@ class _MobileScheme:
 
     FEW = 8.0
 
-    def __init__(self, n_relays: int, geom: DiskGeometry, threshold: RateThreshold,
-                 p: float, pathloss_exp: float, q: float, rng: np.random.Generator):
-        self.K = n_relays
-        self.M = M = geom.n_regions
-        self.rate = threshold.rate
-        self.q = q
+    def __init__(self, cfg, rng: np.random.Generator):
+        self.K, self.M, self.q = K, M, q = cfg.K, cfg.M, cfg.q
         self.rng = rng
-        cov = coverage_radius(p, threshold.beta, pathloss_exp)
-        self.p_src, self.p_dst, p_both = coverage_probabilities(geom, cov)
+        self.p_src, self.p_dst, p_both = coverage_probabilities(
+            build_geometry(cfg.R, M), coverage_radius(cfg.p, cfg.beta, cfg.alpha))
         # source coverage given no destination coverage; where p_dst = 1 no
         # buffered relay survives phase II, so any value will do
         self.p_src_given_no_dst = np.clip(np.divide(
@@ -409,7 +398,7 @@ class _MobileScheme:
             out=np.zeros(M + 1), where=self.p_dst < 1.0), 0.0, 1.0)
         self.counts = np.zeros((2, M + 1), dtype=np.int64)
         self.idle, self.buffered = self.counts    # views, updated in place
-        self.idle[1:] = rng.multinomial(n_relays, np.full(M, 1.0 / M))
+        self.idle[1:] = rng.multinomial(K, np.full(M, 1.0 / M))
         self.split = [q, q, 1.0 - 2.0 * q]
         # landing[r]: the strips a relay of strip r moves to up, down or
         # staying, reflected at strips 1 and M; row 0, no strip, stays 0
@@ -418,7 +407,7 @@ class _MobileScheme:
         # where the up, down and staying movers of strip r, class c land in
         # counts.ravel(), for strips 1..M of the idle, then the buffered class
         self.dest = (self.land[1:].ravel() + [[0], [M + 1]]).ravel()
-        self.few = 2.0 * q * n_relays <= self.FEW
+        self.few = 2.0 * q * K <= self.FEW
         self.n_movers = iter(())
         self.uniforms = _Uniforms(rng)
 
@@ -485,14 +474,13 @@ class OdwfMobile(_MobileScheme, _Odwf):
 
     THIN_FROM = 2048
 
-    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
-                 buffer_cap: int = 100_000):
-        _MobileScheme.__init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        _Odwf.__init__(self, 1, buffer_cap)
+    def __init__(self, cfg, rng: np.random.Generator):
+        _MobileScheme.__init__(self, cfg, rng)
+        _Odwf.__init__(self, 1, cfg.buffer_cap)
         self.bank = self.banks[0]
-        self.strip = np.zeros(n_relays, dtype=np.intp)
+        self.strip = np.zeros(cfg.K, dtype=np.intp)
         self.thin_rate = max(self.p_src_given_no_dst.tolist())
-        self.cuts = np.array([q, 2.0 * q])
+        self.cuts = np.array([cfg.q, 2.0 * cfg.q])
 
     def _groups(self) -> list:
         """The idle relays of strips 1..M, then all buffered ones, none of
@@ -593,8 +581,8 @@ class BaselineMobile(_MobileScheme):
     exchangeable as well, so they are only counted.
     """
 
-    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
-        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
+    def __init__(self, cfg, rng: np.random.Generator):
+        super().__init__(cfg, rng)
         self.held = 0    # relays holding packet next_seq - 1; 0: none is out
         self.created = self.next_seq = 0    # created: its creation frame
 

@@ -36,9 +36,9 @@ from itertools import accumulate
 import numpy as np
 
 from relaysim.analytics import c_of, delta_of, occupancy_alpha
-from relaysim.channel import RateThreshold, coverage_radius
+from relaysim.channel import coverage_radius
 from relaysim.matching import max_bipartite_matching
-from relaysim.mobility import DiskGeometry, coverage_probabilities
+from relaysim.mobility import DiskGeometry, build_geometry, coverage_probabilities
 from relaysim.protocol import (IDLE_FRAME, RELAY_TX, SOURCE_FRAME,
                                BufferOverflowError, FrameOutcome, OdwfMobile)
 
@@ -156,13 +156,10 @@ class DenseBaselineFixed:
     on that subcarrier.
     """
 
-    def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
-                 rng: np.random.Generator):
-        self.K = n_relays
-        self.N = n_subcarriers
-        self.rate = threshold.rate
+    def __init__(self, cfg, rng: np.random.Generator):
+        self.K, self.N = cfg.K, cfg.N
         self.rng = rng
-        self.links = DenseLinkSampler(threshold, rng)
+        self.links = DenseLinkSampler(cfg.beta, rng)
         self.batch = {}   # seq -> sorted holder id array
         self.created_frame = {}
         self.next_seq = 0
@@ -256,14 +253,11 @@ class DenseOdwfFixed:
     relay enqueues that subcarrier's packet.
     """
 
-    def __init__(self, n_relays: int, n_subcarriers: int, threshold: RateThreshold,
-                 rng: np.random.Generator, buffer_cap: int = 100_000):
-        self.K = n_relays
-        self.N = n_subcarriers
-        self.rate = threshold.rate
+    def __init__(self, cfg, rng: np.random.Generator):
+        self.K, self.N = cfg.K, cfg.N
         self.rng = rng
-        self.links = DenseLinkSampler(threshold, rng)
-        self.banks = [IdFifos(np.zeros(n_relays, dtype=np.int32), buffer_cap)
+        self.links = DenseLinkSampler(cfg.beta, rng)
+        self.banks = [IdFifos(np.zeros(cfg.K, dtype=np.int32), cfg.buffer_cap)
                       for _ in range(self.N)]
         self.created_frame = {}
         self.next_seq = 0
@@ -312,12 +306,12 @@ class DenseLinkSampler:
 
     Uses the inverse-transform coupling U = exp(-gain): the event
     {Exp(1) gain >= ln beta} is exactly {U <= 1/beta}, so connectivity is a
-    Bernoulli(threshold.connect_probability) draw, without gains.
+    Bernoulli(1/beta) draw, without gains.
     """
 
-    def __init__(self, threshold: RateThreshold, rng: np.random.Generator):
+    def __init__(self, beta: float, rng: np.random.Generator):
         self.rng = rng
-        self.connect_probability = threshold.connect_probability
+        self.connect_probability = 1.0 / beta
 
     def connected(self, count: int) -> np.ndarray:
         """Connectivity indicators for `count` distinct links in this frame."""
@@ -339,21 +333,22 @@ def mutual_information(p: float, gain: float) -> float:
     return math.log2(1.0 + p * gain)
 
 
-def is_connected_fixed(r: RateThreshold, p: float, gain: float) -> bool:
+def is_connected_fixed(beta: float, p: float, gain: float) -> bool:
     """Fixed-scenario link test in threshold form.
 
-    Equivalent to mutual_information(p, gain) >= r.rate, but evaluated as
-    gain >= ln(beta) so the connect probability is exactly 1/beta with no
-    transcendental round-trip at the boundary.
+    Equivalent to mutual_information(p, gain) >= log2(1 + p ln beta), the
+    rate at threshold beta, but evaluated as gain >= ln(beta) so the connect
+    probability is exactly 1/beta with no transcendental round-trip at the
+    boundary.
     """
-    return gain >= math.log(r.beta)
+    return gain >= math.log(beta)
 
 
-def is_connected_mobile(r: RateThreshold, p: float, d: float, alpha: float) -> bool:
+def is_connected_mobile(beta: float, p: float, d: float, alpha: float) -> bool:
     """Mobile-scenario link test: inside the coverage radius, boundary inclusive."""
     if d <= 0.0:
         raise ValueError(f"distance must be positive, got {d}")
-    return d <= coverage_radius(p, r.beta, alpha)
+    return d <= coverage_radius(p, beta, alpha)
 
 
 LN2 = math.log(2.0)
@@ -606,16 +601,14 @@ class _DenseMobileScheme:
     redrawn on every transition anyway, carries no state.
     """
 
-    def __init__(self, n_relays: int, geom: DiskGeometry, threshold: RateThreshold,
-                 p: float, pathloss_exp: float, q: float, rng: np.random.Generator):
-        self.K = n_relays
-        self.geom = geom
-        self.rate = threshold.rate
-        self.q = q
+    def __init__(self, cfg, rng: np.random.Generator):
+        self.K = cfg.K
+        self.geom = geom = build_geometry(cfg.R, cfg.M)
+        self.q = cfg.q
         self.rng = rng
-        self.cov = coverage_radius(p, threshold.beta, pathloss_exp)
+        self.cov = coverage_radius(cfg.p, cfg.beta, cfg.alpha)
         self.src_max_region, self.dest_min_region = coverage_window(geom, self.cov)
-        xs, _ = uniform_disk(geom.radius, n_relays, rng)
+        xs, _ = uniform_disk(geom.radius, cfg.K, rng)
         interior = np.asarray(geom.boundaries[1:-1])
         self.regions = (np.searchsorted(interior, xs, side="right") + 1).astype(np.int64)
 
@@ -647,10 +640,9 @@ class _DenseMobileScheme:
 class DenseOdwfMobile(_DenseMobileScheme):
     """OdwfMobile drawing coordinates for every relay a coverage disk can reach."""
 
-    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
-                 buffer_cap: int = 100_000):
-        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.buffer_cap = buffer_cap
+    def __init__(self, cfg, rng: np.random.Generator):
+        super().__init__(cfg, rng)
+        self.buffer_cap = cfg.buffer_cap
         self.buffers = defaultdict(deque)
         self.buffer_count = np.zeros(self.K, dtype=np.int32)
         self.buffered_relays = 0
@@ -724,8 +716,8 @@ class DenseOdwfMobile(_DenseMobileScheme):
 class DenseBaselineMobile(_DenseMobileScheme):
     """BaselineMobile drawing coordinates for every relay a coverage disk can reach."""
 
-    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
-        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
+    def __init__(self, cfg, rng: np.random.Generator):
+        super().__init__(cfg, rng)
         self.outstanding = None  # (seq, holder id array)
         self.created_frame = {}
         self.next_seq = 0
@@ -772,15 +764,12 @@ class _StripMobileScheme:
     coverage in a frame (entry 0 unused).
     """
 
-    def __init__(self, n_relays: int, geom: DiskGeometry, threshold: RateThreshold,
-                 p: float, pathloss_exp: float, q: float, rng: np.random.Generator):
-        self.K = n_relays
-        self.M = geom.n_regions
-        self.rate = threshold.rate
-        self.q = q
+    def __init__(self, cfg, rng: np.random.Generator):
+        self.K, self.M, self.q = cfg.K, cfg.M, cfg.q
         self.rng = rng
-        cov = coverage_radius(p, threshold.beta, pathloss_exp)
-        self.p_src, self.p_dst, p_both = coverage_probabilities(geom, cov)
+        geom = build_geometry(cfg.R, cfg.M)
+        self.p_src, self.p_dst, p_both = coverage_probabilities(
+            geom, coverage_radius(cfg.p, cfg.beta, cfg.alpha))
         # coverage reaches strips 1..src_max_region and dest_min_region..M
         self.src_max_region = int(np.flatnonzero(self.p_src)[-1])
         self.dest_min_region = int(np.flatnonzero(self.p_dst)[0])
@@ -789,8 +778,8 @@ class _StripMobileScheme:
         self.p_src_given_no_dst = np.clip(np.divide(
             self.p_src - p_both, 1.0 - self.p_dst,
             out=np.zeros(self.M + 1), where=self.p_dst < 1.0), 0.0, 1.0)
-        self.buffer_count = np.zeros(n_relays, dtype=np.int32)
-        self.place(init_regions(geom, n_relays, rng))
+        self.buffer_count = np.zeros(cfg.K, dtype=np.int32)
+        self.place(init_regions(geom, cfg.K, rng))
 
     def place(self, regions):
         """Put relay k in strip regions[k] and rebuild the per-strip counts."""
@@ -863,10 +852,9 @@ class _StripMobileScheme:
 class StripOdwfMobile(_StripMobileScheme):
     """OdwfMobile walking every relay id through its strip."""
 
-    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng,
-                 buffer_cap: int = 100_000):
-        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
-        self.bank = IdFifos(self.buffer_count, buffer_cap)
+    def __init__(self, cfg, rng: np.random.Generator):
+        super().__init__(cfg, rng)
+        self.bank = IdFifos(self.buffer_count, cfg.buffer_cap)
         self.created_frame = {}
         self.next_seq = 0
 
@@ -914,8 +902,8 @@ class StripOdwfMobile(_StripMobileScheme):
 class StripBaselineMobile(_StripMobileScheme):
     """BaselineMobile walking every relay id through its strip."""
 
-    def __init__(self, n_relays, geom, threshold, p, pathloss_exp, q, rng):
-        super().__init__(n_relays, geom, threshold, p, pathloss_exp, q, rng)
+    def __init__(self, cfg, rng: np.random.Generator):
+        super().__init__(cfg, rng)
         self.outstanding = None  # (seq, holder id array)
         self.created_frame = {}
         self.next_seq = 0

@@ -13,7 +13,6 @@ from scipy import stats
 
 from relaysim.analytics import (baseline_fixed_prediction, c_of,
                                 occupancy_alpha, odwf_fixed_prediction, p_rd)
-from relaysim.channel import RateThreshold
 from relaysim.cli import PRESETS, main
 from relaysim.engine import (SystemConfig, measure_throughput, run_once,
                              run_replicated)
@@ -34,8 +33,7 @@ def loglog_slope(xs, ys):
 def test_criterion_01_connect_probability_is_one_over_beta():
     n = 10**6
     for seed, beta in ((101, 2.0), (102, 10.0), (103, 100.0)):
-        thr = RateThreshold.for_fixed(1.0, beta)
-        links = DenseLinkSampler(thr, np.random.default_rng(seed))
+        links = DenseLinkSampler(beta, np.random.default_rng(seed))
         hits = int(links.connected(n).sum())
         want = 1.0 / beta
         sigma = math.sqrt(want * (1.0 - want) / n)

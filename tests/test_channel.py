@@ -8,7 +8,8 @@ import pytest
 from oracles import (DenseLinkSampler, QuadratureError, ergodic_capacity_exact,
                      is_connected_fixed, is_connected_mobile, mutual_information,
                      sample_power_gain, sample_power_gains)
-from relaysim.channel import RateThreshold, coverage_radius
+from relaysim.channel import coverage_radius, fixed_link
+from relaysim.engine import SystemConfig
 
 # E[log2(1 + c*g)], g ~ Exp(1), frozen from a 50-digit evaluation of
 # exp(1/c)*E1(1/c)/ln2
@@ -59,39 +60,33 @@ def test_mutual_information_strictly_increasing():
         assert mutual_information(p, g + eps) > mutual_information(p, g)
 
 
-def test_rate_threshold_fixed_relation():
+def rate_of(scenario, p, beta, N=1):
+    return SystemConfig(scenario, "odwf", K=1, N=N, p=p, beta=beta, warmup_frames=0).rate
+
+
+def test_fixed_rate_relation():
     rng = np.random.default_rng(10)
     for _ in range(100):
         p = rng.uniform(0.1, 100.0)
         beta = rng.uniform(1.0, 1e6)
-        r = RateThreshold.for_fixed(p, beta)
+        rate = rate_of("fixed", p, beta)
         # defining relation 2^rate - 1 = p*ln(beta) within 1e-12 relative
-        lhs = 2.0**r.rate - 1.0
+        lhs = 2.0**rate - 1.0
         rhs = p * math.log(beta)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def test_rate_threshold_mobile_relation():
+def test_mobile_rate_relation():
     for n in (1, 2, 4):
         for beta in (1.0, 4.0, 1e3):
-            r = RateThreshold.for_mobile(n, beta)
-            assert r.rate == n * math.log2(beta)
-
-
-def test_rate_threshold_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        RateThreshold(rate=1.0, beta=0.5)
-    with pytest.raises(ValueError):
-        RateThreshold(rate=-0.1, beta=2.0)
-    with pytest.raises(ValueError):
-        RateThreshold.for_fixed(0.0, 2.0)
+            assert rate_of("mobile", 1.0, beta, N=n) == n * math.log2(beta)
 
 
 def test_is_connected_fixed_boundary_and_interior():
-    r = RateThreshold.for_fixed(1.0, math.e)  # rate 1 at p=1, gain threshold 1
-    assert is_connected_fixed(r, 1.0, 1.0)    # boundary counts as connected
-    assert not is_connected_fixed(r, 1.0, 0.9)
-    assert is_connected_fixed(r, 1.0, 1.1)
+    beta = math.e    # rate 1 at p=1, gain threshold 1
+    assert is_connected_fixed(beta, 1.0, 1.0)    # boundary counts as connected
+    assert not is_connected_fixed(beta, 1.0, 0.9)
+    assert is_connected_fixed(beta, 1.0, 1.1)
 
 
 def test_is_connected_fixed_agrees_with_rate_comparison():
@@ -101,20 +96,19 @@ def test_is_connected_fixed_agrees_with_rate_comparison():
         p = rng.uniform(0.5, 5.0)
         beta = rng.uniform(1.1, 50.0)
         gain = rng.exponential()
-        r = RateThreshold.for_fixed(p, beta)
-        via_rate = mutual_information(p, gain) >= r.rate - 1e-9
-        via_threshold = is_connected_fixed(r, p, gain)
-        if abs(gain - math.log(r.beta)) > 1e-6:  # skip the float boundary
-            assert via_threshold == (mutual_information(p, gain) >= r.rate) == via_rate
+        rate = rate_of("fixed", p, beta)
+        via_rate = mutual_information(p, gain) >= rate - 1e-9
+        via_threshold = is_connected_fixed(beta, p, gain)
+        if abs(gain - math.log(beta)) > 1e-6:  # skip the float boundary
+            assert via_threshold == (mutual_information(p, gain) >= rate) == via_rate
 
 
 def test_connect_probability_is_exactly_one_over_beta():
     rng = np.random.default_rng(12)
     n = 10**6
     for beta in (1.5, 3.0, 30.0):
-        r = RateThreshold.for_fixed(1.0, beta)
         gains = sample_power_gains(rng, n)
-        hits = sum(is_connected_fixed(r, 1.0, g) for g in gains[:10_000])
+        hits = sum(is_connected_fixed(beta, 1.0, g) for g in gains[:10_000])
         phat = hits / 10_000
         sigma = math.sqrt((1 / beta) * (1 - 1 / beta) / 10_000)
         assert abs(phat - 1 / beta) <= 4 * sigma
@@ -123,11 +117,8 @@ def test_connect_probability_is_exactly_one_over_beta():
 def test_fixed_link_numbers_are_exact():
     # the two numbers every fixed scheme draws its links from
     for beta in (1.5, 2.0, 8.0, 40.0, 1e6):
-        r = RateThreshold.for_fixed(1.0, beta)
-        assert r.connect_probability == 1.0 / beta
-        assert r.log_down == math.log1p(-1.0 / beta)
-    r = RateThreshold.for_fixed(1.0, 1.0)
-    assert r.connect_probability == 1.0 and r.log_down == -math.inf
+        assert fixed_link(beta) == (1.0 / beta, math.log1p(-1.0 / beta))
+    assert fixed_link(1.0) == (1.0, -math.inf)
 
 
 def test_coverage_radius_known_points():
@@ -147,13 +138,11 @@ def test_coverage_radius_rejects_bad_inputs():
 
 
 def test_is_connected_mobile_boundary_inclusive():
-    r1 = RateThreshold.for_mobile(1, 1.0)
-    assert is_connected_mobile(r1, 1.0, 0.5, 2.0)
-    assert is_connected_mobile(r1, 1.0, 1.0, 2.0)  # d equal to radius connects
-    r256 = RateThreshold.for_mobile(1, 256.0)
-    assert not is_connected_mobile(r256, 1.0, 0.3, 4.0)  # radius is 0.25
+    assert is_connected_mobile(1.0, 1.0, 0.5, 2.0)
+    assert is_connected_mobile(1.0, 1.0, 1.0, 2.0)  # d equal to radius connects
+    assert not is_connected_mobile(256.0, 1.0, 0.3, 4.0)  # radius is 0.25
     with pytest.raises(ValueError):
-        is_connected_mobile(r1, 1.0, 0.0, 2.0)
+        is_connected_mobile(1.0, 1.0, 0.0, 2.0)
 
 
 def test_ergodic_capacity_against_oracle():
@@ -214,7 +203,7 @@ def test_ergodic_capacity_stable_at_16_nodes():
 
 def test_link_sampler_matches_bernoulli_rate():
     rng = np.random.default_rng(13)
-    sampler = DenseLinkSampler(RateThreshold.for_fixed(1.0, 8.0), rng)
+    sampler = DenseLinkSampler(8.0, rng)
     draws = np.concatenate([sampler.connected(1000) for _ in range(1000)])
     phat = draws.mean()
     sigma = math.sqrt((1 / 8.0) * (1 - 1 / 8.0) / draws.size)
@@ -222,6 +211,6 @@ def test_link_sampler_matches_bernoulli_rate():
 
 
 def test_link_sampler_is_deterministic_under_seed():
-    a = DenseLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
-    b = DenseLinkSampler(RateThreshold.for_fixed(1.0, 5.0), np.random.default_rng(3))
+    a = DenseLinkSampler(5.0, np.random.default_rng(3))
+    b = DenseLinkSampler(5.0, np.random.default_rng(3))
     assert np.array_equal(a.connected(257), b.connected(257))

@@ -140,6 +140,20 @@ def test_sweep_past_the_float_range_fails_before_any_row(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
 
 
+def test_relay_count_past_int64_fails_on_its_line(tmp_path, capsys):
+    # K = 2**63 would overflow numpy's int64 draws: a spec error on the K
+    # line, before any row runs, and nothing written
+    spec = tmp_path / "exp.ini"
+    text = SPEC.replace("K = 100", f"K = {2**63}")
+    spec.write_text(text, encoding="utf-8")
+    lineno = text.splitlines().index(f"K = {2**63}") + 1
+    out = tmp_path / "res.csv"
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: spec: line {lineno}: K must be < 2**63, got {2**63}"]
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
+
+
 @pytest.mark.parametrize("scenario", ["fixed", "mobile"])
 def test_prediction_past_the_float_range_reads_no_prediction(tmp_path, scenario):
     # with the warm-up pinned, the closed forms overflow at beta = 1e200

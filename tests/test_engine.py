@@ -14,7 +14,8 @@ from relaysim.engine import (_T975, BASELINE, FIXED, MOBILE, ODWF, MetricsTrace,
                              measure_delay, measure_throughput, run_once,
                              run_replicated, summarize)
 from relaysim.experiment import SpecError, parse_spec
-from relaysim.protocol import IDLE, RELAY_TX, SOURCE_TX
+from relaysim.protocol import (IDLE, RELAY_TX, SOURCE_TX, BaselineFixed,
+                               BaselineMobile, OdwfFixed, OdwfMobile)
 
 
 def fixed_cfg(**kw):
@@ -30,6 +31,20 @@ def mobile_cfg(**kw):
                 measure_frames=1500, seed=2)
     base.update(kw)
     return SystemConfig(**base)
+
+
+def test_build_protocol_looks_up_the_scheme_class():
+    classes = {(FIXED, ODWF): OdwfFixed, (FIXED, BASELINE): BaselineFixed,
+               (MOBILE, ODWF): OdwfMobile, (MOBILE, BASELINE): BaselineMobile}
+    for (scenario, scheme), cls in classes.items():
+        cfg = (fixed_cfg if scenario == FIXED else mobile_cfg)(scheme=scheme)
+        assert type(build_protocol(cfg, np.random.default_rng(0))) is cls
+
+
+@pytest.mark.parametrize("make_cfg", [fixed_cfg, mobile_cfg])
+def test_trace_rate_is_the_config_rate(make_cfg):
+    cfg = make_cfg(N=3, p=2.0, warmup_frames=0, measure_frames=10)
+    assert run_once(cfg, np.random.default_rng(0)).rate == cfg.rate
 
 
 def test_config_validation_messages_name_the_field():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import re
 
@@ -181,6 +182,11 @@ _VALID = dict(scenario="fixed", scheme="odwf", K=50, N=2, p=1.0, beta=8.0,
     ("beta", dict(beta=1e200)),
     ("beta", dict(scenario="mobile", beta=1e200, alpha=0.5)),
     ("q", dict(scenario="mobile", q=5e-324)),
+    # past int64, where numpy draws fail and a mobile rate N log2(beta)
+    # cannot convert N to float
+    pytest.param("K", dict(K=10**400), id="K-1e400"),
+    pytest.param("K", dict(K=2**63), id="K-2**63"),
+    pytest.param("N", dict(scenario="mobile", N=10**400), id="mobile-N-1e400"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
 def test_every_config_violation_names_the_field_parse_spec_blames(key, changes):
     # parse_spec anchors a SystemConfig error to the line of the field its
@@ -203,6 +209,18 @@ def test_swept_rows_resolve_their_own_default_warmup(template_beta):
             + "[sweep]\nbeta = 4, 400\n[output]\nmode = predict\n")
     table = run_experiment(parse_spec(text))
     assert [cells["warmup_frames"] for cells in table] == [1000, 22_190]
+
+
+def test_swept_rows_carry_their_own_rate():
+    # a row's rate follows its own beta and N: log2(1 + p ln beta) for fixed
+    # relays, N log2(beta) for mobile ones
+    fixed = parse_spec(MINIMAL.replace("p = 1.0", "p = 3.0") + "[sweep]\nbeta = 4, 400\n")
+    assert [cfg.rate for cfg in fixed.configs()] == [
+        math.log2(1.0 + 3.0 * math.log(beta)) for beta in (4.0, 400.0)]
+    mobile = parse_spec(MINIMAL.replace("scenario = fixed", "scenario = mobile")
+                        + "[sweep]\nN = 1, 3\nbeta = 4, 400\n")
+    assert [cfg.rate for cfg in mobile.configs()] == [
+        N * math.log2(beta) for N in (1, 3) for beta in (4.0, 400.0)]
 
 
 def test_parse_strips_inline_comments_after_whitespace():
