@@ -111,8 +111,11 @@ PRESET_DIGESTS = {
 K10K = 10_000
 # (name, SystemConfig fields): the four benchmark k10k shapes cut to 500 +
 # 500 frames, which reach the few-movers walk and ODWF's thinned phase I;
-# rows with no and with full mobile coverage; and a fixed baseline whose
-# source phase takes two chunks of subcarriers
+# rows with no and with full mobile coverage; a fixed baseline whose
+# source phase takes two chunks of subcarriers; M = 1000 strips, about one
+# relay each, walked mover by mover (2qK = 4) and by the multinomial draw
+# (2qK = 100), with disks of radius about 1.01 (ODWF) and 1.02 (baseline)
+# that reach past the middle; and a frozen walk
 ROWS = (
     ("fixed-odwf-k10k", dict(scenario="fixed", scheme="odwf", K=K10K, N=2, p=1.0,
                              beta=2000.0)),
@@ -132,6 +135,12 @@ ROWS = (
                                            alpha=0.5, M=5, q=0.05)),
     ("fixed-baseline-n12", dict(scenario="fixed", scheme="baseline", K=500, N=12,
                                 p=1e8, beta=3.0)),
+    *((f"mobile-{scheme}-m1000-{walk}", dict(scenario="mobile", scheme=scheme, K=1000,
+                                             N=1, p=p, beta=1.0, M=1000, q=q))
+      for scheme, p in (("odwf", 1.05), ("baseline", 1.1))
+      for walk, q in (("few", 0.002), ("many", 0.05))),
+    ("mobile-odwf-frozen", dict(scenario="mobile", scheme="odwf", K=1000, N=1, p=4.0,
+                                beta=2.0, M=5, q=0.0)),
 )
 
 ROW_DIGESTS = {
@@ -143,6 +152,11 @@ ROW_DIGESTS = {
     "mobile-odwf-no-coverage": "39b00dd7334f62f5",
     "mobile-baseline-full-coverage": "18e79d33222e6ebc",
     "fixed-baseline-n12": "1330b65b9a390b4a",
+    "mobile-odwf-m1000-few": "7dab781fc8956283",
+    "mobile-odwf-m1000-many": "4bdd83e0247b8fa4",
+    "mobile-baseline-m1000-few": "d5875c3f2fec4093",
+    "mobile-baseline-m1000-many": "6bff09f43751cd83",
+    "mobile-odwf-frozen": "181511fc1dd3a26c",
 }
 
 
