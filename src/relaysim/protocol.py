@@ -15,15 +15,15 @@ diagnostic when a configuration is divergent.
 Mobile relays carry a strip, never coordinates: positions are redrawn
 uniformly within the strip every frame, so coverage is a per-strip Bernoulli
 draw. Relays with nothing to forward are only counted per strip, so a mobile
-frame costs O(M + buffered relays touched) draws, not O(K).
+frame costs O(M + buffered relays touched) draws, not O(K), and its coverage
+draws visit only the strips a disk reaches.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
 from functools import reduce
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -109,10 +109,13 @@ class _Fifos:
     def take(self, n: int) -> list:
         """Ids for n idle relays: the last freed first, then new ones."""
         free, fifo = self.free, self.fifo
-        ids = [free.pop() for _ in range(min(n, len(free)))]
+        cut = max(len(free) - n, 0)
+        ids = free[:cut - 1 if cut else None:-1]
+        del free[cut:]
         new = n - len(ids)
-        ids += range(len(fifo), len(fifo) + new)
-        fifo.extend({} for _ in range(new))
+        if new:
+            ids += range(len(fifo), len(fifo) + new)
+            fifo.extend({} for _ in range(new))
         self.size += n
         return ids
 
@@ -353,11 +356,13 @@ class _MobileScheme:
     """Strip bookkeeping shared by the two mobile schemes.
 
     A relay is idle while its buffer is empty (ODWF) or it does not hold the
-    outstanding packet (baseline), and buffered otherwise. counts[0, r] =
-    idle[r] and counts[1, r] = buffered[r] count the idle and buffered relays
-    of strip r; p_src[r] and p_dst[r] are the probabilities that a relay of
-    strip r is inside source and destination coverage in a frame. Per-strip
-    arrays are 0 at entry 0, a strip no relay is in.
+    outstanding packet (baseline), and buffered otherwise. store holds the
+    idle counts of strips 0..M, then the buffered ones, as Python ints for
+    scalar updates; counts, idle = counts[0] and buffered = counts[1] are
+    its numpy views, for vector draws. p_src[r] and p_dst[r] are the
+    probabilities that a relay of strip r is inside source and destination
+    coverage in a frame; src_reach and dst_reach list (r, p) where p > 0.
+    Per-strip arrays are 0 at entry 0, a strip no relay is in.
 
     Every draw concerns relays independently, and an idle relay enters every
     law only through its strip, so the idle relays of a strip are
@@ -376,8 +381,9 @@ class _MobileScheme:
       proportion to those left there, and a fair bit sends it up or down.
       Each mover costs a few Python statements, against a fixed numpy cost
       for the multinomial walk (plus one uniform per buffered relay for
-      ODWF), so the mover-by-mover walk is the faster one up to about 5
-      movers for the baseline and 10-15 for ODWF; FEW lies between.
+      ODWF), so the mover-by-mover walk is the faster one up to about 11
+      movers for the baseline and 14 for ODWF (K = 1000, M = 5). FEW stays
+      below both, as moving it changes the draws of rows in between.
     - Coverage: per strip and class the relays inside a coverage disk number
       Binomial(n, p), and given the count every subset of that size is
       equally likely.
@@ -391,19 +397,25 @@ class _MobileScheme:
         self.rng = rng
         self.p_src, self.p_dst, p_both = coverage_probabilities(
             build_geometry(cfg.R, M), coverage_radius(cfg.p, cfg.beta, cfg.alpha))
+        self.src_reach, self.dst_reach = ([(r, p) for r, p in enumerate(probs.tolist()) if p]
+                                          for probs in (self.p_src, self.p_dst))
         # source coverage given no destination coverage; where p_dst = 1 no
         # buffered relay survives phase II, so any value will do
         self.p_src_given_no_dst = np.clip(np.divide(
             self.p_src - p_both, 1.0 - self.p_dst,
             out=np.zeros(M + 1), where=self.p_dst < 1.0), 0.0, 1.0)
-        self.counts = np.zeros((2, M + 1), dtype=np.int64)
+        self.store = array("q", bytes(16 * (M + 1)))
+        self.counts = np.frombuffer(self.store, dtype=np.int64).reshape(2, M + 1)
         self.idle, self.buffered = self.counts    # views, updated in place
         self.idle[1:] = rng.multinomial(K, np.full(M, 1.0 / M))
         self.split = [q, q, 1.0 - 2.0 * q]
-        # landing[r]: the strips a relay of strip r moves to up, down or
+        # land[r]: the strips a relay of strip r moves to up, down or
         # staying, reflected at strips 1 and M; row 0, no strip, stays 0
-        self.landing = [[0] * 3] + [[min(r + 1, M), max(r - 1, 1), r] for r in range(1, M + 1)]
-        self.land = np.array(self.landing)
+        self.land = np.array([[0] * 3] + [[min(r + 1, M), max(r - 1, 1), r]
+                                          for r in range(1, M + 1)])
+        # to[g]: the store entries a down and an up mover of entry g land in
+        self.to = [(row + down, row + up) for row in (0, M + 1)
+                   for up, down, _ in self.land.tolist()]
         # where the up, down and staying movers of strip r, class c land in
         # counts.ravel(), for strips 1..M of the idle, then the buffered class
         self.dest = (self.land[1:].ravel() + [[0], [M + 1]]).ravel()
@@ -431,28 +443,38 @@ class _MobileScheme:
             self._move(group, pick & 1)
 
     def _groups(self) -> list:
-        """Sizes of the groups the few-movers walk picks from: here the idle,
-        then the buffered relays of strips 1..M."""
-        return self.counts[:, 1:].ravel().tolist()
+        """Sizes of the groups the few-movers walk picks from, by store
+        entry: here every entry."""
+        return self.store.tolist()
 
     def _move(self, group: int, up: int):
-        """Move a relay of group, not picked yet, up (up = 1) or down."""
-        row, strip = divmod(group, self.M)
-        self.counts[row, strip + 1] -= 1
-        self.counts[row, self.landing[strip + 1][1 - up]] += 1
+        """Move a relay of store entry group, not picked yet, up (up = 1) or
+        down."""
+        store = self.store
+        store[group] -= 1
+        store[self.to[group][up]] += 1
 
     def _walk_many(self):
         moves = self.rng.multinomial(self.counts[:, 1:], self.split)
         self.counts[:] = np.bincount(self.dest, moves.ravel(),
                                      self.counts.size).reshape(self.counts.shape)
 
-    def _in_coverage(self, counts: np.ndarray, probs: np.ndarray) -> list:
-        """Per strip r, how many of its counts[r] relays are inside a coverage
-        disk, each with probability probs[r]: Binomial where both are nonzero,
-        else 0, as numpy too draws nothing for n = 0 or p = 0."""
-        binomial = self.rng.binomial
-        return [binomial(n, p) if n and p else 0
-                for n, p in zip(counts.tolist(), probs.tolist())]
+    def _in_coverage(self, row: int, reach: list) -> list:
+        """(r, c) per strip r of reach, the (r, p) pairs of a coverage disk,
+        where c > 0 of the store[row + r] relays of strip r are inside it,
+        each with probability p: Binomial where the count is nonzero, as
+        numpy too draws nothing for n = 0."""
+        store, binomial = self.store, self.rng.binomial
+        return [(r, c) for r, p in reach if (n := store[row + r]) and (c := binomial(n, p))]
+
+    def _buffer(self, fresh: list) -> int:
+        """Make c idle relays of strip r buffered per (r, c) of fresh; return
+        how many turned buffered."""
+        store, top = self.store, self.M + 1
+        for r, c in fresh:
+            store[r] -= c
+            store[top + r] += c
+        return sum(c for _, c in fresh)
 
 
 class OdwfMobile(_MobileScheme, _Odwf):
@@ -463,13 +485,13 @@ class OdwfMobile(_MobileScheme, _Odwf):
     needs a relay inside source coverage.
 
     A buffered relay has an id in bank, the one _Fifos, and strip[k] is its
-    strip, 0 while id k is free. Every per-strip array is 0 at entry 0, so
-    draws over strip[:len(fifo)] leave free ids alone: the many-movers walk
-    (one uniform u per id: up below q, down in [q, 2q), through land), the
-    covering of phase I and the scan for a pick within a strip. The
-    few-movers walk picks a buffered mover uniformly among those not picked
-    yet: a uniform id redrawn until it is buffered and unpicked, which takes
-    len(fifo)/unpicked tries on average.
+    strip, 0 while id k is free or past len(fifo). Every per-strip array is
+    0 at entry 0, so draws over strip[:len(fifo)] leave free ids alone: the
+    many-movers walk (one uniform u per id: up below q, down in [q, 2q),
+    through land), the covering of phase I and the scan for a pick within a
+    strip. The few-movers walk picks a buffered mover uniformly among those
+    not picked yet: a uniform id redrawn until it is buffered and unpicked,
+    which takes len(fifo)/unpicked tries on average.
     """
 
     THIN_FROM = 2048
@@ -478,18 +500,18 @@ class OdwfMobile(_MobileScheme, _Odwf):
         _MobileScheme.__init__(self, cfg, rng)
         _Odwf.__init__(self, 1, cfg.buffer_cap)
         self.bank = self.banks[0]
-        self.strip = np.zeros(cfg.K, dtype=np.intp)
+        self.strip = np.zeros(0, dtype=np.intp)    # grown with bank.fifo by _take
         self.thin_rate = max(self.p_src_given_no_dst.tolist())
         self.cuts = np.array([cfg.q, 2.0 * cfg.q])
 
     def _groups(self) -> list:
-        """The idle relays of strips 1..M, then all buffered ones, none of
+        """The idle relays of strips 0..M, then all buffered ones, none of
         them picked yet."""
         self.picked = set()
-        return self.idle[1:].tolist() + [self.bank.size]
+        return self.store[:self.M + 1].tolist() + [self.bank.size]
 
     def _move(self, group, up):
-        if group < self.M:
+        if group <= self.M:
             super()._move(group, up)
             return
         strip, n, below = self.strip, len(self.bank.fifo), self.uniforms.below
@@ -498,9 +520,8 @@ class OdwfMobile(_MobileScheme, _Odwf):
             k = below(n)
         self.picked.add(k)
         old = int(strip[k])
-        to = strip[k] = self.landing[old][1 - up]
-        self.buffered[old] -= 1
-        self.buffered[to] += 1
+        strip[k] = self.to[old][up]
+        super()._move(group + old, up)    # group is M + 1, the buffered row
 
     def _walk_many(self):
         moves = self.rng.multinomial(self.idle[1:], self.split)
@@ -514,17 +535,21 @@ class OdwfMobile(_MobileScheme, _Odwf):
         """[k] for a uniform pick k among the buffered relays in destination
         coverage, or None: a strip is picked in proportion to its count,
         then any of its buffered relays."""
-        totals = list(accumulate(self._in_coverage(self.buffered, self.p_dst)))
-        if not totals[-1]:
+        covered = self._in_coverage(self.M + 1, self.dst_reach)
+        if not covered:
             return None
-        strip = bisect_right(totals, self.uniforms.below(totals[-1]))
+        pick = self.uniforms.below(sum(c for _, c in covered))
+        for strip, c in covered:
+            if pick < c:
+                break
+            pick -= c
         members = np.flatnonzero(self.strip[:len(self.bank.fifo)] == strip)
         return [int(members[self.uniforms.below(members.size)])]
 
     def _covered(self):
         """[(held, fresh)], or None if no relay is inside source coverage:
-        held are the ids of the buffered relays inside it, and fresh[r]
-        counts the idle ones of strip r.
+        held are the ids of the buffered relays inside it, and fresh the
+        (r, c) pairs of the strips r with c > 0 idle ones inside it.
 
         ODWF's phase I runs only when no buffered relay is in destination
         coverage, so those are covered with p_src_given_no_dst, unlike p_src
@@ -536,7 +561,7 @@ class OdwfMobile(_MobileScheme, _Odwf):
         more than one uniform per id below about 2,000 ids, or above
         p = 1/8.
         """
-        fresh = self._in_coverage(self.idle, self.p_src)
+        fresh = self._in_coverage(0, self.src_reach)
         n, p = len(self.bank.fifo), self.thin_rate
         strips = self.strip[:n]
         if n < self.THIN_FROM or not 0.0 < p <= 0.0625:
@@ -549,26 +574,27 @@ class OdwfMobile(_MobileScheme, _Odwf):
             pos = pos[:np.searchsorted(pos, n)]
             keep = self.rng.random(pos.size) * p < self.p_src_given_no_dst[strips[pos]]
             held = pos[keep].tolist()
-        if not held and not any(fresh):
+        if not held and not fresh:
             return None
         return [(held, fresh)]
 
     def _take(self, bank, fresh):
-        """Ids for the fresh[r] covered idle relays of each strip r, which
-        turn buffered there."""
-        ids = bank.take(sum(fresh))
+        """Ids for the c covered idle relays of strip r per (r, c) of fresh,
+        which turn buffered there. strip grows to twice len(fifo) when
+        fifo outgrows it."""
+        ids = bank.take(self._buffer(fresh))
         if ids:    # most phase-I frames of a slow walk cover no idle relay
-            self.strip[ids] = np.repeat(np.arange(self.M + 1), fresh)
-            self.idle -= fresh
-            self.buffered += fresh
+            if len(bank.fifo) > self.strip.size:    # zeros past the old end
+                self.strip = np.pad(self.strip, (0, 2 * len(bank.fifo) - self.strip.size))
+            self.strip[ids] = [r for r, c in fresh for _ in range(c)]
         return ids
 
     def _emptied(self, ids):
-        strips = self.strip[ids]
+        store, top = self.store, self.M + 1
+        for r in self.strip[ids].tolist():
+            store[r] += 1
+            store[top + r] -= 1
         self.strip[ids] = 0
-        gone = np.bincount(strips, minlength=self.M + 1)
-        self.idle += gone
-        self.buffered -= gone
 
 
 class BaselineMobile(_MobileScheme):
@@ -589,18 +615,16 @@ class BaselineMobile(_MobileScheme):
     def step(self, frame: int) -> FrameOutcome:
         self._walk()
         if self.held:
-            if not any(self._in_coverage(self.buffered, self.p_dst)):
+            if not self._in_coverage(self.M + 1, self.dst_reach):
                 return IDLE_FRAME
             self.held = 0
             self.idle += self.buffered
             self.buffered[:] = 0
             return FrameOutcome(RELAY_TX, ((self.next_seq - 1, self.created),))
-        covered = self._in_coverage(self.idle, self.p_src)    # the network is empty
-        if not any(covered):
+        covered = self._in_coverage(0, self.src_reach)    # the network is empty
+        if not covered:
             return IDLE_FRAME
-        self.idle -= covered
-        self.buffered += covered
-        self.held = sum(covered)
+        self.held = self._buffer(covered)
         self.created = frame
         self.next_seq += 1
         return SOURCE_FRAME

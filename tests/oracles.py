@@ -99,7 +99,7 @@ def relay_state(proto, relay_id: int) -> RelayState:
     free, its relay idle and anonymous)."""
     fifos = [bank.fifo[relay_id] if relay_id < len(bank.fifo) else {} for bank in proto.banks]
     state = RelayState(relay_id, [list(fifo) for fifo in fifos])
-    if isinstance(proto, OdwfMobile):
+    if isinstance(proto, OdwfMobile) and relay_id < proto.strip.size:
         state.region = int(proto.strip[relay_id]) or None
     return state
 
@@ -118,8 +118,9 @@ def place(proto, regions):
     assert regions.size == proto.K
     buffered = np.zeros(regions.size, dtype=bool)
     if isinstance(proto, OdwfMobile):
-        buffered = proto.strip != 0
-        proto.strip[buffered] = regions[buffered]
+        n = len(proto.bank.fifo)    # strip is 0 past fifo, however long it is
+        buffered[:n] = proto.strip[:n] != 0
+        proto.strip[:n][buffered[:n]] = regions[:n][buffered[:n]]
     else:
         assert proto.held == 0
     proto.idle[:] = np.bincount(regions[~buffered], minlength=proto.M + 1)

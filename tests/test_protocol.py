@@ -669,12 +669,25 @@ def test_mobile_odwf_buffer_guard_trips():
     proto = make_mobile(OdwfMobile, 5, 1, seed=40, buffer_cap=4, **FULL_COVER)
     # no relay ever reaches destination coverage, so source coverage is no
     # longer conditioned on missing it
-    proto.p_dst[:] = 0.0
+    proto.p_dst[:], proto.dst_reach = 0.0, []
     proto.p_src_given_no_dst[:] = proto.p_src
     proto.thin_rate = proto.p_src.max()
     with pytest.raises(BufferOverflowError):
         drive(proto, 10)
     assert proto.next_seq == 5
+
+
+def test_mobile_odwf_at_int64_scale_keeps_no_entry_per_relay():
+    # K = 2**62 relays under disks that cover none of them in 100 frames
+    # (radius 1e-20) and one mover per frame or so: the idle relays are only
+    # counted per strip, and strip grows with the ids handed out, none here
+    K = 2**62
+    proto = make_mobile(OdwfMobile, K, 1, p=1.0, beta=1e80, alpha=4.0, M=5,
+                        q=1e-19, R=1.0, seed=73)
+    assert proto.few
+    assert all(out.kind == IDLE for out in drive(proto, 100))
+    assert proto.strip.size < 1024
+    assert sum(proto.store) == K and proto.census() == ([0], 0)
 
 
 def test_mobile_odwf_deterministic_under_seed():
@@ -798,7 +811,7 @@ def test_mobile_odwf_few_movers_pick_is_uniform_over_unpicked_buffered_relays():
     bank, buffered, trials = proto.bank, [1, 4, 5, 8, 9], 6000
     assert proto.few
     place(proto, [3] * 12)
-    ids = proto._take(bank, [0, 0, 0, 10, 0, 0])
+    ids = proto._take(bank, [(3, 10)])
     bank.add(0, [k for k in ids if k not in buffered])
     bank.add(1, buffered)
     proto._emptied(bank.deliver(0)[1])
@@ -807,8 +820,8 @@ def test_mobile_odwf_few_movers_pick_is_uniform_over_unpicked_buffered_relays():
     pairs = Counter()
     for _ in range(trials):
         assert proto._groups()[-1] == 5
-        proto._move(proto.M, 0)
-        proto._move(proto.M, 1)
+        proto._move(proto.M + 1, 0)    # the buffered group
+        proto._move(proto.M + 1, 1)
         (down,), (up,) = np.flatnonzero(proto.strip == 2), np.flatnonzero(proto.strip == 4)
         assert np.flatnonzero(proto.strip != strips).tolist() == sorted((down, up))
         pairs[down, up] += 1
@@ -838,7 +851,8 @@ def buffer_relays(proto, fresh):
     if isinstance(proto, OdwfMobile):    # a source frame that covers just those
         assert proto.bank.size == 0
         proto._walk = proto._deliverers = lambda: None
-        proto._in_coverage = lambda counts, probs: fresh.tolist()
+        proto._in_coverage = lambda row, reach: [(r, c) for r, c in enumerate(fresh.tolist())
+                                                 if c]
         assert proto.step(0) is SOURCE_FRAME
         del proto._walk, proto._deliverers, proto._in_coverage
     else:
@@ -990,7 +1004,7 @@ def test_mobile_odwf_phase_one_sees_buffered_relays_outside_destination_coverage
         if new._deliverers() is None:
             ((held, fresh),) = new._covered() or [([], [])]
             outcomes["new"][0].append(len(held))
-            outcomes["new"][1].append(sum(fresh))
+            outcomes["new"][1].append(sum(c for _, c in fresh))
         else:
             outcomes["new"][0].append(-1)
         xs, ys = dense._positions_for(np.arange(K))
@@ -1068,6 +1082,54 @@ def test_mobile_coverage_takes_scalar_binomials_over_nonzero_strips(scheme, p, b
         seen = scalar(proto.buffered, proto.p_dst)
         assert proto.step(1).kind == (RELAY_TX if any(seen) else IDLE)
         assert proto.rng.bit_generator.state == twin.bit_generator.state
+
+
+class CountingRng:
+    """A Generator that records its scalar binomial calls as (n, p)."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def binomial(self, n, p, size=None):
+        if size is None:
+            self.calls.append((n, p))
+        return self.rng.binomial(n, p, size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])
+def test_mobile_coverage_visits_only_the_strips_a_disk_reaches(scheme):
+    # M = 1000 strips, one relay each, every other one buffered, and disks
+    # of radius 0.05 that reach the 7 strips at either end; the walk is
+    # frozen. The precomputed (r, p) pairs hold exactly the strips with
+    # p > 0, and each frame makes one scalar Binomial per reached strip
+    # whose class has relays, in strip order, and no other
+    M = 1000
+    proto = make_mobile(scheme, M, 1, p=1.0, beta=0.05 ** -4, alpha=4.0, M=M,
+                        q=0.0, R=1.0, seed=72)
+    for probs, reach in ((proto.p_src, proto.src_reach), (proto.p_dst, proto.dst_reach)):
+        assert [r for r, _ in reach] == np.flatnonzero(probs).tolist()
+        assert [p for _, p in reach] == probs[probs > 0].tolist()
+        assert len(reach) == np.count_nonzero(probs) == 7
+    place(proto, np.arange(1, M + 1))
+    buffer_relays(proto, np.arange(M + 1) % 2)
+    proto.rng = CountingRng(proto.rng)
+    kinds = set()
+    for t in range(1, 300):
+        idle, buffered = proto.idle.tolist(), proto.buffered.tolist()
+        src = [(idle[r], p) for r, p in proto.src_reach if idle[r]]
+        dst = [(buffered[r], p) for r, p in proto.dst_reach if buffered[r]]
+        proto.rng.calls.clear()
+        kind = proto.step(t).kind
+        kinds.add(kind)
+        if scheme is BaselineMobile:    # the network holds a packet, or is empty
+            want = dst if any(buffered) else src
+        else:
+            want = dst + (src if kind != RELAY_TX else [])
+        assert proto.rng.calls == want
+    assert {SOURCE_TX, RELAY_TX} <= kinds
 
 
 # --------------------------------------------------- exact FIFO contents
