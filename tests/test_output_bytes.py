@@ -1,5 +1,5 @@
 """Output bytes pinned by sha256: the CLI on short sweeps and the presets,
-and run_once series of rows that no spec reaches.
+as CSV and as JSON lines, and run_once series of rows that no spec reaches.
 
 A change that keeps the statistics but draws differently changes these
 digests, so a refactor that promises identical output proves it here. Bytes
@@ -108,6 +108,16 @@ PRESET_DIGESTS = {
     "fig-mobile-tradeoff": "00375a04f8f2d816",
 }
 
+# the same outputs written as JSON lines
+JSONL_SPEC_DIGESTS = {
+    "mobile-baseline-q-sweep": "5b403388bb7f05a6",
+}
+
+JSONL_PRESET_DIGESTS = {
+    "fig-fixed-tradeoff": "6d59c7fd3974da9d",
+    "fig-mobile-tradeoff": "b97cb1e99c048572",
+}
+
 K10K = 10_000
 # (name, SystemConfig fields): the four benchmark k10k shapes cut to 500 +
 # 500 frames, which reach the few-movers walk and ODWF's thinned phase I;
@@ -170,17 +180,31 @@ def cli_digest(argv, tmp_path) -> str:
     return digest(out.read_bytes())
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_sweep_bytes(name, tmp_path):
+def sweep_digest(name, tmp_path, *flags) -> str:
     spec = tmp_path / f"{name}.ini"
     spec.write_text(SPECS[name], encoding="utf-8")
-    assert cli_digest(["sweep", "--spec", str(spec), "--seed", "11"],
-                      tmp_path) == SPEC_DIGESTS[name]
+    return cli_digest(["sweep", "--spec", str(spec), "--seed", "11", *flags], tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_sweep_bytes(name, tmp_path):
+    assert sweep_digest(name, tmp_path) == SPEC_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(JSONL_SPEC_DIGESTS))
+def test_sweep_jsonl_bytes(name, tmp_path):
+    assert sweep_digest(name, tmp_path, "--format", "jsonl") == JSONL_SPEC_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_predict_bytes(name, tmp_path):
     assert cli_digest(["predict", "--preset", name], tmp_path) == PRESET_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(JSONL_PRESET_DIGESTS))
+def test_preset_predict_jsonl_bytes(name, tmp_path):
+    assert cli_digest(["predict", "--preset", name, "--format", "jsonl"],
+                      tmp_path) == JSONL_PRESET_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name,fields", ROWS, ids=[name for name, _ in ROWS])
