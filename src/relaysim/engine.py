@@ -83,6 +83,8 @@ class SystemConfig:
                 raise ValueError(f"alpha must be > 0, got {self.alpha}")
             if self.R < sys.float_info.min:    # subnormal: R * x loses the strips
                 raise ValueError(f"R must be >= {sys.float_info.min}, got {self.R}")
+            if self.K > 2 ** 52:    # the walk's float picks lose the low bit
+                raise ValueError(f"K must be <= 2**52 for mobile relays, got {self.K}")
         if self.warmup_frames is not None and self.warmup_frames < 0:
             raise ValueError(f"warmup_frames must be >= 0, got {self.warmup_frames}")
         if self.measure_frames < 1:

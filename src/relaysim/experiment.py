@@ -54,11 +54,17 @@ MODES = ("simulate", "predict", "both")
 FORMATS = ("csv", "jsonl")
 DEFAULT_MAX_POINTS = 10_000
 
-_INT_KEYS = ("K", "N", "M", "warmup_frames", "measure_frames", "replications",
-             "seed", "buffer_cap")
-_FLOAT_KEYS = ("p", "beta", "alpha", "q", "R")
-_STR_KEYS = ("scenario", "scheme")
-_SWEEPABLE = _INT_KEYS[:-2] + _FLOAT_KEYS  # everything numeric but seed/cap
+# [system] key -> its kind, in SystemConfig's field order
+_SYSTEM_KEYS = {"scenario": str, "scheme": str, "K": int, "N": int, "p": float,
+                "beta": float, "alpha": float, "M": int, "q": float, "R": float,
+                "warmup_frames": int, "measure_frames": int, "replications": int,
+                "seed": int, "buffer_cap": int}
+_SWEEPABLE = [key for key, kind in _SYSTEM_KEYS.items()    # numeric but seed/cap
+              if kind is not str and key not in ("seed", "buffer_cap")]
+_KIND_NAMES = {int: "an integer", float: "a number"}
+# [output] key -> (ExperimentSpec field, allowed values or None for any)
+_OUTPUT_KEYS = {"mode": ("mode", MODES), "format": ("out_format", FORMATS),
+                "path": ("out_path", None)}
 _INLINE_COMMENT = re.compile(r"\s[#;].*")   # a comment must follow whitespace
 
 # Emission order; every column is documented in the README format reference.
@@ -107,18 +113,12 @@ class ExperimentSpec:
                 for row, combo in enumerate(itertools.product(*axes))]
 
 
-def _convert(key: str, raw: str, line: int):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise SpecError(line, f"{key} expects an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise SpecError(line, f"{key} expects a number, got {raw!r}") from None
-    return raw
+def _convert(key: str, raw: str, line: int, kind: type):
+    """raw as kind: int, float, or str as it is."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise SpecError(line, f"{key} expects {_KIND_NAMES[kind]}, got {raw!r}") from None
 
 
 def _scan(text: str):
@@ -161,42 +161,28 @@ def parse_spec(text: str) -> ExperimentSpec:
                                         f"this build reads {SCHEMA_VERSION}")
             schema_version = int(value)
         elif section == "system":
-            if key not in _INT_KEYS + _FLOAT_KEYS + _STR_KEYS:
+            if key not in _SYSTEM_KEYS:
                 raise SpecError(lineno, f"unknown [system] key {key!r}")
-            system[key] = _convert(key, value, lineno)
+            system[key] = _convert(key, value, lineno, _SYSTEM_KEYS[key])
+        elif section == "sweep" and key == "max_points":
+            max_points = _convert(key, value, lineno, int)
+            if max_points < 1:
+                raise SpecError(lineno, f"max_points must be >= 1, got {max_points}")
         elif section == "sweep":
-            if key == "max_points":
-                try:
-                    max_points = int(value)
-                except ValueError:
-                    raise SpecError(
-                        lineno, f"max_points expects an integer, got {value!r}"
-                    ) from None
-                if max_points < 1:
-                    raise SpecError(lineno, f"max_points must be >= 1, got {max_points}")
-                continue
             if key not in _SWEEPABLE:
                 raise SpecError(lineno, f"{key!r} is not a sweepable parameter")
-            values = tuple(_convert(key, item.strip(), lineno)
+            values = tuple(_convert(key, item.strip(), lineno, _SYSTEM_KEYS[key])
                            for item in value.split(",") if item.strip())
             if not values:
                 raise SpecError(lineno, f"sweep axis {key} has no values")
             sweep.append((key, values))
         else:
-            if key == "mode":
-                if value not in MODES:
-                    raise SpecError(lineno, f"mode must be one of {MODES}, "
-                                            f"got {value!r}")
-                output["mode"] = value
-            elif key == "format":
-                if value not in FORMATS:
-                    raise SpecError(lineno, f"format must be one of {FORMATS}, "
-                                            f"got {value!r}")
-                output["out_format"] = value
-            elif key == "path":
-                output["out_path"] = value
-            else:
+            if key not in _OUTPUT_KEYS:
                 raise SpecError(lineno, f"unknown [output] key {key!r}")
+            name, allowed = _OUTPUT_KEYS[key]
+            if allowed and value not in allowed:
+                raise SpecError(lineno, f"{key} must be one of {allowed}, got {value!r}")
+            output[name] = value
     if schema_version is None:
         raise SpecError(None, "missing schema_version (expected before sections)")
     for required in ("scenario", "scheme", "K", "N", "p", "beta"):
@@ -328,19 +314,15 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        return repr(value)
-    return value
-
-
 def emit(table: list, out_format: str, path: str | None) -> None:
     """Write the table as CSV or JSON-lines; path None or "-" means stdout.
 
     CSV carries every column of COLUMNS in order with absent values as empty
-    fields; JSON-lines omits absent keys. Floats are emitted as shortest
-    round-trip decimals, so identical tables produce identical bytes. A file
-    is written whole or left as it was (see _temp_sibling).
+    fields; JSON-lines omits absent keys and raises ValueError on a NaN or
+    infinite float, which JSON cannot hold, before anything is written.
+    Floats are emitted as shortest round-trip decimals, so identical tables
+    produce identical bytes. A file is written whole or left as it was (see
+    _temp_sibling).
     """
     if not table:
         raise ValueError("refusing to emit an empty table")
@@ -352,9 +334,8 @@ def emit(table: list, out_format: str, path: str | None) -> None:
             writer.writerow([_cell_text(cells.get(col)) for col in COLUMNS])
     elif out_format == "jsonl":
         for cells in table:
-            record = {col: _jsonable(cells[col]) for col in COLUMNS
-                      if cells.get(col) is not None}
-            buffer.write(json.dumps(record) + "\n")
+            record = {col: cells[col] for col in COLUMNS if cells.get(col) is not None}
+            buffer.write(json.dumps(record, allow_nan=False) + "\n")
     else:
         raise ValueError(f"unknown format {out_format!r}")
     if path is None or path == "-":

@@ -384,6 +384,10 @@ class _MobileScheme:
       ODWF), so the mover-by-mover walk is the faster one up to about 11
       movers for the baseline and 14 for ODWF (K = 1000, M = 5). FEW stays
       below both, as moving it changes the draws of rows in between.
+      Both walks are exact for K <= 2**52, the bound SystemConfig puts on
+      mobile rows: a mover and its direction come from one float uniform
+      scaled to 2(K - i), which keeps its low bit only up to 2**53, and the
+      multinomial walk's bincount sums counts in float64.
     - Coverage: per strip and class the relays inside a coverage disk number
       Binomial(n, p), and given the count every subset of that size is
       equally likely.

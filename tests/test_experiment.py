@@ -1,6 +1,7 @@
 """Spec parsing, sweep expansion, row assembly, CSV/JSONL emission."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim.experiment import (COLUMNS, STATUS_NO_PREDICTION, STATUS_OK,
-                                 STATUS_OVERFLOW, ExperimentSpec, SpecError, _row_seed, emit,
-                                 load_spec, parse_spec, run_experiment)
+from relaysim.engine import SystemConfig
+from relaysim.experiment import (_OUTPUT_KEYS, _SYSTEM_KEYS, COLUMNS, STATUS_NO_PREDICTION,
+                                 STATUS_OK, STATUS_OVERFLOW, ExperimentSpec, SpecError,
+                                 _row_seed, emit, load_spec, parse_spec, run_experiment)
 
 MINIMAL = """\
 schema_version = 1
@@ -186,6 +188,8 @@ _VALID = dict(scenario="fixed", scheme="odwf", K=50, N=2, p=1.0, beta=8.0,
     # cannot convert N to float
     pytest.param("K", dict(K=10**400), id="K-1e400"),
     pytest.param("K", dict(K=2**63), id="K-2**63"),
+    # past the mobile walk's exact range
+    pytest.param("K", dict(scenario="mobile", K=2**52 + 1), id="mobile-K-2**52+1"),
     pytest.param("N", dict(scenario="mobile", N=10**400), id="mobile-N-1e400"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
 def test_every_config_violation_names_the_field_parse_spec_blames(key, changes):
@@ -242,6 +246,22 @@ def test_readme_spec_example_parses():
         "fixed", 10000, 2000.0)
     assert spec.sweep == (("beta", (500.0, 1000.0, 2000.0)), ("K", (1000, 10000)))
     assert spec.mode == "both" and spec.out_path == "results.csv"
+
+
+def test_readme_spec_example_names_every_key_the_parser_accepts():
+    # the reference block keeps up with the parser: a new key must be shown
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                      re.DOTALL).group(1)
+    assert parse_spec(block).n_points == 6
+    accepted = ["schema_version", *_SYSTEM_KEYS, "max_points", *_OUTPUT_KEYS]
+    assert [key for key in accepted if not re.search(rf"\b{key}\b", block)] == []
+
+
+def test_system_keys_are_the_config_fields_with_their_kinds():
+    kinds = {"str": str, "int": int, "float": float, "int | None": int}
+    assert list(_SYSTEM_KEYS.items()) == [
+        (f.name, kinds[f.type]) for f in dataclasses.fields(SystemConfig) if f.init]
 
 
 def test_parse_enforces_point_cap():
@@ -451,6 +471,23 @@ def test_emit_jsonl_omits_absent_keys(tmp_path):
         assert "T" not in record and "alpha" not in record
         assert record["pred_T"] == cells["pred_T"]
         assert list(record) == [c for c in COLUMNS if c in record]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_emit_jsonl_refuses_a_non_finite_cell_and_writes_nothing(tmp_path, capsys, bad):
+    # no row run_experiment builds holds one, and JSON has no token for it,
+    # so a library caller's table with one fails before anything is written
+    table = run_experiment(predict_spec())
+    table[1]["pred_T"] = bad
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit(table, "jsonl", str(path))
+    assert path.read_bytes() == b"earlier\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["out.jsonl"]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit(table, "jsonl", None)
+    assert capsys.readouterr().out == ""
 
 
 def test_emit_bytes_identical_across_calls(tmp_path):

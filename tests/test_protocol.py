@@ -678,12 +678,13 @@ def test_mobile_odwf_buffer_guard_trips():
 
 
 def test_mobile_odwf_at_int64_scale_keeps_no_entry_per_relay():
-    # K = 2**62 relays under disks that cover none of them in 100 frames
-    # (radius 1e-20) and one mover per frame or so: the idle relays are only
-    # counted per strip, and strip grows with the ids handed out, none here
-    K = 2**62
+    # K = 2**52 relays, the most a mobile row may have, under disks that
+    # cover none of them in 100 frames (radius 1e-20) and four movers per
+    # frame: the idle relays are only counted per strip, and strip grows
+    # with the ids handed out, none here
+    K = 2**52
     proto = make_mobile(OdwfMobile, K, 1, p=1.0, beta=1e80, alpha=4.0, M=5,
-                        q=1e-19, R=1.0, seed=73)
+                        q=2.0**-51, R=1.0, seed=73)
     assert proto.few
     assert all(out.kind == IDLE for out in drive(proto, 100))
     assert proto.strip.size < 1024
@@ -898,6 +899,23 @@ def test_mobile_walk_frozen_at_q_zero(scheme):
     assert np.array_equal(proto.counts, counts)
     if scheme is OdwfMobile:
         assert np.array_equal(proto.strip, strips)
+
+
+@pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])
+def test_mobile_walk_moves_up_half_the_time_at_the_largest_k(scheme):
+    # at K = 2**52, the most a mobile row may have, a mover's direction is
+    # still a fair bit of its pick; past it the pick's low bit is lost and
+    # movers go down. Four movers a frame under disks that cover no relay
+    K = 2**52
+    proto = make_mobile(scheme, K, 1, p=1.0, beta=1e80, alpha=4.0, M=5, q=2.0**-51,
+                        R=1.0, seed=3)
+    assert proto.few
+    ups, move = [], proto._move
+    proto._move = lambda group, up: (ups.append(up), move(group, up))
+    drive(proto, 2000)
+    n = len(ups)
+    assert n > 4000
+    assert abs(sum(ups) - n / 2) <= 5 * math.sqrt(n) / 2
 
 
 @pytest.mark.parametrize("scheme", [OdwfMobile, BaselineMobile])

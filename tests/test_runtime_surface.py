@@ -1,7 +1,7 @@
 """The runtime package keeps only what a run uses: every function, class,
-method and property defined in src/relaysim is referenced somewhere in
-src/relaysim or exported by relaysim/__init__.py. Helpers only the tests
-call belong in tests/oracles.py."""
+method, property and module-level name defined in src/relaysim is read
+somewhere in src/relaysim or exported by relaysim/__init__.py. Helpers only
+the tests call belong in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,10 @@ SRC = Path(relaysim.__file__).resolve().parent
 ALLOWED = {
     "FixedLinkSampler": "an inert placeholder: perfbench/tracing.py patches "
                         "FixedLinkSampler.connected by name",
+    "step_regions": "an inert placeholder: perfbench/tracing.py patches "
+                    "protocol.step_regions by name",
+    "sample_positions_in_region": "an inert placeholder: perfbench/tracing.py "
+                                  "patches protocol.sample_positions_in_region by name",
 }
 
 
@@ -25,10 +29,15 @@ def parse_sources() -> dict:
 def unused_definitions(trees: dict) -> set:
     defined, used = set(), set()
     for tree in trees.values():
+        for node in tree.body:    # module-level assignment targets
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined.update(name.id for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
