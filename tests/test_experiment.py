@@ -237,11 +237,14 @@ def test_parse_strips_inline_comments_after_whitespace():
     assert spec.out_path == "a#b;c.csv"    # no whitespace, so not a comment
 
 
-def test_readme_spec_example_parses():
+def readme_spec_block() -> str:
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
-                      re.DOTALL)
-    spec = parse_spec(block.group(1))
+    return re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                     re.DOTALL).group(1)
+
+
+def test_readme_spec_example_parses():
+    spec = parse_spec(readme_spec_block())
     assert (spec.template.scenario, spec.template.K, spec.template.beta) == (
         "fixed", 10000, 2000.0)
     assert spec.sweep == (("beta", (500.0, 1000.0, 2000.0)), ("K", (1000, 10000)))
@@ -250,9 +253,7 @@ def test_readme_spec_example_parses():
 
 def test_readme_spec_example_names_every_key_the_parser_accepts():
     # the reference block keeps up with the parser: a new key must be shown
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
-                      re.DOTALL).group(1)
+    block = readme_spec_block()
     assert parse_spec(block).n_points == 6
     accepted = ["schema_version", *_SYSTEM_KEYS, "max_points", *_OUTPUT_KEYS]
     assert [key for key in accepted if not re.search(rf"\b{key}\b", block)] == []
