@@ -46,7 +46,7 @@ import numpy as np
 from .analytics import (Prediction, baseline_fixed_prediction,
                         baseline_mobile_prediction, odwf_fixed_prediction,
                         odwf_mobile_prediction)
-from .engine import BASELINE, FIXED, MOBILE, ODWF, SystemConfig, run_replicated
+from .engine import FIXED, MOBILE, ODWF, SystemConfig, run_replicated
 from .protocol import BufferOverflowError
 
 SCHEMA_VERSION = 1
@@ -310,6 +310,8 @@ def _cell_text(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"refusing to emit the non-finite float {value!r}")
         return repr(value)  # shortest round-trip decimal
     return str(value)
 
@@ -318,8 +320,9 @@ def emit(table: list, out_format: str, path: str | None) -> None:
     """Write the table as CSV or JSON-lines; path None or "-" means stdout.
 
     CSV carries every column of COLUMNS in order with absent values as empty
-    fields; JSON-lines omits absent keys and raises ValueError on a NaN or
-    infinite float, which JSON cannot hold, before anything is written.
+    fields; JSON-lines omits absent keys. Either format raises ValueError on
+    a NaN or infinite float before anything is written; no row that
+    run_experiment builds holds one.
     Floats are emitted as shortest round-trip decimals, so identical tables
     produce identical bytes. A file is written whole or left as it was (see
     _temp_sibling).

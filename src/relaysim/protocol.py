@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -54,34 +54,29 @@ IDLE_FRAME = FrameOutcome(IDLE)
 SOURCE_FRAME = FrameOutcome(SOURCE_TX)
 
 
-class _Uniforms:
-    """Uniforms in [0, 1) drawn from rng 1,024 at a time, which spares a
-    numpy call per scalar draw. Integer picks are floor(u * n), exact to
-    float precision like any Bernoulli draw."""
+def _stream(draw):
+    """draw()'s values one at a time: a numpy call per block, not per draw."""
+    while True:
+        yield from draw().tolist()
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.block = iter(())
 
-    def __call__(self) -> float:
-        u = next(self.block, None)
-        if u is None:
-            self.block = iter(self.rng.random(1024).tolist())
-            u = next(self.block)
-        return u
+def _below(u, n: int) -> int:
+    """A uniform integer in [0, n) from the uniform stream u, with no clamp:
+    Generator.random returns at most 1 - 2**-53, and for every integer
+    n <= 2**53, (1 - 2**-53) * n rounds to a float below n, as the exact
+    product n - n * 2**-53 lies more than half an ulp below n unless n is a
+    power of two, when it is exact. Callers pass n <= 2**53: the walk
+    2(K - i), as SystemConfig puts a mobile K at most 2**52, and the others
+    FIFO lengths or strip counts."""
+    return int(next(u) * n)
 
-    def below(self, n: int) -> int:
-        """A uniform integer in [0, n)."""
-        u = next(self.block, None)    # inline: one more call per pick showed in timings
-        return min(int((self() if u is None else u) * n), n - 1)
 
-    def subset(self, n: int, m: int) -> list:
-        """A uniform m-subset of range(n), by Floyd's algorithm."""
-        picked = set()
-        for j in range(n - m, n):
-            t = self.below(j + 1)
-            picked.add(j if t in picked else t)
-        return list(picked)
+def _subset(u, n: int, m: int) -> list:
+    """A uniform m-subset of range(n) from the stream u, by Floyd's algorithm."""
+    picked = set()
+    for j in range(n - m, n):
+        picked.add(j if (t := _below(u, j + 1)) in picked else t)
+    return list(picked)
 
 
 class _Fifos:
@@ -235,21 +230,21 @@ class OdwfFixed(_Odwf):
         self.K = cfg.K
         self.rng = rng
         self.connect_probability, self.log_down = fixed_link(cfg.beta)
-        self.uniforms = _Uniforms(rng)
+        self.uniforms = _stream(partial(rng.random, 1024))
 
     def _deliverers(self):
         """Per-subcarrier transmitter ids, or None if any subcarrier has no
         occupied relay behind a connected relay-destination link."""
         u, log_down = self.uniforms, self.log_down
         for bank in self.banks:
-            if not bank.size or u() >= -math.expm1(bank.size * log_down):
+            if not bank.size or next(u) >= -math.expm1(bank.size * log_down):
                 return None
         transmitters = []
         for bank in self.banks:
             fifo, n = bank.fifo, len(bank.fifo)
-            k = u.below(n)
+            k = _below(u, n)
             while not fifo[k]:
-                k = u.below(n)
+                k = _below(u, n)
             transmitters.append(k)
         return transmitters
 
@@ -257,12 +252,12 @@ class OdwfFixed(_Odwf):
         """Per subcarrier, the relays with a connected source-relay link:
         the ids of the occupied ones and the number of idle ones. None as
         soon as a subcarrier has none (later ones are then never drawn)."""
-        rng, p, subset = self.rng, self.connect_probability, self.uniforms.subset
+        rng, p, u = self.rng, self.connect_probability, self.uniforms
         covered = []
         for bank in self.banks:
             fifo, n = bank.fifo, len(bank.fifo)
             fresh = rng.binomial(self.K - bank.size, p)
-            ids = [k for k in subset(n, rng.binomial(n, p)) if fifo[k]]
+            ids = [k for k in _subset(u, n, rng.binomial(n, p)) if fifo[k]]
             if not fresh and not ids:
                 return None
             covered.append((ids, fresh))
@@ -391,14 +386,14 @@ class _MobileScheme:
     - Coverage: per strip and class the relays inside a coverage disk number
       Binomial(n, p), and given the count every subset of that size is
       equally likely.
-    Uniform integer picks come from uniforms drawn ahead in blocks.
+    Uniform integer picks come from uniforms drawn ahead in blocks by _stream.
     """
 
     FEW = 8.0
 
     def __init__(self, cfg, rng: np.random.Generator):
-        self.K, self.M, self.q = K, M, q = cfg.K, cfg.M, cfg.q
-        self.rng = rng
+        K, M, q = cfg.K, cfg.M, cfg.q
+        self.K, self.M, self.rng = K, M, rng
         self.p_src, self.p_dst, p_both = coverage_probabilities(
             build_geometry(cfg.R, M), coverage_radius(cfg.p, cfg.beta, cfg.alpha))
         self.src_reach, self.dst_reach = ([(r, p) for r, p in enumerate(probs.tolist()) if p]
@@ -424,21 +419,18 @@ class _MobileScheme:
         # counts.ravel(), for strips 1..M of the idle, then the buffered class
         self.dest = (self.land[1:].ravel() + [[0], [M + 1]]).ravel()
         self.few = 2.0 * q * K <= self.FEW
-        self.n_movers = iter(())
-        self.uniforms = _Uniforms(rng)
+        self.n_movers = _stream(partial(rng.binomial, K, 2.0 * q, 1024))
+        self.uniforms = _stream(partial(rng.random, 1024))
 
     def _walk(self):
         """One frame of the walk for every relay."""
         if not self.few:
             self._walk_many()
             return
-        n = next(self.n_movers, None)
-        if n is None:
-            self.n_movers = iter(self.rng.binomial(self.K, 2.0 * self.q, 1024).tolist())
-            n = next(self.n_movers)
+        n = next(self.n_movers)
         left = self._groups() if n else None    # relays not picked yet, per group
         for i in range(n):
-            pick = self.uniforms.below(2 * (self.K - i))
+            pick = _below(self.uniforms, 2 * (self.K - i))
             index, group = pick >> 1, 0
             while index >= left[group]:
                 index -= left[group]
@@ -518,10 +510,10 @@ class OdwfMobile(_MobileScheme, _Odwf):
         if group <= self.M:
             super()._move(group, up)
             return
-        strip, n, below = self.strip, len(self.bank.fifo), self.uniforms.below
-        k = below(n)
+        strip, n, u = self.strip, len(self.bank.fifo), self.uniforms
+        k = _below(u, n)
         while not strip[k] or k in self.picked:
-            k = below(n)
+            k = _below(u, n)
         self.picked.add(k)
         old = int(strip[k])
         strip[k] = self.to[old][up]
@@ -542,13 +534,13 @@ class OdwfMobile(_MobileScheme, _Odwf):
         covered = self._in_coverage(self.M + 1, self.dst_reach)
         if not covered:
             return None
-        pick = self.uniforms.below(sum(c for _, c in covered))
+        pick = _below(self.uniforms, sum(c for _, c in covered))
         for strip, c in covered:
             if pick < c:
                 break
             pick -= c
         members = np.flatnonzero(self.strip[:len(self.bank.fifo)] == strip)
-        return [int(members[self.uniforms.below(members.size)])]
+        return [int(members[_below(self.uniforms, members.size)])]
 
     def _covered(self):
         """[(held, fresh)], or None if no relay is inside source coverage:

@@ -474,20 +474,23 @@ def test_emit_jsonl_omits_absent_keys(tmp_path):
         assert list(record) == [c for c in COLUMNS if c in record]
 
 
+@pytest.mark.parametrize("out_format, message", [("jsonl", "not JSON compliant"),
+                                                  ("csv", "non-finite float")])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_emit_jsonl_refuses_a_non_finite_cell_and_writes_nothing(tmp_path, capsys, bad):
+def test_emit_refuses_a_non_finite_cell_and_writes_nothing(tmp_path, capsys, bad,
+                                                           out_format, message):
     # no row run_experiment builds holds one, and JSON has no token for it,
     # so a library caller's table with one fails before anything is written
     table = run_experiment(predict_spec())
     table[1]["pred_T"] = bad
-    path = tmp_path / "out.jsonl"
+    path = tmp_path / f"out.{out_format}"
     path.write_bytes(b"earlier\n")
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        emit(table, "jsonl", str(path))
+    with pytest.raises(ValueError, match=message):
+        emit(table, out_format, str(path))
     assert path.read_bytes() == b"earlier\n"
-    assert [entry.name for entry in tmp_path.iterdir()] == ["out.jsonl"]
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        emit(table, "jsonl", None)
+    assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
+    with pytest.raises(ValueError, match=message):
+        emit(table, out_format, None)
     assert capsys.readouterr().out == ""
 
 

@@ -1,5 +1,6 @@
 """Frame-level protocol dynamics: scheduling, conservation, FIFO, purging."""
 
+import itertools
 import math
 import warnings
 from collections import Counter, defaultdict
@@ -85,6 +86,17 @@ def test_frame_outcome_is_kind_and_delivered_pairs():
                                           if seq >= proto.next_seq // 2)
     never = make_fixed(OdwfFixed, 2, 1, 1.0, 1e9, 26)
     assert all(out is IDLE_FRAME for out in drive(never, 10))
+
+
+def test_integer_pick_stays_below_n_at_the_largest_uniform():
+    # Generator.random returns at most 1 - 2**-53, and floor(u * n) must stay
+    # below n with no clamp for every n <= 2**53 (_below's docstring)
+    top = itertools.repeat(1.0 - 2.0 ** -53)
+    assert np.nextafter(1.0, 0.0) == next(top)
+    edges = [2 ** k + d for k in range(54) for d in (-1, 0, 1) if 0 < 2 ** k + d <= 2 ** 53]
+    sample = np.random.default_rng(2009).integers(1, 2 ** 53, 10_000, endpoint=True)
+    ns = [*range(1, 10_001), *edges, *sample.tolist()]
+    assert [n for n in ns if relaysim.protocol._below(top, n) != n - 1] == []
 
 
 # ---------------------------------------------------------------- fixed ODWF

@@ -1,7 +1,8 @@
 """The runtime package keeps only what a run uses: every function, class,
 method, property and module-level name defined in src/relaysim is read
-somewhere in src/relaysim or exported by relaysim/__init__.py. Helpers only
-the tests call belong in tests/oracles.py."""
+somewhere in src/relaysim or exported by relaysim/__init__.py, and every
+name a runtime module imports is read in that module. Helpers only the tests
+call belong in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,25 @@ def unused_definitions(trees: dict) -> set:
     return defined - used - exported - dunders
 
 
+def unused_imports(trees: dict) -> set:
+    """(module, name) per name a runtime module imports but never reads;
+    __init__.py re-exports what it imports, and __future__ imports are
+    compiler directives."""
+    unused = set()
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused |= {(module, name) for name in imported - read}
+    return unused
+
+
 def test_every_runtime_definition_is_used_or_exported():
     unused = unused_definitions(parse_sources())
     assert unused - ALLOWED.keys() == set(), "move these to tests/oracles.py"
@@ -54,3 +74,7 @@ def test_every_runtime_definition_is_used_or_exported():
 
 def test_every_allowed_exception_is_still_needed():
     assert ALLOWED.keys() <= unused_definitions(parse_sources())
+
+
+def test_every_runtime_import_is_read():
+    assert unused_imports(parse_sources()) == set(), "drop these imports"
