@@ -58,8 +58,8 @@ def unused_imports(trees: dict) -> set:
             continue
         imported = {(alias.asname or alias.name).partition(".")[0]
                     for node in ast.walk(tree)
-                    if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
-                    and node.module != "__future__"
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
                     for alias in node.names}
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
