@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .channel import fixed_link
+
 # a finite-size ratio below this stands in for "vanishes in the limit"
 VALIDITY_RATIO = 0.01
 
@@ -49,14 +51,7 @@ def delta_of(beta: float, K: float) -> float:
         raise ValueError(f"beta must be >= 1, got {beta}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if beta == 1.0:
-        return 1.0  # log1p(-1) is a domain error; the limit is exact
-    return -math.expm1(K * math.log1p(-1.0 / beta))
-
-
-def _ln_one_minus_delta(beta: float, K: float) -> float:
-    # K*log1p(-1/beta) never cancels, unlike log(1 - delta_of(...))
-    return K * math.log1p(-1.0 / beta)
+    return -math.expm1(K * fixed_link(beta)[1])    # K * -inf at beta = 1: exactly 1
 
 
 def p_rd(beta: float, K: float, N: int) -> float:
@@ -76,7 +71,8 @@ def occupancy_alpha(beta: float, K: float, N: int) -> tuple[float, bool]:
         return 1.0, True
     d = delta_of(beta, K)
     num = math.log1p(-d * (1.0 + d ** N) ** (-1.0 / N))
-    return num / _ln_one_minus_delta(beta, K), False
+    # K*log1p(-1/beta) never cancels, unlike log(1 - delta_of(...))
+    return num / (K * fixed_link(beta)[1]), False
 
 
 def c_of(N: int) -> float:

@@ -4,10 +4,11 @@ Fixed relays see per-subcarrier Rayleigh block fading: every link gets a fresh
 Exp(1) power gain each frame, and a link is connected iff the gain clears
 ln(beta), the gain at which log2(1 + p * gain) meets the rate
 log2(1 + p ln beta). So a link is up with probability exactly 1/beta,
-independently across links and frames (fixed_link), and the fixed schemes
-draw counts of connected links from that number. Mobile relays see pure
-pathloss: a link is connected iff the distance is within the coverage radius
-(p/beta)^(1/alpha), where the rate over the whole band is N log2(beta).
+independently across links and frames (fixed_link): the fixed schemes draw
+counts of connected links from it, and analytics' closed forms build on it.
+Mobile relays see pure pathloss: a link is connected iff the distance is
+within the coverage radius (p/beta)^(1/alpha), where the rate over the whole
+band is N log2(beta).
 """
 
 from __future__ import annotations

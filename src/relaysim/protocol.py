@@ -71,14 +71,6 @@ def _below(u, n: int) -> int:
     return int(next(u) * n)
 
 
-def _subset(u, n: int, m: int) -> list:
-    """A uniform m-subset of range(n) from the stream u, by Floyd's algorithm."""
-    picked = set()
-    for j in range(n - m, n):
-        picked.add(j if (t := _below(u, j + 1)) in picked else t)
-    return list(picked)
-
-
 class _Fifos:
     """Per-relay FIFOs of undelivered seqs on one subcarrier.
 
@@ -91,7 +83,8 @@ class _Fifos:
     free and the size occupied ids split range(len(fifo)). A delivery
     deletes its seq from every holder's dict at once: a list or deque would
     scan for it, and at low mobility it sits tens of entries deep in FIFOs
-    hundreds long. More than cap undelivered seqs abort the run.
+    hundreds long. More than cap undelivered seqs abort the run. No other
+    code reads fifo past its length: pick() and cover() draw ids from it.
     """
 
     def __init__(self, cap: int):
@@ -139,6 +132,24 @@ class _Fifos:
         self.free += emptied
         self.size -= len(emptied)
         return seq, emptied
+
+    def pick(self, u, skip=()) -> int:
+        """A uniform occupied id not in skip, a set of occupied ids, from the
+        uniform stream u: a uniform id redrawn until it is one, in
+        len(fifo)/(size - len(skip)) tries on average. Some must exist."""
+        fifo, n = self.fifo, len(self.fifo)
+        k = _below(u, n)
+        while not fifo[k] or k in skip:
+            k = _below(u, n)
+        return k
+
+    def cover(self, u, m: int) -> list:
+        """The occupied ids among a uniform m-subset of range(len(fifo)),
+        drawn from the uniform stream u by Floyd's algorithm."""
+        fifo, picked = self.fifo, set()
+        for j in range(len(fifo) - m, len(fifo)):
+            picked.add(j if (t := _below(u, j + 1)) in picked else t)
+        return [k for k in picked if fifo[k]]
 
 
 class _Odwf:
@@ -213,15 +224,14 @@ class OdwfFixed(_Odwf):
       Binomial(K - occ_n, 1/beta). They take ids once every subcarrier has
       passed, since a later one may still idle the frame.
     - A Binomial(len(fifo), 1/beta) count, then a uniform subset of that
-      size, covers every id independently with probability 1/beta; the
-      occupied ones among them are the covered occupied relays.
+      size (_Fifos.cover), covers every id independently with probability
+      1/beta; the occupied ones among them are the covered occupied relays.
     - Some occupied relay connects to the destination with probability
       1 - (1 - 1/beta)^occ_n: one Bernoulli draw. Given that some do, the
       uniform pick among them is, by symmetry, uniform over all occ_n
-      occupied relays, and no other link of the frame is used: a uniform id
-      redrawn until it is occupied. That takes len(fifo)/occ_n tries on
-      average, with probability at most 1 - (1 - 1/beta)^occ_n <= occ_n/beta,
-      so at most len(fifo)/beta tries per frame, as many as phase I draws.
+      occupied relays (_Fifos.pick), and no other link of the frame is used.
+      It runs with probability at most occ_n/beta, so its len(fifo)/occ_n
+      tries cost at most len(fifo)/beta per frame, as many as phase I draws.
     So a frame costs O(N + connected relays), whatever K is.
     """
 
@@ -239,14 +249,7 @@ class OdwfFixed(_Odwf):
         for bank in self.banks:
             if not bank.size or next(u) >= -math.expm1(bank.size * log_down):
                 return None
-        transmitters = []
-        for bank in self.banks:
-            fifo, n = bank.fifo, len(bank.fifo)
-            k = _below(u, n)
-            while not fifo[k]:
-                k = _below(u, n)
-            transmitters.append(k)
-        return transmitters
+        return [bank.pick(u) for bank in self.banks]
 
     def _covered(self):
         """Per subcarrier, the relays with a connected source-relay link:
@@ -255,9 +258,8 @@ class OdwfFixed(_Odwf):
         rng, p, u = self.rng, self.connect_probability, self.uniforms
         covered = []
         for bank in self.banks:
-            fifo, n = bank.fifo, len(bank.fifo)
             fresh = rng.binomial(self.K - bank.size, p)
-            ids = [k for k in _subset(u, n, rng.binomial(n, p)) if fifo[k]]
+            ids = bank.cover(u, rng.binomial(len(bank.fifo), p))
             if not fresh and not ids:
                 return None
             covered.append((ids, fresh))
@@ -486,8 +488,7 @@ class OdwfMobile(_MobileScheme, _Odwf):
     many-movers walk (one uniform u per id: up below q, down in [q, 2q),
     through land), the covering of phase I and the scan for a pick within a
     strip. The few-movers walk picks a buffered mover uniformly among those
-    not picked yet: a uniform id redrawn until it is buffered and unpicked,
-    which takes len(fifo)/unpicked tries on average.
+    not picked yet with _Fifos.pick.
     """
 
     THIN_FROM = 2048
@@ -510,13 +511,10 @@ class OdwfMobile(_MobileScheme, _Odwf):
         if group <= self.M:
             super()._move(group, up)
             return
-        strip, n, u = self.strip, len(self.bank.fifo), self.uniforms
-        k = _below(u, n)
-        while not strip[k] or k in self.picked:
-            k = _below(u, n)
+        k = self.bank.pick(self.uniforms, self.picked)
         self.picked.add(k)
-        old = int(strip[k])
-        strip[k] = self.to[old][up]
+        old = int(self.strip[k])
+        self.strip[k] = self.to[old][up]
         super()._move(group + old, up)    # group is M + 1, the buffered row
 
     def _walk_many(self):

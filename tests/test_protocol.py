@@ -362,6 +362,43 @@ def test_fixed_odwf_covers_occupied_and_idle_relays_independently():
     assert stats.chisquare(hits[occupied]).pvalue > 1e-3
 
 
+def fifos_with_gaps(seed):
+    """A _Fifos that handed out ids 0..15 and freed eight of them again,
+    so free ids sit below and among the occupied ones, the last id
+    included, and a seeded uniform stream to draw ids with."""
+    bank, occupied = relaysim.protocol._Fifos(10), [1, 2, 5, 6, 9, 11, 12, 15]
+    ids = bank.take(16)
+    bank.add(0, [k for k in ids if k not in occupied])
+    bank.deliver(0)
+    bank.add(1, occupied)
+    bank.add(2, occupied[::3])
+    assert sorted(bank.free + occupied) == ids and bank.size == len(occupied)
+    rng = np.random.default_rng(seed)
+    return bank, occupied, relaysim.protocol._stream(lambda: rng.random(1024))
+
+
+@pytest.mark.parametrize("skip", [set(), {2, 11}])
+def test_fifos_pick_is_uniform_over_occupied_ids_not_skipped(skip):
+    bank, occupied, u = fifos_with_gaps(81)
+    allowed, draws = [k for k in occupied if k not in skip], 20000
+    picks = Counter(bank.pick(u, skip) for _ in range(draws))
+    assert set(picks) == set(allowed)
+    assert stats.chisquare([picks[k] for k in allowed]).pvalue > 1e-3
+
+
+def test_fifos_cover_keeps_each_occupied_id_at_rate_m_over_len():
+    bank, occupied, u = fifos_with_gaps(82)
+    n, m, draws = len(bank.fifo), 5, 20000
+    assert bank.cover(u, 0) == [] and sorted(bank.cover(u, n)) == occupied
+    hits = Counter()
+    for _ in range(draws):
+        ids = bank.cover(u, m)
+        assert len(set(ids)) == len(ids) and set(ids) <= set(occupied)
+        hits.update(ids)
+    want, sigma = draws * m / n, math.sqrt(draws * m / n * (1 - m / n))
+    assert all(abs(hits[k] - want) <= 5 * sigma for k in occupied)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([1.0, 1.01, 1.3, 2.0, 6.0]),
        st.integers(0, 2**32 - 1))

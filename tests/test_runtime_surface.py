@@ -2,7 +2,7 @@
 method, property and module-level name defined in src/relaysim is read
 somewhere in src/relaysim or exported by relaysim/__init__.py, and every
 name a runtime module imports is read in that module. Helpers only the tests
-call belong in tests/oracles.py."""
+call belong in tests/oracles.py. Only protocol._Fifos reads its id layout."""
 
 import ast
 from pathlib import Path
@@ -78,3 +78,32 @@ def test_every_allowed_exception_is_still_needed():
 
 def test_every_runtime_import_is_read():
     assert unused_imports(parse_sources()) == set(), "drop these imports"
+
+
+def fifo_reads_outside_fifos(tree) -> list:
+    """Lines where protocol.py reads an attribute fifo outside class _Fifos
+    other than as the sole argument of len(): only _Fifos knows that a free
+    id is an empty dict in fifo."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def inside_fifos(node):
+        while node in parent:
+            node = parent[node]
+            if isinstance(node, ast.ClassDef) and node.name == "_Fifos":
+                return True
+        return False
+
+    def len_argument(node):
+        call = parent.get(node)
+        return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "len" and call.args == [node] and not call.keywords)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "fifo"
+                  and isinstance(node.ctx, ast.Load)
+                  and not inside_fifos(node) and not len_argument(node))
+
+
+def test_only_fifos_reads_its_id_layout():
+    assert fifo_reads_outside_fifos(parse_sources()["protocol.py"]) == [], \
+        "draw ids through _Fifos.pick or _Fifos.cover"
