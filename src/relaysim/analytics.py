@@ -47,7 +47,7 @@ class Prediction:
 
 def delta_of(beta: float, K: float) -> float:
     """P(some relay of K connects on one subcarrier) = 1 - (1 - 1/beta)^K."""
-    if beta < 1.0:
+    if not beta >= 1.0:    # NaN too: fixed_link would read it as beta = 1
         raise ValueError(f"beta must be >= 1, got {beta}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")

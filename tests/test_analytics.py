@@ -30,6 +30,8 @@ def test_delta_known_points():
     with pytest.raises(ValueError):
         delta_of(0.5, 10)
     with pytest.raises(ValueError):
+        delta_of(math.nan, 10)
+    with pytest.raises(ValueError):
         delta_of(2.0, 0)
 
 
