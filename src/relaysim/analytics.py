@@ -5,7 +5,7 @@ function. Orderwise results are materialized with unit constants and carry the
 "orderwise_only" flag; tests against them compare slopes and ratios, never
 absolute values. Asymptotic validity conditions are evaluated as finite-size
 ratio thresholds (ratio <= 0.01 counts as satisfied) and reported as flags,
-never silently assumed.
+never silently assumed. Each domain check is negated so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def delta_of(beta: float, K: float) -> float:
     """P(some relay of K connects on one subcarrier) = 1 - (1 - 1/beta)^K."""
     if not beta >= 1.0:    # NaN too: fixed_link would read it as beta = 1
         raise ValueError(f"beta must be >= 1, got {beta}")
-    if K < 1:
+    if not K >= 1:
         raise ValueError(f"K must be >= 1, got {K}")
     return -math.expm1(K * fixed_link(beta)[1])    # K * -inf at beta = 1: exactly 1
 
@@ -77,7 +77,7 @@ def occupancy_alpha(beta: float, K: float, N: int) -> tuple[float, bool]:
 
 def c_of(N: int) -> float:
     """ln(2^(1/N) / (2^(1/N) - 1)), the occupancy/delay constant."""
-    if N < 1:
+    if not N >= 1:
         raise ValueError(f"N must be >= 1, got {N}")
     t = math.log(2.0) / N
     return t - math.log(math.expm1(t))
@@ -91,7 +91,7 @@ def odwf_fixed_prediction(K: float, N: int, p: float, beta: float) -> Prediction
     D = max(1, 2*c*beta^2/K). The finite-K throughput
     N*P_RD*log2(1 + p*ln(beta)) is reported alongside.
     """
-    if K < 2:
+    if not K >= 2:
         raise ValueError(f"K must be >= 2, got {K}")
     c = c_of(N)
     prd = p_rd(beta, K, N)
@@ -127,7 +127,7 @@ def baseline_fixed_prediction(K: float, N: int, p: float) -> Prediction:
     The ln(sqrt(K)) is evaluated as log(sqrt(K)) so that the half-relay
     equivalence T == odwf_fixed_prediction(sqrt(K), ...).T_max is bit-exact.
     """
-    if K < 2:
+    if not K >= 2:
         raise ValueError(f"K must be >= 2, got {K}")
     T = N / 2.0 * math.log2(1.0 + p * math.log(math.sqrt(K)))
     return Prediction(T=T, T_max=T, D=1.0, beta_opt=math.sqrt(K) / math.log(K))
@@ -139,9 +139,9 @@ def odwf_mobile_prediction(K: float, N: int, alpha: float, beta: float,
     vanishes; T_max = (N*alpha/4)*log2(K) at beta = K^(alpha/2);
     D = max(beta^(4/alpha)/(K*q), 1/q) up to an unknown constant.
     """
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
-    if alpha < 2.0:
+    if not alpha >= 2.0:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
     flags = {FLAG_ORDERWISE}
     if beta ** (2.0 / alpha) / K <= VALIDITY_RATIO:
@@ -167,9 +167,9 @@ def baseline_mobile_prediction(K: float, N: int, alpha: float, M: int,
     threshold satisfies beta^(4/alpha) = x. Parameters with x in [0.5, 2]
     sit between the two limits and are flagged "indeterminate_regime".
     """
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
-    if M < 2:
+    if not M >= 2:
         raise ValueError(f"M must be >= 2, got {M}")
     x = q * K ** (1.0 / (M - 1))
     flags = {FLAG_ORDERWISE}

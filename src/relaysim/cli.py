@@ -24,13 +24,13 @@ from importlib import resources
 from .experiment import (FORMATS, check_writable, emit, load_spec, parse_spec,
                          run_experiment)
 
-PRESETS = ("fig-fixed-tradeoff", "fig-mobile-tradeoff")
+_PRESET_DIR = resources.files("relaysim.presets")
+PRESETS = tuple(sorted(entry.name.removesuffix(".ini") for entry in _PRESET_DIR.iterdir()
+                       if entry.name.endswith(".ini")))
 
 
 def load_preset(name: str):
-    text = (resources.files("relaysim.presets") / f"{name}.ini").read_text(
-        encoding="utf-8")
-    return parse_spec(text)
+    return parse_spec((_PRESET_DIR / f"{name}.ini").read_text(encoding="utf-8"))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -43,7 +43,7 @@ class SystemConfig:
     M: int = 5                  # mobile only
     q: float = 0.1              # mobile only
     R: float = 1.0              # mobile only
-    warmup_frames: int | None = None   # None: scaled to the predicted delay
+    warmup_frames: int | None = None   # None: scaled to ODWF's predicted delay
     measure_frames: int = 10_000
     replications: int = 1
     seed: int = 0
@@ -155,9 +155,11 @@ class RunSummary:
 
 
 def default_warmup(cfg: SystemConfig) -> int:
-    """Warm-up long enough to reach stationarity: 10x the predicted delay
-    scale of the scenario (buffering delay 2*c*beta^2/K for fixed relays,
+    """Warm-up meant to reach stationarity: 10x ODWF's predicted delay scale
+    for the scenario (buffering delay 2*c*beta^2/K for fixed relays,
     max(beta^(4/alpha)/(K*q), 1/q) for mobile), floored at 10^3 frames.
+    cfg.scheme is not read, so a baseline row gets ODWF's delay law, and on
+    mobile rows its 10/q term, rather than its own delay (ROADMAP.md item 7).
     A scale past the float range raises ValueError naming the field that
     overflows it, q where 10/q does and beta otherwise. SystemConfig resolves
     its warm-up with this at construction, so parse_spec reports the

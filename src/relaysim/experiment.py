@@ -39,7 +39,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -54,11 +54,12 @@ MODES = ("simulate", "predict", "both")
 FORMATS = ("csv", "jsonl")
 DEFAULT_MAX_POINTS = 10_000
 
-# [system] key -> its kind, in SystemConfig's field order
-_SYSTEM_KEYS = {"scenario": str, "scheme": str, "K": int, "N": int, "p": float,
-                "beta": float, "alpha": float, "M": int, "q": float, "R": float,
-                "warmup_frames": int, "measure_frames": int, "replications": int,
-                "seed": int, "buffer_cap": int}
+# [system] key -> its kind, read from the annotation, in SystemConfig's field
+# order; a key is required where its field has no default
+_CONFIG_FIELDS = [f for f in fields(SystemConfig) if f.init]
+_SYSTEM_KEYS = {f.name: {"str": str, "float": float, "int": int, "int | None": int}[f.type]
+                for f in _CONFIG_FIELDS}
+_REQUIRED_KEYS = [f.name for f in _CONFIG_FIELDS if f.default is MISSING]
 _SWEEPABLE = [key for key, kind in _SYSTEM_KEYS.items()    # numeric but seed/cap
               if kind is not str and key not in ("seed", "buffer_cap")]
 _KIND_NAMES = {int: "an integer", float: "a number"}
@@ -185,7 +186,7 @@ def parse_spec(text: str) -> ExperimentSpec:
             output[name] = value
     if schema_version is None:
         raise SpecError(None, "missing schema_version (expected before sections)")
-    for required in ("scenario", "scheme", "K", "N", "p", "beta"):
+    for required in _REQUIRED_KEYS:
         if required not in system:
             raise SpecError(None, f"[system] is missing required key {required!r}")
     try:
@@ -229,17 +230,10 @@ def _predict(cfg: SystemConfig) -> Prediction:
 
 
 def _config_cells(row: int, cfg: SystemConfig, master_seed: int) -> dict:
-    cells = {
-        "row": row, "scenario": cfg.scenario, "scheme": cfg.scheme,
-        "K": cfg.K, "N": cfg.N, "p": cfg.p, "beta": cfg.beta,
-        "warmup_frames": cfg.warmup,
-        "measure_frames": cfg.measure_frames,
-        "replications": cfg.replications,
-        "master_seed": master_seed, "seed": cfg.seed,
-        "status": STATUS_OK,
-    }
-    if cfg.scenario == MOBILE:
-        cells.update({"alpha": cfg.alpha, "M": cfg.M, "q": cfg.q, "R": cfg.R})
+    cells = {key: getattr(cfg, key) for key in _SYSTEM_KEYS if key in COLUMNS
+             and (cfg.scenario == MOBILE or key not in ("alpha", "M", "q", "R"))}
+    cells.update({"row": row, "warmup_frames": cfg.warmup,
+                  "master_seed": master_seed, "status": STATUS_OK})
     return cells
 
 
