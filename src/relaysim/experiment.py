@@ -5,7 +5,7 @@ sections:
 
     schema_version = 1
 
-    [system]            # SystemConfig fields, scenario and scheme required
+    [system]            # SystemConfig fields; those with no default required
     scenario = fixed
     scheme = odwf
     K = 2000
@@ -230,11 +230,10 @@ def _predict(cfg: SystemConfig) -> Prediction:
 
 
 def _config_cells(row: int, cfg: SystemConfig, master_seed: int) -> dict:
-    cells = {key: getattr(cfg, key) for key in _SYSTEM_KEYS if key in COLUMNS
-             and (cfg.scenario == MOBILE or key not in ("alpha", "M", "q", "R"))}
-    cells.update({"row": row, "warmup_frames": cfg.warmup,
-                  "master_seed": master_seed, "status": STATUS_OK})
-    return cells
+    return {key: getattr(cfg, key) for key in _SYSTEM_KEYS if key in COLUMNS
+            and (cfg.scenario == MOBILE or key not in ("alpha", "M", "q", "R"))} | {
+        "row": row, "warmup_frames": cfg.warmup, "master_seed": master_seed,
+        "status": STATUS_OK}
 
 
 def _simulate_cells(cfg: SystemConfig) -> dict:

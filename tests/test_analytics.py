@@ -70,6 +70,23 @@ def test_c_of_frozen_values():
         c_of(0)
 
 
+@pytest.mark.parametrize("closed_form, args, name", [
+    (delta_of, (4.0, math.nan), "K"),
+    (c_of, (math.nan,), "N"),
+    (odwf_fixed_prediction, (math.nan, 1, 1.0, 4.0), "K"),
+    (baseline_fixed_prediction, (math.nan, 2, 1.0), "K"),
+    (odwf_mobile_prediction, (100, 1, 4.0, 4.0, math.nan), "q"),
+    (odwf_mobile_prediction, (100, 1, math.nan, 4.0, 0.1), "alpha"),
+    (baseline_mobile_prediction, (100, 1, 4.0, 5, math.nan), "q"),
+    (baseline_mobile_prediction, (100, 1, 4.0, math.nan, 0.1), "M"),
+], ids=["delta_of-K", "c_of-N", "odwf_fixed-K", "baseline_fixed-K", "odwf_mobile-q",
+        "odwf_mobile-alpha", "baseline_mobile-q", "baseline_mobile-M"])
+def test_closed_forms_refuse_a_nan_argument(closed_form, args, name):
+    # a NaN passes "x < bound" checks and comes out as finite-looking fields
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        closed_form(*args)
+
+
 def test_occupancy_fixed_point_values():
     assert abs(delta_of(2000.0, 10**4) - FP_DELTA) < 1e-14
     assert abs(p_rd(2000.0, 10**4, 2) - FP_P_RD) < 1e-14

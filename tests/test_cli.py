@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import os
+import pathlib
 
 import pytest
 
+import relaysim
 from relaysim.cli import PRESETS, load_preset, main
 from relaysim.experiment import COLUMNS, _temp_sibling
 
@@ -288,6 +290,14 @@ def test_presets_load_and_predict(tmp_path):
         for row in rows[1:]:
             record = dict(zip(rows[0], row))
             assert record["pred_T"] != "" and record["status"] == "ok"
+
+
+def test_presets_are_the_bundled_spec_files():
+    bundled = pathlib.Path(relaysim.__file__).resolve().parent / "presets"
+    assert PRESETS == tuple(sorted(path.stem for path in bundled.glob("*.ini")))
+    assert {"fig-fixed-tradeoff", "fig-mobile-tradeoff"} <= set(PRESETS)
+    for name in PRESETS:
+        assert load_preset(name).n_points >= 1
 
 
 def test_preset_predict_is_byte_deterministic(tmp_path):

@@ -259,10 +259,17 @@ def test_readme_spec_example_names_every_key_the_parser_accepts():
     assert [key for key in accepted if not re.search(rf"\b{key}\b", block)] == []
 
 
-def test_system_keys_are_the_config_fields_with_their_kinds():
-    kinds = {"str": str, "int": int, "float": float, "int | None": int}
-    assert list(_SYSTEM_KEYS.items()) == [
-        (f.name, kinds[f.type]) for f in dataclasses.fields(SystemConfig) if f.init]
+def test_a_spec_setting_every_config_field_parses_to_that_config():
+    values = {"scenario": "mobile", "scheme": "baseline", "K": 60, "N": 3, "p": 2.5,
+              "beta": 16.0, "alpha": 3.0, "M": 4, "q": 0.2, "R": 0.5,
+              "warmup_frames": 7, "measure_frames": 9, "replications": 2, "seed": 11,
+              "buffer_cap": 500}
+    assert list(values) == [f.name for f in dataclasses.fields(SystemConfig) if f.init]
+    template = parse_spec("schema_version = 1\n[system]\n" + "".join(
+        f"{key} = {value}\n" for key, value in values.items())).template
+    assert template == SystemConfig(**values)
+    # == takes 16 for 16.0, so the kinds are compared apart
+    assert [type(getattr(template, key)) for key in values] == list(map(type, values.values()))
 
 
 def test_parse_enforces_point_cap():
@@ -272,10 +279,8 @@ def test_parse_enforces_point_cap():
     parse_spec(text.replace("max_points = 5", "max_points = 6"))
 
 
-_SPEC_KEYS = ("schema_version", "scenario", "scheme", "K", "N", "p", "beta",
-              "alpha", "M", "q", "R", "warmup_frames", "measure_frames",
-              "replications", "seed", "buffer_cap", "max_points", "mode",
-              "format", "path", "bogus")
+# every key the parser reads, so a new one is fuzzed too, and one it does not
+_SPEC_KEYS = ("schema_version", *_SYSTEM_KEYS, "max_points", *_OUTPUT_KEYS, "bogus")
 _SPEC_VALUES = st.one_of(
     st.sampled_from(("1", "0", "-1", "2.5", "1e400", "nan", "-inf", "", "fixed",
                      "mobile", "odwf", "baseline", "both", "jsonl", "4, 8",

@@ -2,12 +2,15 @@
 method, property and module-level name defined in src/relaysim is read
 somewhere in src/relaysim or exported by relaysim/__init__.py, and every
 name a runtime module imports is read in that module. Helpers only the tests
-call belong in tests/oracles.py. Only protocol._Fifos reads its id layout."""
+call belong in tests/oracles.py. Only protocol._Fifos reads its id layout,
+and experiment.py takes SystemConfig's field names from SystemConfig."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import relaysim
+from relaysim.engine import SystemConfig
 
 SRC = Path(relaysim.__file__).resolve().parent
 
@@ -107,3 +110,27 @@ def fifo_reads_outside_fifos(tree) -> list:
 def test_only_fifos_reads_its_id_layout():
     assert fifo_reads_outside_fifos(parse_sources()["protocol.py"]) == [], \
         "draw ids through _Fifos.pick or _Fifos.cover"
+
+
+# SystemConfig field names experiment.py may spell as string literals: the
+# keys no sweep takes, the mobile-only columns and the resolved warm-up
+FIELD_LITERALS = {"seed", "buffer_cap", "alpha", "M", "q", "R", "warmup_frames"}
+
+
+def config_field_literals(tree) -> list:
+    """(line, name) per string literal that spells a SystemConfig init-field
+    name outside the COLUMNS assignment, the output contract, and f-strings."""
+    names = {f.name for f in dataclasses.fields(SystemConfig) if f.init}
+    skipped = {id(node) for top in ast.walk(tree)
+               if isinstance(top, ast.JoinedStr) or (isinstance(top, ast.Assign) and
+                   [ast.unparse(target) for target in top.targets] == ["COLUMNS"])
+               for node in ast.walk(top)}
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in names
+                  and id(node) not in skipped)
+
+
+def test_experiment_spells_no_config_field_outside_the_allowlist():
+    flagged = [(line, name) for line, name in config_field_literals(parse_sources()["experiment.py"])
+               if name not in FIELD_LITERALS]
+    assert flagged == [], "read these from _SYSTEM_KEYS or dataclasses.fields(SystemConfig)"
