@@ -125,7 +125,11 @@ K10K = 10_000
 # source phase takes two chunks of subcarriers; M = 1000 strips, about one
 # relay each, walked mover by mover (2qK = 4) and by the multinomial draw
 # (2qK = 100), with disks of radius about 1.01 (ODWF) and 1.02 (baseline)
-# that reach past the middle; and a frozen walk
+# that reach past the middle; a frozen walk; and two fixed baselines whose
+# relay frames often leave a subcarrier short of a pending packet, so they
+# run the bipartite matching: K = 30 relays over N = 3 subcarriers, where
+# some matchings leave a packet behind, and N = 70, whose packet masks are
+# Python ints split over nine chunks of subcarriers
 ROWS = (
     ("fixed-odwf-k10k", dict(scenario="fixed", scheme="odwf", K=K10K, N=2, p=1.0,
                              beta=2000.0)),
@@ -151,6 +155,10 @@ ROWS = (
       for walk, q in (("few", 0.002), ("many", 0.05))),
     ("mobile-odwf-frozen", dict(scenario="mobile", scheme="odwf", K=1000, N=1, p=4.0,
                                 beta=2.0, M=5, q=0.0)),
+    ("fixed-baseline-partial", dict(scenario="fixed", scheme="baseline", K=30, N=3,
+                                    p=1.0, beta=6.0)),
+    ("fixed-baseline-n70", dict(scenario="fixed", scheme="baseline", K=20, N=70,
+                                p=1.0, beta=1.5)),
 )
 
 ROW_DIGESTS = {
@@ -167,6 +175,8 @@ ROW_DIGESTS = {
     "mobile-baseline-m1000-few": "d5875c3f2fec4093",
     "mobile-baseline-m1000-many": "6bff09f43751cd83",
     "mobile-odwf-frozen": "181511fc1dd3a26c",
+    "fixed-baseline-partial": "00bd7d5e44b96c2e",
+    "fixed-baseline-n70": "fef84b424d0721c9",
 }
 
 
