@@ -1,8 +1,11 @@
 """Maximum bipartite matching by augmenting paths (Kuhn's algorithm).
 
-Used by the genie-aided fixed baseline to assign undelivered packets to
-subcarriers. Left side: packets (at most N of them); right side: subcarriers.
-Small enough that the O(V*E) augmenting-path scan is exact and instant.
+The genie-aided fixed baseline runs it on the relay frames where some
+subcarrier misses a pending packet, to assign packets (left, at most N) to
+subcarriers (right); a frame where every subcarrier reaches every pending
+packet delivers them all without it. The search is iterative, with an
+explicit stack, so an augmenting path may be longer than Python's recursion
+limit (about 1,000 calls) allows.
 """
 
 from __future__ import annotations
@@ -13,25 +16,37 @@ def max_bipartite_matching(adjacency, n_right: int):
 
     adjacency: sequence over left vertices of iterables of right-vertex ids.
     Returns (match_left, size): match_left[u] is the right vertex matched to
-    left vertex u, or -1 if u is unmatched.
+    left vertex u, or -1 if u is unmatched. Left vertices are tried in order,
+    each one's edges in the order given, depth first.
     """
     n_left = len(adjacency)
     match_right = [-1] * n_right
-
-    def try_augment(u, seen):
-        for v in adjacency[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_right[v] < 0 or try_augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
     size = 0
-    for u in range(n_left):
-        if try_augment(u, [False] * n_right):
-            size += 1
+    for root in range(n_left):
+        seen = [False] * n_right
+        # the search stack: lefts[k] with its untried edges[k]; path[k] is the
+        # right vertex through which lefts[k + 1] was entered
+        lefts, edges, path = [root], [iter(adjacency[root])], []
+        while edges:
+            for v in edges[-1]:
+                if not seen[v]:
+                    seen[v] = True
+                    break
+            else:    # every edge tried: back up to the parent
+                lefts.pop()
+                edges.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(v)
+            u = match_right[v]
+            if u < 0:    # a free right vertex: flip the path
+                for w, x in zip(path, lefts):
+                    match_right[w] = x
+                size += 1
+                break
+            lefts.append(u)
+            edges.append(iter(adjacency[u]))
     match_left = [-1] * n_left
     for v, u in enumerate(match_right):
         if u >= 0:

@@ -292,6 +292,13 @@ class BaselineFixed:
       with probability (1 - 1/beta)^s, independently across cells and
       subcarriers: one Bernoulli per (subcarrier, cell) decides the edges.
       Cells with equal labels need no merging: (1 - 1/beta)^(s+t) factors.
+    - Full reach: when every subcarrier reaches every pending packet, the
+      frame delivers them all without running the matching. At most N
+      packets are pending and each has an edge to all N subcarriers, so
+      every set of packets has at least as many neighbours as members;
+      by Hall's theorem a matching covers them all, and a maximum one, as
+      max_bipartite_matching returns, does too. The delivered packets, their
+      order and the draws are the matching's, so output is unchanged.
     """
 
     CHUNK = 8
@@ -302,6 +309,7 @@ class BaselineFixed:
         p, self.log_down = fixed_link(cfg.beta)    # (first subcarrier, pi) per chunk
         self.chunks = [(n, reduce(np.kron, [[1 - p, p]] * min(self.CHUNK, self.N - n), [1.0]))
                        for n in range(0, self.N, self.CHUNK)]    # bit j of S: subcarrier n + j
+        self.root = np.zeros(1, np.int64 if self.N < 63 else object)    # no packet yet
         self.pending = []    # undelivered packets i of the batch: seq base_seq + i
         self.base_seq = self.created = 0    # created: the batch's creation frame
         self.held = 0        # relays in live cells
@@ -311,7 +319,7 @@ class BaselineFixed:
         return self._relay_tx() if self.pending else self._source_tx(frame)
 
     def _source_tx(self, frame):
-        labels, sizes = np.zeros(1, np.int64 if self.N < 63 else object), self.K
+        labels, sizes = self.root, self.K
         for first, pi in self.chunks:    # a scalar draw for the first chunk
             counts = self.rng.multinomial(sizes, pi).reshape(-1, pi.size)    # counts[c, S]
             cells, patterns = np.nonzero(counts)
@@ -322,7 +330,7 @@ class BaselineFixed:
         dead = int(labels[0] == 0)    # the relays that connected nowhere, always first
         self.labels, self.sizes = labels[dead:], sizes[dead:]
         self.up_prob = -np.expm1(self.sizes * self.log_down)
-        self.held = int(self.sizes.sum())
+        self.held = self.K - int(sizes[0]) if dead else self.K    # sizes sum to K
         self.pending = list(range(self.N))
         self.base_seq, self.created = self.next_seq, frame
         self.next_seq += self.N
@@ -332,16 +340,20 @@ class BaselineFixed:
         N, pending = self.N, self.pending
         up = self.rng.random((N, self.sizes.size)) < self.up_prob   # up[n, c]
         reach = np.bitwise_or.reduce(np.where(up, self.labels, 0), axis=1).tolist()
-        adjacency = [[n for n in range(N) if reach[n] >> i & 1] for i in pending]
-        match_left, _ = max_bipartite_matching(adjacency, N)
-        packets = [i for i, n in zip(pending, match_left) if n >= 0]
-        gone = sum(1 << i for i in packets)
-        self.pending = [i for i in pending if not gone >> i & 1]
-        if not self.pending:    # the next source frame redraws the cells
-            self.held = 0
-        elif packets:    # a cell left holding nothing stays, with label 0
-            self.labels = self.labels & ~gone
-            self.held = int(self.sizes[self.labels != 0].sum())
+        want = sum(1 << i for i in pending)
+        if all(r & want == want for r in reach):    # full reach: the batch drains
+            packets, self.pending, self.held = pending, [], 0
+        else:
+            adjacency = [[n for n in range(N) if reach[n] >> i & 1] for i in pending]
+            match_left, _ = max_bipartite_matching(adjacency, N)
+            packets = [i for i, n in zip(pending, match_left) if n >= 0]
+            gone = sum(1 << i for i in packets)
+            self.pending = [i for i in pending if not gone >> i & 1]
+            if not self.pending:    # the next source frame redraws the cells
+                self.held = 0
+            elif packets:    # a cell left holding nothing stays, with label 0
+                self.labels = self.labels & ~gone
+                self.held = int(self.sizes[self.labels != 0].sum())
         return FrameOutcome(RELAY_TX, tuple((self.base_seq + i, self.created)
                                             for i in packets))
 

@@ -22,7 +22,10 @@ is fixed ODWF as it was before idle relays lost their ids: every relay keeps
 its id and one FIFO per subcarrier (IdFifos), and every link the protocol
 uses gets its own indicator. RelayState and relay_state give a per-relay
 view of the ODWF FIFOs, and place(proto, regions) puts the relays of a
-mobile scheme into given strips.
+mobile scheme into given strips. recursive_bipartite_matching is Kuhn's
+matching as it was before its search kept an explicit stack: one Python
+call per step of an augmenting path, so a path of about 1,000 steps raises
+RecursionError.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import numpy as np
 
 from relaysim.analytics import c_of, delta_of, occupancy_alpha
 from relaysim.channel import coverage_radius
-from relaysim.matching import max_bipartite_matching
 from relaysim.mobility import DiskGeometry, build_geometry, coverage_probabilities
 from relaysim.protocol import (IDLE_FRAME, RELAY_TX, SOURCE_FRAME,
                                BufferOverflowError, FrameOutcome, OdwfMobile)
@@ -146,6 +148,36 @@ def binomial_cell_split(rng: np.random.Generator, K: int, N: int, p: float):
     return labels, sizes
 
 
+def recursive_bipartite_matching(adjacency, n_right: int):
+    """Kuhn's maximum matching, searching for augmenting paths by recursion.
+
+    adjacency: sequence over left vertices of iterables of right-vertex ids.
+    Returns (match_left, size) as relaysim.matching.max_bipartite_matching.
+    """
+    n_left = len(adjacency)
+    match_right = [-1] * n_right
+
+    def try_augment(u, seen):
+        for v in adjacency[u]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            if match_right[v] < 0 or try_augment(match_right[v], seen):
+                match_right[v] = u
+                return True
+        return False
+
+    size = 0
+    for u in range(n_left):
+        if try_augment(u, [False] * n_right):
+            size += 1
+    match_left = [-1] * n_left
+    for v, u in enumerate(match_right):
+        if u >= 0:
+            match_left[u] = v
+    return match_left, size
+
+
 class DenseBaselineFixed:
     """BaselineFixed keeping every holder id and drawing every holder link.
 
@@ -196,7 +228,7 @@ class DenseBaselineFixed:
         holder_pos = [np.searchsorted(union, self.batch[s]) for s in seqs]
         adjacency = [np.flatnonzero(conn[:, pos].any(axis=1)).tolist()
                      for pos in holder_pos]
-        match_left, _ = max_bipartite_matching(adjacency, self.N)
+        match_left, _ = recursive_bipartite_matching(adjacency, self.N)
         delivered = []
         for i, seq in enumerate(seqs):
             if match_left[i] < 0:

@@ -1,7 +1,10 @@
-"""The benchmark's tracer still fits the package: perfbench/tracing.py wraps
-each scheme's step once and reads what step() returns, from outside src/."""
+"""The benchmark still fits the package: perfbench/tracing.py wraps each
+scheme's step once and reads what step() returns, from outside src/, and
+perfbench/selftest.py's checks pass."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ import relaysim.protocol
 from relaysim import channel, cli, engine, experiment
 from relaysim.engine import SystemConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 SCHEMES = ("OdwfFixed", "BaselineFixed", "OdwfMobile", "BaselineMobile")
 CONFIGS = (
     dict(scenario="fixed", scheme="odwf", K=200, N=2, p=1.0, beta=20.0),
@@ -47,3 +51,12 @@ def test_tracer_wraps_each_scheme_once_and_restores_it():
         tracer.uninstall()
     for name in SCHEMES:
         assert getattr(relaysim.protocol, name).step is originals[name]
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's baseline invariants (unit delay, in-network cap) and its
+    # closed forms against relaysim.analytics
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -528,6 +528,37 @@ def test_baseline_fixed_handles_more_subcarriers_than_label_bits():
         assert holders(proto, i)
 
 
+@pytest.mark.parametrize("K,N,p,beta,partial", [
+    (2000, 4, 1e8, math.sqrt(2000) / math.log(2000), False),
+    (30, 3, 1.0, 6.0, True)])
+def test_baseline_fixed_runs_the_matching_only_when_reach_is_partial(
+        monkeypatch, K, N, p, beta, partial):
+    # a frame where every subcarrier reaches every pending packet delivers
+    # them all without the matching; any other relay frame calls it once.
+    # The name is the one perfbench/tracing.py patches.
+    real, calls = relaysim.protocol.max_bipartite_matching, []
+
+    def counted(adjacency, n_right):
+        calls.append(adjacency)
+        return real(adjacency, n_right)
+
+    monkeypatch.setattr(relaysim.protocol, "max_bipartite_matching", counted)
+    proto = make_fixed(BaselineFixed, K, N, p, beta, 38)
+    relay_frames = 0
+    for t in range(1000):
+        before, seen = list(proto.pending), len(calls)
+        out = proto.step(t)
+        relay_frames += out.kind == RELAY_TX
+        if out.kind == RELAY_TX and len(calls) == seen:    # the shortcut
+            assert sorted(s - proto.base_seq for s, _ in out.delivered) == before
+        else:
+            assert len(calls) - seen == (out.kind == RELAY_TX)
+    assert relay_frames > 300
+    assert bool(calls) == partial
+    if partial:    # some fallback frames leave a pending packet behind
+        assert any(len(adjacency) > real(adjacency, N)[1] for adjacency in calls)
+
+
 @pytest.mark.parametrize("K", [10**8, 10**12])
 def test_fixed_baseline_holder_counts_are_binomial_at_huge_k(K):
     # relay counts no id array could hold: after a source frame the holders
