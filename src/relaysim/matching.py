@@ -3,7 +3,11 @@
 The genie-aided fixed baseline runs it on the relay frames where some
 subcarrier misses a pending packet, to assign packets (left, at most N) to
 subcarriers (right); a frame where every subcarrier reaches every pending
-packet delivers them all without it. The search is iterative, with an
+packet delivers them all without it. The caller lists packet i's edges from
+subcarrier i on, wrapping round: the matched set does not depend on edge
+order, and on a near-complete graph most packets then match at their first
+edge, where the natural order walks an augmenting path through every packet
+before them, about N^3/6 edge visits in all. The search is iterative, with an
 explicit stack, so an augmenting path may be longer than Python's recursion
 limit (about 1,000 calls) allows.
 """

@@ -344,7 +344,10 @@ class BaselineFixed:
         if all(r & want == want for r in reach):    # full reach: the batch drains
             packets, self.pending, self.held = pending, [], 0
         else:
-            adjacency = [[n for n in range(N) if reach[n] >> i & 1] for i in pending]
+            # packet i lists the subcarriers from i on, so a near-complete
+            # graph matches most packets at their first edge
+            adjacency = [[n for n in (*range(i, N), *range(i)) if reach[n] >> i & 1]
+                         for i in pending]
             match_left, _ = max_bipartite_matching(adjacency, N)
             packets = [i for i, n in zip(pending, match_left) if n >= 0]
             gone = sum(1 << i for i in packets)
