@@ -3,12 +3,20 @@ as CSV and as JSON lines, and run_once series of rows that no spec reaches.
 
 A change that keeps the statistics but draws differently changes these
 digests, so a refactor that promises identical output proves it here. Bytes
-are promised per numpy version only, so the test runs on the numpy the
-digests were recorded with and skips on any other.
+are promised per numpy version only, so the digest tests run on the numpy
+the digests were recorded with and skip on any other.
+
+    PYTHONPATH=src python tests/test_output_bytes.py
+
+prints every digest as it reads now, table by table in the layout below.
 """
 
 import hashlib
+import importlib.util
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +24,9 @@ import pytest
 from relaysim.cli import main
 from relaysim.engine import SystemConfig, run_once
 
-pytestmark = pytest.mark.skipif(np.__version__ != "2.4.6",
-                                reason="digests recorded with numpy 2.4.6")
+recorded_numpy = pytest.mark.skipif(np.__version__ != "2.4.6",
+                                    reason="digests recorded with numpy 2.4.6")
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 # the four sweeps of perfbench/specs, without their comments
 SPECS = {
@@ -196,33 +205,83 @@ def sweep_digest(name, tmp_path, *flags) -> str:
     return cli_digest(["sweep", "--spec", str(spec), "--seed", "11", *flags], tmp_path)
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_sweep_bytes(name, tmp_path):
-    assert sweep_digest(name, tmp_path) == SPEC_DIGESTS[name]
-
-
-@pytest.mark.parametrize("name", sorted(JSONL_SPEC_DIGESTS))
-def test_sweep_jsonl_bytes(name, tmp_path):
-    assert sweep_digest(name, tmp_path, "--format", "jsonl") == JSONL_SPEC_DIGESTS[name]
-
-
-@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
-def test_preset_predict_bytes(name, tmp_path):
-    assert cli_digest(["predict", "--preset", name], tmp_path) == PRESET_DIGESTS[name]
-
-
-@pytest.mark.parametrize("name", sorted(JSONL_PRESET_DIGESTS))
-def test_preset_predict_jsonl_bytes(name, tmp_path):
-    assert cli_digest(["predict", "--preset", name, "--format", "jsonl"],
-                      tmp_path) == JSONL_PRESET_DIGESTS[name]
-
-
-@pytest.mark.parametrize("name,fields", ROWS, ids=[name for name, _ in ROWS])
-def test_run_once_series_bytes(name, fields):
+def row_digest(fields) -> str:
     cfg = SystemConfig(**fields, warmup_frames=500, measure_frames=500, seed=17)
     trace = run_once(cfg, np.random.default_rng(cfg.seed))
     parts = [repr((trace.rate, trace.undelivered_at_end)).encode()]
     parts += [np.ascontiguousarray(series).tobytes() for series in (
         trace.delivered_per_frame, trace.per_packet_delay, trace.occupancy_fraction,
         trace.in_network_per_frame, trace.phase_per_frame)]
-    assert digest(b"".join(parts)) == ROW_DIGESTS[name]
+    return digest(b"".join(parts))
+
+
+@recorded_numpy
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_sweep_bytes(name, tmp_path):
+    assert sweep_digest(name, tmp_path) == SPEC_DIGESTS[name]
+
+
+@recorded_numpy
+@pytest.mark.parametrize("name", sorted(JSONL_SPEC_DIGESTS))
+def test_sweep_jsonl_bytes(name, tmp_path):
+    assert sweep_digest(name, tmp_path, "--format", "jsonl") == JSONL_SPEC_DIGESTS[name]
+
+
+@recorded_numpy
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_predict_bytes(name, tmp_path):
+    assert cli_digest(["predict", "--preset", name], tmp_path) == PRESET_DIGESTS[name]
+
+
+@recorded_numpy
+@pytest.mark.parametrize("name", sorted(JSONL_PRESET_DIGESTS))
+def test_preset_predict_jsonl_bytes(name, tmp_path):
+    assert cli_digest(["predict", "--preset", name, "--format", "jsonl"],
+                      tmp_path) == JSONL_PRESET_DIGESTS[name]
+
+
+@recorded_numpy
+@pytest.mark.parametrize("name,fields", ROWS, ids=[name for name, _ in ROWS])
+def test_run_once_series_bytes(name, fields):
+    assert row_digest(fields) == ROW_DIGESTS[name]
+
+
+def test_k10k_rows_are_the_benchmark_shapes(monkeypatch):
+    # perfbench/run.py puts its own directory first on sys.path to import
+    # checks and tracing, and its dataclasses look their module up in
+    # sys.modules; monkeypatch puts both back
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    shapes = [{key: value for key, value in params.items()
+               if key not in ("warmup_frames", "measure_frames")}
+              for workload in ("fixed-k10k", "mobile-k10k")
+              for params in bench.WORKLOADS[workload]]
+    assert [fields for _, fields in ROWS[:4]] == shapes
+
+
+def current_digests():
+    """(table name, {key: digest}) for every table above, as read now."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        return [
+            ("SPEC_DIGESTS", {name: sweep_digest(name, tmp_path) for name in SPEC_DIGESTS}),
+            ("PRESET_DIGESTS", {name: cli_digest(["predict", "--preset", name], tmp_path)
+                                for name in PRESET_DIGESTS}),
+            ("JSONL_SPEC_DIGESTS", {name: sweep_digest(name, tmp_path, "--format", "jsonl")
+                                    for name in JSONL_SPEC_DIGESTS}),
+            ("JSONL_PRESET_DIGESTS", {
+                name: cli_digest(["predict", "--preset", name, "--format", "jsonl"], tmp_path)
+                for name in JSONL_PRESET_DIGESTS}),
+            ("ROW_DIGESTS", {name: row_digest(fields) for name, fields in ROWS}),
+        ]
+
+
+if __name__ == "__main__":
+    for table, digests in current_digests():
+        print(f"{table} = {{")
+        for name, value in digests.items():
+            print(f'    "{name}": "{value}",')
+        print("}\n")
