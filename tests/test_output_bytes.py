@@ -106,7 +106,7 @@ beta = 4, 16, 64
 }
 
 SPEC_DIGESTS = {
-    "fixed-baseline-n-sweep": "2da338b083808983",
+    "fixed-baseline-n-sweep": "f64e69df03b160a1",
     "fixed-odwf-beta-sweep": "6b0d11719080d73a",
     "mobile-baseline-q-sweep": "ab5f9fddcdfa7b69",
     "mobile-odwf-q-beta-sweep": "46a689c0814bb1d4",
@@ -172,19 +172,19 @@ ROWS = (
 
 ROW_DIGESTS = {
     "fixed-odwf-k10k": "b26c290024cc9090",
-    "fixed-baseline-k10k": "d5f197c933367de7",
+    "fixed-baseline-k10k": "cd615a9add361257",
     "mobile-odwf-k10k": "8bdfd60108d62e3b",
     "mobile-baseline-k10k": "2c3d812fdce1939e",
     "mobile-odwf-q0.2": "5e7d2aedadab8af5",
     "mobile-odwf-no-coverage": "39b00dd7334f62f5",
     "mobile-baseline-full-coverage": "18e79d33222e6ebc",
-    "fixed-baseline-n12": "1330b65b9a390b4a",
+    "fixed-baseline-n12": "5195384267e9d5ac",
     "mobile-odwf-m1000-few": "7dab781fc8956283",
     "mobile-odwf-m1000-many": "4bdd83e0247b8fa4",
     "mobile-baseline-m1000-few": "d5875c3f2fec4093",
     "mobile-baseline-m1000-many": "6bff09f43751cd83",
     "mobile-odwf-frozen": "181511fc1dd3a26c",
-    "fixed-baseline-partial": "00bd7d5e44b96c2e",
+    "fixed-baseline-partial": "2be86bf218e938ec",
     "fixed-baseline-n70": "fef84b424d0721c9",
 }
 

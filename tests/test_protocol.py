@@ -593,6 +593,41 @@ def test_baseline_fixed_matching_takes_each_packets_own_subcarrier_first(monkeyp
     assert tally[0] < len(calls) * N ** 2
 
 
+def sure_packets(proto, beta):
+    """The packets of a BaselineFixed's batch that some sure cell holds: a
+    cell whose up probability, -expm1(size * log(1 - 1/beta)), is 1.0."""
+    sure = -np.expm1(proto.sizes * math.log1p(-1 / beta)) == 1.0
+    return {i for label in proto.labels[sure].tolist() for i in range(proto.N)
+            if label >> i & 1}
+
+
+# (K, N, p, beta, mixed): the fixed-k10k baseline shape, whose packets sit in
+# sure cells, and a shape where some pending packet often does not
+SURE_SHAPES = [(10**4, 4, 1e8, math.sqrt(10**4) / math.log(10**4), False),
+               (700, 2, 1.0, 4.0, True)]
+
+
+@pytest.mark.parametrize("K,N,p,beta,mixed", SURE_SHAPES)
+def test_baseline_fixed_sure_relay_frames_draw_nothing(K, N, p, beta, mixed):
+    # rng.random() < 1.0 always holds, so a sure cell is up on every
+    # subcarrier: a relay frame whose pending packets all sit in sure cells
+    # delivers them all without a draw, and any other relay frame draws
+    proto = make_fixed(BaselineFixed, K, N, p, beta, 39)
+    seen = Counter()
+    for t in range(2000):
+        before = list(proto.pending)
+        sure = bool(before) and set(before) <= sure_packets(proto, beta)
+        state = proto.rng.bit_generator.state
+        out = proto.step(t)
+        if out.kind != RELAY_TX:
+            continue
+        assert (proto.rng.bit_generator.state != state) is not sure
+        if sure:
+            assert sorted(s - proto.base_seq for s, _ in out.delivered) == before
+        seen[sure] += 1
+    assert seen[True] > 100 and (seen[False] > 100) is mixed
+
+
 @pytest.mark.parametrize("K", [10**8, 10**12])
 def test_fixed_baseline_holder_counts_are_binomial_at_huge_k(K):
     # relay counts no id array could hold: after a source frame the holders
@@ -664,6 +699,8 @@ SPLIT_LAWS = [(3, 4, 2.0), (2, 8, 1.1), (2, 9, 1.1), (2, 12, 1.05)]
 
 @pytest.mark.parametrize("K,N,beta", SPLIT_LAWS)
 def test_fixed_baseline_cell_split_matches_binomial_oracle(K, N, beta):
+    # BaselineFixed draws its attempts' first chunks BLOCK at a time, so the
+    # 15,000 attempts cross a few hundred block boundaries
     draws = 15_000
     new = Counter(cell_configurations(K, N, beta, 5100 + N, draws, oracle=False))
     old = Counter(cell_configurations(K, N, beta, 5200 + N, draws, oracle=True))
@@ -693,14 +730,33 @@ def baseline_snapshot(scheme, seed, frames, K, N, beta):
     raise AssertionError("no relay frame")
 
 
-# (K, N, beta): K = 6 and K = 1 deliver part of a batch often (K = 1 keeps a
-# single cell), K = 30 splits into up to seven cells, and
-# K = 200 at beta = sqrt(K)/ln K nearly always drains a batch in one frame
-BASELINE_LAWS = [(6, 3, 6.0), (1, 2, 4.0), (30, 3, 6.0), (200, 4, 2.67)]
+def sure_share(K, N, beta, batches=1000):
+    """The share of a BaselineFixed's batches whose packets all sit in sure
+    cells, which drain in one relay frame that draws nothing."""
+    proto = make_fixed(BaselineFixed, K, N, 1.0, beta, 65)
+    sure, t = 0, 0
+    for _ in range(batches):
+        while proto.step(t).kind != SOURCE_TX:
+            t += 1
+        t += 1
+        sure += sure_packets(proto, beta) == set(range(N))
+    return sure / batches
 
 
-@pytest.mark.parametrize("K,N,beta", BASELINE_LAWS)
-def test_fixed_baseline_agrees_with_dense_links(K, N, beta):
+# (K, N, beta, sure share bounds): K = 6 and K = 1 deliver part of a batch
+# often (K = 1 keeps a single cell), K = 30 splits into up to seven cells,
+# and K = 200 at beta = sqrt(K)/ln K nearly always drains a batch in one
+# frame, all four drawing every relay frame; at K = 2000, beta =
+# sqrt(K)/ln K every batch sits in sure cells, and at K = 700, beta = 4 some do
+BASELINE_LAWS = [(6, 3, 6.0, (0, 0)), (1, 2, 4.0, (0, 0)), (30, 3, 6.0, (0, 0)),
+                 (200, 4, 2.67, (0, 0)),
+                 (2000, 2, math.sqrt(2000) / math.log(2000), (1, 1)),
+                 (700, 2, 4.0, (0.1, 0.5))]
+
+
+@pytest.mark.parametrize("K,N,beta,share", BASELINE_LAWS)
+def test_fixed_baseline_agrees_with_dense_links(K, N, beta, share):
+    assert share[0] <= sure_share(K, N, beta) <= share[1]
     # one snapshot per independent run, so the contingency tests' cells are i.i.d.
     runs, frames = 300, 25
     new = [baseline_snapshot(BaselineFixed, 3000 + r, frames, K, N, beta)
