@@ -298,7 +298,7 @@ class BaselineFixed:
       order, whatever their values, so every law is unchanged. Later chunks
       (N > CHUNK) split an attempt's cells as it runs. In-process on the
       fixed-k10k baseline shape, BLOCK = 32 and 256 cost within 10 % of 64
-      a frame, and 8 about 35 % more.
+      a frame, and 8 about 40 % more.
     - Relay phase: no member of a cell of s relays connects on a subcarrier
       with probability (1 - 1/beta)^s, independently across cells and
       subcarriers: one Bernoulli per (subcarrier, cell) decides the edges.
