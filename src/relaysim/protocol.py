@@ -281,24 +281,26 @@ class BaselineFixed:
     exactly the packets i of the batch with bit i set in labels[c]. Links are
     i.i.d. Bernoulli(1/beta), so relays are exchangeable, only cell sizes
     enter the laws, and a frame costs O(N * cells), whatever K is.
-    - Source phase: p = 1/beta, and over a chunk of L <= CHUNK subcarriers a
-      relay connects on exactly the subset S with probability pi_S =
-      p^|S| (1 - p)^(L - |S|), independently of other relays and chunks. So
-      one Multinomial(size, pi) per cell and chunk splits the cells exactly;
-      the batch is refused when the patterns drawn miss a subcarrier. A draw
-      costs up to 2^L Binomials per cell; CHUNK = 8 still makes every N <= 8,
-      all criteria and benchmark rows, one draw.
-    - Attempts ahead: a source attempt runs only when the network is empty,
+    - Source phase, in blocks: p = 1/beta, and over a chunk of L <= CHUNK
+      subcarriers a relay connects on exactly the subset S with probability
+      pi_S = p^|S| (1 - p)^(L - |S|), independently of other relays and
+      chunks. So one Multinomial(size, pi) per cell and chunk splits the
+      cells exactly, and the batch is refused when the labels drawn miss a
+      subcarrier. A source attempt runs only when the network is empty,
       where the scheme regenerates: no cell holds a packet, so an attempt's
-      draws depend on nothing before it, and attempts are i.i.d. So the
-      first chunk's split of all K relays is drawn for BLOCK attempts with
-      one Multinomial(K, pi, BLOCK) call, and vector operations over the
-      block give each attempt its covered subcarriers, cells, up
-      probabilities and sure cells. The attempts are used once each and in
-      order, whatever their values, so every law is unchanged. Later chunks
-      (N > CHUNK) split an attempt's cells as it runs. In-process on the
-      fixed-k10k baseline shape, BLOCK = 32 and 256 cost within 10 % of 64
-      a frame, and 8 about 40 % more.
+      draws depend on nothing before it, and attempts are i.i.d. So
+      _attempts splits the cells of a block of attempts, each starting as
+      one cell of all K relays, with one multinomial call per chunk, and
+      vector operations over the block give each attempt its coverage,
+      cells, up probabilities and sure cells. The attempts are used once
+      each and in order, whatever their values, so every law is unchanged.
+      A draw costs up to 2^L Binomials per cell. CHUNK = 8 makes every
+      N <= 8, all criteria and benchmark rows, one chunk, and a block is
+      then BLOCK attempts: in-process on the fixed-k10k baseline shape,
+      BLOCK = 32 and 256 cost within 10 % of 64 a frame, and 8 about 40 %
+      more. Past one chunk an attempt's later chunks split up to 2^CHUNK
+      cells into 2^CHUNK counts each, so a block of BLOCK attempts would
+      hold BLOCK times as many counts at once; a block is one attempt.
     - Relay phase: no member of a cell of s relays connects on a subcarrier
       with probability (1 - 1/beta)^s, independently across cells and
       subcarriers: one Bernoulli per (subcarrier, cell) decides the edges.
@@ -330,7 +332,7 @@ class BaselineFixed:
         self.chunks = [(n, reduce(np.kron, [[1 - p, p]] * min(self.CHUNK, self.N - n), [1.0]))
                        for n in range(0, self.N, self.CHUNK)]    # bit j of S: subcarrier n + j
         self.dtype = np.int64 if self.N < 63 else object    # of the packet masks
-        self.attempts = self._first_chunks()
+        self.attempts = self._attempts()
         self.pending = []    # undelivered packets i of the batch: seq base_seq + i
         self.base_seq = self.created = 0    # created: the batch's creation frame
         self.held = 0        # relays in live cells
@@ -339,50 +341,40 @@ class BaselineFixed:
     def step(self, frame: int) -> FrameOutcome:
         return self._relay_tx() if self.pending else self._source_tx(frame)
 
-    def _first_chunks(self):
-        """Per source attempt, None when its first chunk misses a subcarrier,
-        else the batch from that chunk's cells."""
-        _, pi = self.chunks[0]
-        bits = np.arange(pi.size)
-        while True:
-            counts = self.rng.multinomial(self.K, pi, self.BLOCK)    # counts[a, S]
-            covered = np.bitwise_or.reduce(np.where(counts > 0, bits, 0), axis=1) == bits[-1]
-            rows, cells = np.nonzero(counts)
-            batches = self._batches(self.BLOCK, rows, cells.astype(self.dtype),
-                                    counts[rows, cells])
-            yield from (batch if ok else None for ok, batch in zip(covered.tolist(), batches))
-
-    def _batches(self, n, rows, labels, sizes):
-        """Per attempt a < n, from the cells with rows == a (rows ascending),
+    def _attempts(self):
+        """Per source attempt, None when its links miss a subcarrier, else
         the batch (labels, sizes, up_prob, sure, held) of the cells that hold
         a packet; sure ORs the labels of the sure cells."""
-        dead = labels == 0    # the relays that connected nowhere, one cell at most
-        held = np.full(n, self.K)
-        held[rows[dead]] -= sizes[dead]
-        live = ~dead
-        rows, labels, sizes = rows[live], labels[live], sizes[live]
-        up_prob = -np.expm1(sizes * self.log_down)
-        sure, certain = np.zeros(n, labels.dtype), up_prob == 1.0
-        np.bitwise_or.at(sure, rows[certain], labels[certain])
-        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-        return [(labels[lo:hi], sizes[lo:hi], up_prob[lo:hi], s, h) for lo, hi, s, h in zip(
-            bounds, bounds[1:], sure.tolist(), held.tolist())]
+        n = self.BLOCK if len(self.chunks) == 1 else 1    # attempts a block
+        attempts = np.arange(n)
+        while True:
+            # the cells of the block's attempts, rows ascending; each
+            # attempt starts as one cell of all K relays
+            rows, labels, sizes = attempts, np.zeros(n, self.dtype), np.full(n, self.K)
+            for first, pi in self.chunks:
+                counts = self.rng.multinomial(sizes, pi)    # counts[c, S]
+                cells, patterns = np.nonzero(counts)
+                rows, sizes = rows[cells], counts[cells, patterns]
+                labels = labels[cells] | patterns.astype(self.dtype) << first
+            starts = np.searchsorted(rows, attempts)    # K >= 1: no attempt is empty
+            covered = np.bitwise_or.reduceat(labels, starts) == (1 << self.N) - 1
+            dead = labels == 0    # the relays that connected nowhere, one cell at most
+            held = np.full(n, self.K)
+            held[rows[dead]] -= sizes[dead]
+            live = ~dead
+            rows, labels, sizes = rows[live], labels[live], sizes[live]
+            up_prob = -np.expm1(sizes * self.log_down)
+            sure, certain = np.zeros(n, labels.dtype), up_prob == 1.0
+            np.bitwise_or.at(sure, rows[certain], labels[certain])
+            bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+            for ok, lo, hi, s, h in zip(covered.tolist(), bounds, bounds[1:],
+                                        sure.tolist(), held.tolist()):
+                yield (labels[lo:hi], sizes[lo:hi], up_prob[lo:hi], s, h) if ok else None
 
     def _source_tx(self, frame):
         batch = next(self.attempts)
         if batch is None:
             return IDLE_FRAME
-        if len(self.chunks) > 1:    # N > CHUNK: the later chunks, attempt by attempt
-            # split every cell, the relays that connected nowhere first
-            labels, sizes = np.append(0, batch[0]), np.append(self.K - batch[4], batch[1])
-            for first, pi in self.chunks[1:]:
-                counts = self.rng.multinomial(sizes, pi)    # counts[c, S]
-                cells, patterns = np.nonzero(counts)
-                if np.bitwise_or.reduce(patterns) != pi.size - 1:
-                    return IDLE_FRAME
-                labels = labels[cells] | patterns.astype(self.dtype) << first
-                sizes = counts[cells, patterns]
-            batch = self._batches(1, np.zeros(sizes.size, np.intp), labels, sizes)[0]
         self.labels, self.sizes, self.up_prob, self.sure, self.held = batch
         self.pending = list(range(self.N))
         self.base_seq, self.created = self.next_seq, frame

@@ -692,15 +692,17 @@ def cell_configurations(K, N, beta, seed, draws, oracle):
 
 
 # (K, N, beta): one chunk of 4 with about 440 configurations, a full chunk of
-# 8, and two chunks, 8 + 1 and 8 + 4, whose second splits every cell with the
-# vector draw; near beta = 1 most configurations have all but a few links up
-SPLIT_LAWS = [(3, 4, 2.0), (2, 8, 1.1), (2, 9, 1.1), (2, 12, 1.05)]
+# 8, and two chunks, 8 + 1 and 8 + 4, drawn one attempt at a time with every
+# chunk split whatever the first covered; near beta = 1 most configurations
+# have all but a few links up. At K = 1, N = 9 about 53 % of attempts miss a
+# subcarrier in their first chunk and still draw their second
+SPLIT_LAWS = [(3, 4, 2.0), (2, 8, 1.1), (2, 9, 1.1), (1, 9, 1.1), (2, 12, 1.05)]
 
 
 @pytest.mark.parametrize("K,N,beta", SPLIT_LAWS)
 def test_fixed_baseline_cell_split_matches_binomial_oracle(K, N, beta):
-    # BaselineFixed draws its attempts' first chunks BLOCK at a time, so the
-    # 15,000 attempts cross a few hundred block boundaries
+    # BaselineFixed draws one-chunk attempts (N <= 8) BLOCK at a time, so
+    # there the 15,000 attempts cross a few hundred block boundaries
     draws = 15_000
     new = Counter(cell_configurations(K, N, beta, 5100 + N, draws, oracle=False))
     old = Counter(cell_configurations(K, N, beta, 5200 + N, draws, oracle=True))
@@ -710,6 +712,23 @@ def test_fixed_baseline_cell_split_matches_binomial_oracle(K, N, beta):
     table = np.column_stack((table, draws - table.sum(axis=1)))
     table = table[:, table.sum(axis=0) > 0]
     assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("K,N,beta,calls", [(30, 4, 2.0, 2), (30, 8, 1.5, 2),
+                                            (3, 12, 2.0, 2 * 128), (20, 70, 1.5, 9 * 128)])
+def test_fixed_baseline_draws_each_chunk_once_a_block(K, N, beta, calls):
+    # one multinomial call per chunk over a block's cells: 128 one-chunk
+    # attempts (N <= 8) are two blocks of BLOCK = 64, each split by one call
+    # from K relays per attempt; past one chunk a block is one attempt, which
+    # splits every chunk, 2 at N = 12 and 9 at N = 70, whether or not an
+    # earlier chunk missed a subcarrier (at K = 3, N = 12 most attempts do)
+    proto = make_fixed(BaselineFixed, K, N, 1.0, beta, 73)
+    proto.rng = CountingRng(proto.rng)
+    kinds = Counter(proto._source_tx(t).kind for t in range(128))
+    assert len(proto.rng.multinomials) == calls
+    first = proto.rng.multinomials[::len(proto.chunks)]
+    assert [n.tolist() for n in first] == [[K] * (128 // len(first))] * len(first)
+    assert kinds[SOURCE_TX] and (kinds[IDLE] > 64) is (K == 3)
 
 
 # ------------------------------------ dense oracle for the fixed baseline
@@ -1273,15 +1292,20 @@ def test_mobile_coverage_takes_scalar_binomials_over_nonzero_strips(scheme, p, b
 
 
 class CountingRng:
-    """A Generator that records its scalar binomial calls as (n, p)."""
+    """A Generator that records its scalar binomial calls as (n, p), and the
+    n of its multinomial calls."""
 
     def __init__(self, rng):
-        self.rng, self.calls = rng, []
+        self.rng, self.calls, self.multinomials = rng, [], []
 
     def binomial(self, n, p, size=None):
         if size is None:
             self.calls.append((n, p))
         return self.rng.binomial(n, p, size)
+
+    def multinomial(self, n, pvals, size=None):
+        self.multinomials.append(n)
+        return self.rng.multinomial(n, pvals, size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
