@@ -131,14 +131,16 @@ K10K = 10_000
 # (name, SystemConfig fields): the four benchmark k10k shapes cut to 500 +
 # 500 frames, which reach the few-movers walk and ODWF's thinned phase I;
 # rows with no and with full mobile coverage; a fixed baseline whose
-# source phase takes two chunks of subcarriers; M = 1000 strips, about one
-# relay each, walked mover by mover (2qK = 4) and by the multinomial draw
-# (2qK = 100), with disks of radius about 1.01 (ODWF) and 1.02 (baseline)
-# that reach past the middle; a frozen walk; and two fixed baselines whose
+# source phase takes two chunks of subcarriers, drawn one attempt at a
+# time; M = 1000 strips, about one relay each, walked mover by mover
+# (2qK = 4) and by the multinomial draw (2qK = 100), with disks of radius
+# about 1.01 (ODWF) and 1.02 (baseline) that reach past the middle; a
+# frozen walk; and two fixed baselines whose
 # relay frames often leave a subcarrier short of a pending packet, so they
 # run the bipartite matching: K = 30 relays over N = 3 subcarriers, where
 # some matchings leave a packet behind, and N = 70, whose packet masks are
-# Python ints split over nine chunks of subcarriers
+# Python ints split over nine chunks of subcarriers, again one attempt at a
+# time
 ROWS = (
     ("fixed-odwf-k10k", dict(scenario="fixed", scheme="odwf", K=K10K, N=2, p=1.0,
                              beta=2000.0)),
@@ -178,7 +180,7 @@ ROW_DIGESTS = {
     "mobile-odwf-q0.2": "5e7d2aedadab8af5",
     "mobile-odwf-no-coverage": "39b00dd7334f62f5",
     "mobile-baseline-full-coverage": "18e79d33222e6ebc",
-    "fixed-baseline-n12": "5195384267e9d5ac",
+    "fixed-baseline-n12": "1330b65b9a390b4a",
     "mobile-odwf-m1000-few": "7dab781fc8956283",
     "mobile-odwf-m1000-many": "4bdd83e0247b8fa4",
     "mobile-baseline-m1000-few": "d5875c3f2fec4093",
