@@ -1293,7 +1293,7 @@ def test_mobile_coverage_takes_scalar_binomials_over_nonzero_strips(scheme, p, b
 
 class CountingRng:
     """A Generator that records its scalar binomial calls as (n, p), and the
-    n of its multinomial calls."""
+    n of each multinomial call, one entry per draw of the call."""
 
     def __init__(self, rng):
         self.rng, self.calls, self.multinomials = rng, [], []
@@ -1304,7 +1304,7 @@ class CountingRng:
         return self.rng.binomial(n, p, size)
 
     def multinomial(self, n, pvals, size=None):
-        self.multinomials.append(n)
+        self.multinomials.append(np.broadcast_to(n, size or np.shape(n)))
         return self.rng.multinomial(n, pvals, size)
 
     def __getattr__(self, name):
