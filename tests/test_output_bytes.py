@@ -28,7 +28,11 @@ recorded_numpy = pytest.mark.skipif(np.__version__ != "2.4.6",
                                     reason="digests recorded with numpy 2.4.6")
 PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
-# the four sweeps of perfbench/specs, without their comments
+# the four sweeps of perfbench/specs, without their comments, and a sweep
+# whose rows reach every status and absent cell: q = 0.001 and q = 0
+# overflow the buffer cap at beta = 4, q = 0 has no prediction (and row 4
+# is both, so it reads buffer_overflow), beta = 1e80 delivers nothing, so D
+# is absent, and two replications give the intervals a width
 SPECS = {
     "fixed-baseline-n-sweep": """\
 schema_version = 1
@@ -103,6 +107,25 @@ seed = 1
 q = 0.05, 0.2
 beta = 4, 16, 64
 """,
+    "mobile-odwf-cells-branches": """\
+schema_version = 1
+[system]
+scenario = mobile
+scheme = odwf
+K = 200
+N = 1
+p = 1.0
+beta = 4
+q = 0.2
+warmup_frames = 100
+measure_frames = 300
+replications = 2
+buffer_cap = 40
+seed = 1
+[sweep]
+q = 0.2, 0.001, 0
+beta = 4, 1e80
+""",
 }
 
 SPEC_DIGESTS = {
@@ -110,6 +133,7 @@ SPEC_DIGESTS = {
     "fixed-odwf-beta-sweep": "6b0d11719080d73a",
     "mobile-baseline-q-sweep": "ab5f9fddcdfa7b69",
     "mobile-odwf-q-beta-sweep": "46a689c0814bb1d4",
+    "mobile-odwf-cells-branches": "76b58fddeb44a2f9",
 }
 
 PRESET_DIGESTS = {
@@ -120,6 +144,7 @@ PRESET_DIGESTS = {
 # the same outputs written as JSON lines
 JSONL_SPEC_DIGESTS = {
     "mobile-baseline-q-sweep": "5b403388bb7f05a6",
+    "mobile-odwf-cells-branches": "fea7a9689899efa0",
 }
 
 JSONL_PRESET_DIGESTS = {
