@@ -26,7 +26,8 @@ FLAG_INDETERMINATE = "indeterminate_regime"
 
 @dataclass(frozen=True)
 class Prediction:
-    """Closed-form point prediction. Fields a scheme does not predict are None.
+    """Closed-form point prediction; field f is the output column pred_f.
+    Fields a scheme does not predict are None.
 
     validity holds the asymptotic conditions satisfied at these parameters
     plus markers: "orderwise_only" when any value has an unknown constant,
@@ -37,7 +38,7 @@ class Prediction:
     T_max: float | None = None
     D: float | None = None
     P_RD: float | None = None
-    occupancy_alpha: float | None = None
+    occupancy: float | None = None
     delta: float | None = None
     c: float | None = None
     T_finite_K: float | None = None
@@ -107,7 +108,7 @@ def odwf_fixed_prediction(K: float, N: int, p: float, beta: float) -> Prediction
         T_max=N / 2.0 * math.log2(1.0 + p * math.log(K)),
         D=max(1.0, 2.0 * c * beta ** 2 / K),
         P_RD=prd,
-        occupancy_alpha=occ,
+        occupancy=occ,
         delta=delta_of(beta, K),
         c=c,
         T_finite_K=N * prd * per_packet,

@@ -134,23 +134,24 @@ class MetricsTrace:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Replication means with 95% half-widths (0 for a single replication).
+    """Replication means with 95% half-widths (0 for a single replication),
+    each field named as its output column.
 
-    mean_delay is None when no replication delivered a packet: an undefined
-    delay is reported as absent, never as 0.
+    D is None when no replication delivered a packet: an undefined delay is
+    reported as absent, never as 0.
     """
 
-    mean_throughput: float
-    throughput_ci95: float
-    mean_delay: float | None
-    delay_ci95: float | None
-    occupancy: float
+    T: float
+    T_ci95: float
+    D: float | None
+    D_ci95: float | None
+    occupancy_hat: float
     occupancy_ci95: float
-    p_rd_hat: float
-    p_rd_ci95: float
-    p_sr_hat: float
-    p_sr_ci95: float
-    undelivered_at_end: float
+    P_RD_hat: float
+    P_RD_ci95: float
+    P_SR_hat: float
+    P_SR_ci95: float
+    undelivered: float
     replications: int
 
 
@@ -249,13 +250,10 @@ def _mean_ci(values) -> tuple[float, float]:
 
 
 def summarize(traces: list) -> RunSummary:
-    throughput, throughput_ci = _mean_ci([measure_throughput(t) for t in traces])
+    T, T_ci = _mean_ci([measure_throughput(t) for t in traces])
     delay_means = [measure_delay(t) for t in traces]
     delay_means = [d for d in delay_means if d is not None]
-    if delay_means:
-        delay, delay_ci = _mean_ci(delay_means)
-    else:
-        delay, delay_ci = None, None
+    D, D_ci = _mean_ci(delay_means) if delay_means else (None, None)
     occupancy, occupancy_ci = _mean_ci(
         [float(t.occupancy_fraction.mean()) for t in traces])
     counts = [t.phase_counts for t in traces]
@@ -264,17 +262,10 @@ def summarize(traces: list) -> RunSummary:
     p_sr, p_sr_ci = _mean_ci(
         [c[SOURCE_TX] / t.measure_frames for c, t in zip(counts, traces)])
     return RunSummary(
-        mean_throughput=throughput,
-        throughput_ci95=throughput_ci,
-        mean_delay=delay,
-        delay_ci95=delay_ci,
-        occupancy=occupancy,
-        occupancy_ci95=occupancy_ci,
-        p_rd_hat=p_rd,
-        p_rd_ci95=p_rd_ci,
-        p_sr_hat=p_sr,
-        p_sr_ci95=p_sr_ci,
-        undelivered_at_end=float(np.mean([t.undelivered_at_end for t in traces])),
+        T=T, T_ci95=T_ci, D=D, D_ci95=D_ci,
+        occupancy_hat=occupancy, occupancy_ci95=occupancy_ci,
+        P_RD_hat=p_rd, P_RD_ci95=p_rd_ci, P_SR_hat=p_sr, P_SR_ci95=p_sr_ci,
+        undelivered=float(np.mean([t.undelivered_at_end for t in traces])),
         replications=len(traces),
     )
 

@@ -39,7 +39,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -237,41 +237,27 @@ def _config_cells(row: int, cfg: SystemConfig, master_seed: int) -> dict:
 
 
 def _simulate_cells(cfg: SystemConfig) -> dict:
+    """The summary's fields, named as their columns; D is absent, not None,
+    when nothing was delivered."""
     try:
         summary = run_replicated(cfg)
     except BufferOverflowError:
         return {"status": STATUS_OVERFLOW}
-    cells = {
-        "T": summary.mean_throughput, "T_ci95": summary.throughput_ci95,
-        "P_RD_hat": summary.p_rd_hat, "P_RD_ci95": summary.p_rd_ci95,
-        "P_SR_hat": summary.p_sr_hat, "P_SR_ci95": summary.p_sr_ci95,
-        "occupancy_hat": summary.occupancy,
-        "occupancy_ci95": summary.occupancy_ci95,
-        "undelivered": summary.undelivered_at_end,
-    }
-    if summary.mean_delay is not None:
-        cells["D"] = summary.mean_delay
-        cells["D_ci95"] = summary.delay_ci95
-    return cells
+    return {k: v for k, v in asdict(summary).items() if v is not None}
 
 
 def _prediction_cells(cfg: SystemConfig) -> dict:
+    """pred_ + each field the closed form fills; validity is joined."""
     try:
         pred = _predict(cfg)
     except (ValueError, OverflowError):  # outside their domain, e.g. alpha < 2, q = 0
         return {"status": STATUS_NO_PREDICTION}
-    cells = {
-        "pred_T": pred.T, "pred_T_max": pred.T_max,
-        "pred_T_finite_K": pred.T_finite_K, "pred_D": pred.D,
-        "pred_P_RD": pred.P_RD, "pred_occupancy": pred.occupancy_alpha,
-        "pred_delta": pred.delta, "pred_c": pred.c,
-        "pred_beta_opt": pred.beta_opt,
-    }
-    cells = {k: v for k, v in cells.items() if v is not None}
+    cells = {f"pred_{k}": v for k, v in asdict(pred).items() if v is not None}
+    validity = cells.pop("pred_validity")
     if not all(map(math.isfinite, cells.values())):    # past the float range
         return {"status": STATUS_NO_PREDICTION}
-    if pred.validity:
-        cells["pred_validity"] = "|".join(sorted(pred.validity))
+    if validity:
+        cells["pred_validity"] = "|".join(sorted(validity))
     return cells
 
 

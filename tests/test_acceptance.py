@@ -46,14 +46,14 @@ def test_criterion_02_flow_balance_and_occupancy():
                        measure_frames=frames, seed=0)
     s = run_replicated(cfg)
     # indicator variance of P_SR - P_RD for mutually exclusive phases
-    se = math.sqrt((s.p_sr_hat * (1 - s.p_sr_hat)
-                    + s.p_rd_hat * (1 - s.p_rd_hat)
-                    + 2 * s.p_sr_hat * s.p_rd_hat) / frames)
-    assert abs(s.p_sr_hat - s.p_rd_hat) <= 3 * se
+    se = math.sqrt((s.P_SR_hat * (1 - s.P_SR_hat)
+                    + s.P_RD_hat * (1 - s.P_RD_hat)
+                    + 2 * s.P_SR_hat * s.P_RD_hat) / frames)
+    assert abs(s.P_SR_hat - s.P_RD_hat) <= 3 * se
     want = p_rd(beta, K, N)
-    assert abs(s.p_rd_hat - want) / want <= 0.05
+    assert abs(s.P_RD_hat - want) / want <= 0.05
     occ_want, _ = occupancy_alpha(beta, K, N)
-    assert abs(s.occupancy - occ_want) / occ_want <= 0.10
+    assert abs(s.occupancy_hat - occ_want) / occ_want <= 0.10
 
 
 def test_criterion_03_fixed_odwf_delay_law():
@@ -62,7 +62,7 @@ def test_criterion_03_fixed_odwf_delay_law():
     for beta in betas:
         cfg = SystemConfig("fixed", "odwf", K=K, N=1, p=1.0, beta=beta,
                            measure_frames=20000, seed=0)
-        delays.append(run_replicated(cfg).mean_delay)
+        delays.append(run_replicated(cfg).D)
     slope = loglog_slope(betas, delays)
     assert abs(slope - 2.0) <= 0.3
     want = 2.0 * c_of(1) * 800.0**2 / K
@@ -113,7 +113,7 @@ def test_criterion_07_mobile_odwf_throughput():
                        alpha=alpha, M=5, q=0.1, measure_frames=20000, seed=0)
     s = run_replicated(cfg)
     want = (N / 2.0) * math.log2(beta)
-    assert abs(s.mean_throughput - want) / want <= 0.10
+    assert abs(s.T - want) / want <= 0.10
 
 
 def test_criterion_08_mobile_odwf_delay_scaling():
@@ -125,7 +125,7 @@ def test_criterion_08_mobile_odwf_delay_scaling():
         cfg = SystemConfig("mobile", "odwf", K=500, N=1, p=1.0, beta=64.0,
                            alpha=alpha, M=5, q=q, warmup_frames=2000,
                            measure_frames=20000, seed=0)
-        delays.append(run_replicated(cfg).mean_delay)
+        delays.append(run_replicated(cfg).D)
     assert abs(loglog_slope(qs, delays) - (-1.0)) <= 0.3
     # coverage-dominated branch: beta^(4/alpha)/(K*q) >> 1/q since beta >> K
     K, q = 800, 0.2
@@ -136,7 +136,7 @@ def test_criterion_08_mobile_odwf_delay_scaling():
                            alpha=alpha, M=5, q=q,
                            warmup_frames=int(10 * beta / (K * q)) + 1000,
                            measure_frames=30000, seed=0)
-        delays.append(run_replicated(cfg).mean_delay)
+        delays.append(run_replicated(cfg).D)
     slope = loglog_slope(betas, delays)
     want = 4.0 / alpha
     assert abs(slope - want) / want <= 0.30
@@ -154,8 +154,8 @@ def test_criterion_09_mobile_gain_grows_with_k():
                                            **shared))
         base = run_replicated(SystemConfig(scheme="baseline", beta=2.0,
                                            **shared))
-        assert base.mean_throughput > 0
-        ratios.append(odwf.mean_throughput / base.mean_throughput)
+        assert base.T > 0
+        ratios.append(odwf.T / base.T)
     assert ratios[0] < ratios[1] < ratios[2]
 
 
@@ -192,10 +192,10 @@ def test_criterion_11_odwf_with_k_relays_matches_baseline_with_k_squared():
                                            **shared))
         beta_star = baseline_fixed_prediction(K**2, N, p).beta_opt
         best = max(run_replicated(SystemConfig(scheme="baseline", K=K**2,
-                                               beta=f * beta_star, **shared)).mean_throughput
+                                               beta=f * beta_star, **shared)).T
                    for f in (0.5, 1.0, 2.0))
-        gaps.append((odwf.mean_throughput - best) / best)
-        delay_over_k.append(odwf.mean_delay / K)
+        gaps.append((odwf.T - best) / best)
+        delay_over_k.append(odwf.D / K)
     assert all(abs(gap) <= 0.02 for gap in gaps)
     assert abs(gaps[-1]) <= abs(gaps[0])
     assert all(ratio <= 0.25 for ratio in delay_over_k)
@@ -215,7 +215,7 @@ def test_criterion_12_mobile_odwf_throughput_law_as_k_grows():
                                         alpha=4.0, M=5, q=q, measure_frames=5000,
                                         seed=0))
         want = (N / 2.0) * math.log2(beta)
-        assert abs(s.mean_throughput - want) / want <= 0.01
-        assert 2.0 <= s.mean_delay / (K / (q * math.log(K) ** 4)) <= 12.0
-        throughputs.append(s.mean_throughput)
+        assert abs(s.T - want) / want <= 0.01
+        assert 2.0 <= s.D / (K / (q * math.log(K) ** 4)) <= 12.0
+        throughputs.append(s.T)
     assert all(a < b for a, b in zip(throughputs, throughputs[1:]))

@@ -288,5 +288,5 @@ def test_predictions_carry_probability_bounds():
         pred = odwf_fixed_prediction(K, N, 1.0, beta)
         assert 0.0 <= pred.delta <= 1.0
         assert 0.0 <= pred.P_RD <= 0.5
-        assert 0.0 <= pred.occupancy_alpha <= 1.0
+        assert 0.0 <= pred.occupancy <= 1.0
         assert pred.D >= 1.0

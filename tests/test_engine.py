@@ -196,10 +196,10 @@ def test_phase_frequencies_match_prediction():
     cfg = fixed_cfg(K=1000, beta=100.0, warmup_frames=1000, measure_frames=5000)
     s = run_replicated(cfg)
     want = p_rd(cfg.beta, cfg.K, cfg.N)
-    assert abs(s.p_rd_hat - want) / want < 0.05
-    assert abs(s.p_sr_hat - s.p_rd_hat) < 0.05 * want   # flow balance
+    assert abs(s.P_RD_hat - want) / want < 0.05
+    assert abs(s.P_SR_hat - s.P_RD_hat) < 0.05 * want   # flow balance
     occ_want, _ = occupancy_alpha(cfg.beta, cfg.K, cfg.N)
-    assert abs(s.occupancy - occ_want) / occ_want < 0.10
+    assert abs(s.occupancy_hat - occ_want) / occ_want < 0.10
 
 
 def test_littles_law_holds_in_steady_state():
@@ -230,18 +230,18 @@ def test_mobile_throughput_near_half_rate():
     # throughput approaches (N/2) log2 beta
     cfg = mobile_cfg(warmup_frames=500, measure_frames=3000)
     s = run_replicated(cfg)
-    assert abs(s.mean_throughput - 1.0) < 0.10
-    assert s.mean_delay is not None and s.mean_delay >= 1.0
+    assert abs(s.T - 1.0) < 0.10
+    assert s.D is not None and s.D >= 1.0
 
 
 def test_mobile_unreachable_network_reports_absent_delay():
     cfg = SystemConfig(MOBILE, ODWF, K=2, N=1, p=1.0, beta=1e6, alpha=2.0,
                        M=5, q=0.0, warmup_frames=0, measure_frames=50, seed=0)
     s = run_replicated(cfg)
-    assert s.mean_throughput == 0.0
-    assert s.mean_delay is None and s.delay_ci95 is None
-    assert s.p_rd_hat == 0.0 and s.p_sr_hat == 0.0
-    assert s.undelivered_at_end == 0.0
+    assert s.T == 0.0
+    assert s.D is None and s.D_ci95 is None
+    assert s.P_RD_hat == 0.0 and s.P_SR_hat == 0.0
+    assert s.undelivered == 0.0
 
 
 @pytest.mark.parametrize("scheme", [ODWF, BASELINE])
@@ -252,24 +252,24 @@ def test_mobile_vanishing_coverage_idles(scheme, alpha, beta):
     cfg = mobile_cfg(scheme=scheme, alpha=alpha, beta=beta, warmup_frames=20,
                      measure_frames=200)
     s = run_replicated(cfg)
-    assert s.mean_throughput == 0.0 and s.mean_delay is None
-    assert s.p_rd_hat == 0.0 and s.p_sr_hat == 0.0 and s.occupancy == 0.0
+    assert s.T == 0.0 and s.D is None
+    assert s.P_RD_hat == 0.0 and s.P_SR_hat == 0.0 and s.occupancy_hat == 0.0
 
 
 def test_baseline_fixed_delay_is_one_with_many_relays():
     cfg = fixed_cfg(scheme=BASELINE, K=500, beta=4.0, warmup_frames=100,
                     measure_frames=3000)
     s = run_replicated(cfg)
-    assert abs(s.mean_delay - 1.0) <= 0.02
+    assert abs(s.D - 1.0) <= 0.02
     # strict SourceTx/RelayTx alternation shows up as equal phase rates
-    assert abs(s.p_rd_hat - 0.5) <= 0.01 and abs(s.p_sr_hat - 0.5) <= 0.01
+    assert abs(s.P_RD_hat - 0.5) <= 0.01 and abs(s.P_SR_hat - 0.5) <= 0.01
 
 
 def test_single_replication_has_zero_halfwidths():
     s = run_replicated(fixed_cfg(measure_frames=500, replications=1))
     assert s.replications == 1
-    assert s.throughput_ci95 == 0.0 and s.occupancy_ci95 == 0.0
-    assert s.delay_ci95 == 0.0
+    assert s.T_ci95 == 0.0 and s.occupancy_ci95 == 0.0
+    assert s.D_ci95 == 0.0
 
 
 def test_t_quantiles_match_scipy():
@@ -301,8 +301,8 @@ def test_halfwidth_shrinks_with_replications():
                     seed=5)
     a = run_replicated(cfg)
     b = run_replicated(dataclasses.replace(cfg, replications=32))
-    assert a.throughput_ci95 > 0.0
-    ratio = b.throughput_ci95 / a.throughput_ci95   # expect ~ sqrt(8/32)
+    assert a.T_ci95 > 0.0
+    ratio = b.T_ci95 / a.T_ci95   # expect ~ sqrt(8/32)
     assert 0.3 < ratio < 0.9
 
 
@@ -319,6 +319,6 @@ def test_summarize_pools_only_delivering_replications():
     )
     assert measure_delay(empty) is None
     s = summarize([trace, empty])
-    assert s.mean_delay == measure_delay(trace)
-    assert s.mean_throughput == measure_throughput(trace) / 2.0
-    assert summarize([empty]).mean_delay is None
+    assert s.D == measure_delay(trace)
+    assert s.T == measure_throughput(trace) / 2.0
+    assert summarize([empty]).D is None

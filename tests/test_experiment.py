@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim.engine import SystemConfig
+from relaysim.analytics import Prediction
+from relaysim.engine import RunSummary, SystemConfig
 from relaysim.experiment import (_OUTPUT_KEYS, _SYSTEM_KEYS, COLUMNS, STATUS_NO_PREDICTION,
                                  STATUS_OK, STATUS_OVERFLOW, ExperimentSpec, SpecError,
-                                 _row_seed, emit, load_spec, parse_spec, run_experiment)
+                                 _config_cells, _row_seed, emit, load_spec, parse_spec,
+                                 run_experiment)
 
 MINIMAL = """\
 schema_version = 1
@@ -448,6 +450,17 @@ def test_run_experiment_row_outside_the_closed_forms_keeps_the_sweep(axis):
 def test_run_experiment_is_deterministic():
     spec = parse_spec(SIM_SMALL)
     assert run_experiment(spec) == run_experiment(spec)
+
+
+def test_every_result_field_is_a_column_and_every_column_has_a_source():
+    # a new RunSummary or Prediction field cannot drop out of the output,
+    # and no column is filled by hand besides the configuration's
+    simulated = {f.name for f in dataclasses.fields(RunSummary)}
+    predicted = {f"pred_{f.name}" for f in dataclasses.fields(Prediction)}
+    assert simulated | predicted <= set(COLUMNS)
+    mobile = SystemConfig(scenario="mobile", scheme="odwf", K=50, N=2, p=1.0, beta=8.0)
+    configured = set(_config_cells(0, mobile, 0))
+    assert set(COLUMNS) <= configured | simulated | predicted
 
 
 def test_emit_csv_round_trips(tmp_path):

@@ -3,14 +3,16 @@ method, property and module-level name defined in src/relaysim is read
 somewhere in src/relaysim or exported by relaysim/__init__.py, and every
 name a runtime module imports is read in that module. Helpers only the tests
 call belong in tests/oracles.py. Only protocol._Fifos reads its id layout,
-and experiment.py takes SystemConfig's field names from SystemConfig."""
+and experiment.py takes SystemConfig's field names from SystemConfig and
+the simulation and prediction column names from RunSummary and Prediction."""
 
 import ast
 import dataclasses
 from pathlib import Path
 
 import relaysim
-from relaysim.engine import SystemConfig
+from relaysim.analytics import Prediction
+from relaysim.engine import RunSummary, SystemConfig
 
 SRC = Path(relaysim.__file__).resolve().parent
 
@@ -117,10 +119,9 @@ def test_only_fifos_reads_its_id_layout():
 FIELD_LITERALS = {"seed", "buffer_cap", "alpha", "M", "q", "R", "warmup_frames"}
 
 
-def config_field_literals(tree) -> list:
-    """(line, name) per string literal that spells a SystemConfig init-field
-    name outside the COLUMNS assignment, the output contract, and f-strings."""
-    names = {f.name for f in dataclasses.fields(SystemConfig) if f.init}
+def literals_outside_columns(tree, names) -> list:
+    """(line, name) per string literal that spells one of names outside the
+    COLUMNS assignment, the output contract, and f-strings."""
     skipped = {id(node) for top in ast.walk(tree)
                if isinstance(top, ast.JoinedStr) or (isinstance(top, ast.Assign) and
                    [ast.unparse(target) for target in top.targets] == ["COLUMNS"])
@@ -131,6 +132,18 @@ def config_field_literals(tree) -> list:
 
 
 def test_experiment_spells_no_config_field_outside_the_allowlist():
-    flagged = [(line, name) for line, name in config_field_literals(parse_sources()["experiment.py"])
-               if name not in FIELD_LITERALS]
+    names = {f.name for f in dataclasses.fields(SystemConfig) if f.init}
+    flagged = [(line, name) for line, name in literals_outside_columns(
+                   parse_sources()["experiment.py"], names) if name not in FIELD_LITERALS]
     assert flagged == [], "read these from _SYSTEM_KEYS or dataclasses.fields(SystemConfig)"
+
+
+def test_experiment_spells_no_result_column_outside_columns():
+    # a simulation or prediction column is named by its RunSummary or
+    # Prediction field; pred_validity is the one cell built by hand, since
+    # it joins a frozenset
+    names = ({f.name for f in dataclasses.fields(RunSummary)}
+             | {f"pred_{f.name}" for f in dataclasses.fields(Prediction)})
+    flagged = [(line, name) for line, name in literals_outside_columns(
+                   parse_sources()["experiment.py"], names) if name != "pred_validity"]
+    assert flagged == [], "read these from the RunSummary or Prediction fields"
