@@ -250,7 +250,8 @@ def _prediction_cells(cfg: SystemConfig) -> dict:
     """pred_ + each field the closed form fills; validity is joined."""
     try:
         pred = _predict(cfg)
-    except (ValueError, OverflowError):  # outside their domain, e.g. alpha < 2, q = 0
+    except (ValueError, ArithmeticError):  # outside their domain (e.g. alpha < 2,
+        # q = 0), or past the float range: q^(M-1) may underflow to 0
         return {"status": STATUS_NO_PREDICTION}
     cells = {f"pred_{k}": v for k, v in asdict(pred).items() if v is not None}
     validity = cells.pop("pred_validity")

@@ -171,6 +171,27 @@ def test_prediction_past_the_float_range_reads_no_prediction(tmp_path, scenario)
     assert second["status"] == "no_prediction" and second["pred_T"] == ""
 
 
+def test_prediction_that_underflows_reads_no_prediction(tmp_path):
+    # the mobile baseline's bounded-regime delay 1/(K q^(M-1)) divides by
+    # zero once q^(M-1) underflows: that row has no prediction, the sweep
+    # keeps its other rows
+    mobile = (SPEC.replace("scenario = fixed", "scenario = mobile")
+              .replace("scheme = odwf", "scheme = baseline"))
+    rows = {}
+    for axis in ("0.05", "0.05, 1e-100"):
+        spec = tmp_path / "exp.ini"
+        spec.write_text(mobile + f"[sweep]\nq = {axis}\n", encoding="utf-8")
+        out = tmp_path / "res.csv"
+        assert main(["predict", "--spec", str(spec), "--out", str(out)]) == 0
+        rows[axis] = read_csv(out)
+    header, first, second = rows["0.05, 1e-100"]
+    assert rows["0.05"] == [header, first]    # the first row is intact
+    first, second = dict(zip(header, first)), dict(zip(header, second))
+    assert first["status"] == "ok" and float(first["pred_D"]) > 0
+    assert second["status"] == "no_prediction" and second["q"] == "1e-100"
+    assert all(second[col] == "" for col in header if col.startswith("pred_"))
+
+
 @pytest.mark.parametrize("scheme", ["odwf", "baseline"])
 def test_prediction_that_comes_out_infinite_reads_no_prediction(tmp_path, scheme):
     # at p = 1e308 the rate at beta = 4 is finite, but p ln K at the best
