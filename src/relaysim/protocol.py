@@ -348,11 +348,11 @@ class BaselineFixed:
         n = self.BLOCK if len(self.chunks) == 1 else 1    # attempts a block
         attempts = np.arange(n)
         while True:
-            # the cells of the block's attempts, rows ascending; each
-            # attempt starts as one cell of all K relays
-            rows, labels, sizes = attempts, np.zeros(n, self.dtype), np.full(n, self.K)
+            # the cells of the block's attempts, rows ascending; each attempt
+            # starts as one cell of all K relays, a scalar K drawn n times
+            rows, labels, sizes = attempts, np.zeros(n, self.dtype), self.K
             for first, pi in self.chunks:
-                counts = self.rng.multinomial(sizes, pi)    # counts[c, S]
+                counts = self.rng.multinomial(sizes, pi, np.shape(sizes) or n)    # counts[c, S]
                 cells, patterns = np.nonzero(counts)
                 rows, sizes = rows[cells], counts[cells, patterns]
                 labels = labels[cells] | patterns.astype(self.dtype) << first
