@@ -237,8 +237,8 @@ def _config_cells(row: int, cfg: SystemConfig, master_seed: int) -> dict:
 
 
 def _simulate_cells(cfg: SystemConfig) -> dict:
-    """The summary's fields, named as their columns; D is absent, not None,
-    when nothing was delivered."""
+    """The summary's fields, named as their columns; D and D_ci95 are
+    absent, not None, when nothing was delivered."""
     try:
         summary = run_replicated(cfg)
     except BufferOverflowError:
